@@ -3,9 +3,12 @@
 Each iteration takes one (or more) plain SGD steps on the weights using
 a training batch and the current masks held fixed, then one SGD step on
 the ratios using a validation batch, with gradients flowing to each
-ratio through both its mask and the FLOPs cost term.  Rankings refresh
-on a fixed iteration interval, so channels masked to zero keep their
-stored weights and can re-enter when their importance recovers.
+ratio through both its mask and the FLOPs cost term.  Weights are frozen
+for the ratio step, so it records no graph before the first mask and
+computes no weight gradients the next weight step would discard.
+Rankings refresh on a fixed iteration interval, so channels masked to
+zero keep their stored weights and can re-enter when their importance
+recovers.
 
 Both learning rates follow cosine schedules with warm restarts; the
 default restart period is a fifth of the search budget.
@@ -176,8 +179,12 @@ def outer_step(
     """One ratio update from a validation batch.
 
     The forward pass normalizes by batch statistics (a validation batch
-    is still a batch) but leaves the running statistics untouched.
-    Updated ratios are clamped to [1/C, 1].
+    is still a batch) but leaves the running statistics untouched.  The
+    weights are frozen for the step and made trainable again on the way
+    out, also when it raises; their `.grad` is left as it was.  A ratio's
+    gradient depends only on the upstream gradient at its mask, so it is
+    the same as with the weights live.  Updated ratios are clamped to
+    [1/C, 1].
     """
     ids = sorted(flops)
     dtype = model.params[ids[0]]["weight"].data.dtype
@@ -186,16 +193,20 @@ def outer_step(
         i: ratio_mask_tensor(rts[i], rankings[i], diag=diag, layer_id=i, dtype=dtype)
         for i in ids
     }
-    logits = forward(model, xb, masks=mask_ts, mode="train", update_running=False)
-    loss_t, bd = combined_loss(
-        logits, yb, [rts[i] for i in ids], [flops[i] for i in ids], config.alpha, config.beta
-    )
-    if not math.isfinite(bd.ce):
-        raise SearchDiverged(
-            "validation loss is not finite",
-            {"loss": bd.ce, "ratios": dict(ratios), "lr_r": lr_r},
+    model.set_requires_grad(False)
+    try:
+        logits = forward(model, xb, masks=mask_ts, mode="train", update_running=False)
+        loss_t, bd = combined_loss(
+            logits, yb, [rts[i] for i in ids], [flops[i] for i in ids], config.alpha, config.beta
         )
-    backward(loss_t)
+        if not math.isfinite(bd.ce):
+            raise SearchDiverged(
+                "validation loss is not finite",
+                {"loss": bd.ce, "ratios": dict(ratios), "lr_r": lr_r},
+            )
+        backward(loss_t)
+    finally:
+        model.set_requires_grad(True)
     out = {}
     for i in ids:
         c = rankings[i].channels

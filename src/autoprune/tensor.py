@@ -23,7 +23,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 _DEFAULT_DTYPE = np.float32
-_FINITE_CHECK = False
 _GRAD_ENABLED = True
 _SEQ = itertools.count()
 
@@ -50,12 +49,6 @@ def use_dtype(dtype):
         yield
     finally:
         set_default_dtype(old)
-
-
-def set_finite_check(enabled: bool) -> None:
-    """When enabled, every operation asserts its output is finite."""
-    global _FINITE_CHECK
-    _FINITE_CHECK = bool(enabled)
 
 
 @contextmanager
@@ -142,8 +135,6 @@ class Tensor:
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     """Wrap an op result, recording graph edges when gradients are live."""
-    if _FINITE_CHECK and not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite value produced by an operation")
     needs = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -274,9 +265,17 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    """Elementwise max(x, 0); the subgradient at exactly zero is zero."""
+    """Elementwise max(x, 0); the subgradient at exactly zero is zero.
+
+    Every input that is not greater than zero maps to +0.0, NaN and -0.0
+    included: `fmax` drops the NaN, and adding +0.0 turns -0.0 into +0.0
+    while leaving every other value as it is.  (`np.maximum` would keep
+    both NaN and -0.0.)
+    """
     keep = a.data > 0
-    out_data = np.where(keep, a.data, a.data.dtype.type(0))
+    zero = a.data.dtype.type(0)
+    out_data = np.fmax(a.data, zero)
+    out_data += zero
 
     def back(g):
         if a.requires_grad:
@@ -402,9 +401,13 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 def pool2d(x: Tensor, kind: str, window: int) -> Tensor:
     """Non-overlapping max or average pooling with a square window.
 
-    The window must divide both spatial dimensions.  Max ties resolve to
-    the lowest flat index inside the window (row-major), so gradients are
-    deterministic.
+    The window must divide both spatial dimensions.  Max pooling folds the
+    window's strided views together in row-major order, so the output is
+    the first maximum of each window and NaN wherever the window holds a
+    NaN.  Its gradient goes to that one element: the lowest flat index
+    inside the window (row-major) whose value equals the output, or the
+    first NaN of a NaN window; every other element gets zero.  Average
+    pooling spreads the gradient evenly over the window.
     """
     if kind not in ("max", "avg"):
         raise ValueError(f"pool2d kind must be 'max' or 'avg', got {kind!r}")
@@ -414,41 +417,60 @@ def pool2d(x: Tensor, kind: str, window: int) -> Tensor:
     if window < 1 or h % window or w % window:
         raise ValueError(f"pool2d window {window} does not divide spatial dims of {x.data.shape}")
     ho, wo = h // window, w // window
+
+    if kind == "max":
+        offsets = [(i, j) for i in range(window) for j in range(window)]
+        out_data = x.data[:, :, 0::window, 0::window].copy()
+        for i, j in offsets[1:]:
+            # np.maximum returns its second operand on ties, so the
+            # earlier element wins between -0.0 and +0.0
+            np.maximum(x.data[:, :, i::window, j::window], out_data, out=out_data)
+
+        def back(g):
+            if not x.requires_grad:
+                return
+            # g arrives as out_data's dtype, which is x's (`_accum` casts)
+            bits = np.dtype(f"u{g.itemsize}")
+            gx = np.empty_like(x.data)
+            free = np.ones(out_data.shape, dtype=bool)
+            hit = np.empty(out_data.shape, dtype=bool)
+            for i, j in offsets:
+                np.equal(x.data[:, :, i::window, j::window], out_data, out=hit)
+                hit &= free
+                # g's bit pattern times 0/1 keeps g exactly (-0.0 too) at a
+                # hit and writes +0.0 elsewhere; g * hit would give -0.0
+                # where g < 0, and copyto(where=) is several times slower
+                np.multiply(g.view(bits), hit, out=gx.view(bits)[:, :, i::window, j::window])
+                free ^= hit
+            if free.any():
+                # NaN equals nothing, so a NaN window is still free here:
+                # its gradient goes to its first NaN
+                for i, j in offsets:
+                    np.isnan(x.data[:, :, i::window, j::window], out=hit)
+                    hit &= free
+                    np.copyto(gx[:, :, i::window, j::window], g, where=hit)
+                    free ^= hit
+            _accum(x, gx)
+
+        return _make(out_data, (x,), back)
+
     patches = (
         x.data.reshape(n, c, ho, window, wo, window)
         .transpose(0, 1, 2, 4, 3, 5)
         .reshape(n, c, ho, wo, window * window)
     )
+    out_data = patches.mean(axis=-1)
 
-    if kind == "max":
-        idx = patches.argmax(axis=-1)
-        out_data = np.take_along_axis(patches, idx[..., None], axis=-1)[..., 0]
-
-        def back(g):
-            if not x.requires_grad:
-                return
-            gp = np.zeros_like(patches)
-            np.put_along_axis(gp, idx[..., None], g[..., None], axis=-1)
-            gx = (
-                gp.reshape(n, c, ho, wo, window, window)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(n, c, h, w)
-            )
-            _accum(x, gx)
-
-    else:
-        out_data = patches.mean(axis=-1)
-
-        def back(g):
-            if not x.requires_grad:
-                return
-            gp = np.broadcast_to((g / (window * window))[..., None], patches.shape)
-            gx = (
-                gp.reshape(n, c, ho, wo, window, window)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(n, c, h, w)
-            )
-            _accum(x, gx)
+    def back(g):
+        if not x.requires_grad:
+            return
+        gp = np.broadcast_to((g / (window * window))[..., None], patches.shape)
+        gx = (
+            gp.reshape(n, c, ho, wo, window, window)
+            .transpose(0, 1, 2, 4, 3, 5)
+            .reshape(n, c, h, w)
+        )
+        _accum(x, gx)
 
     return _make(np.ascontiguousarray(out_data), (x,), back)
 

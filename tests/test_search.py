@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from autoprune.data import Dataset
-from autoprune.masking import build_mask, rank_channels
-from autoprune.model import build_model, prunable_flops
+from autoprune.masking import build_mask, rank_channels, ratio_mask_tensor
+from autoprune.model import build_model, forward, prunable_flops
+from autoprune.objective import combined_loss
 from autoprune.search import (
     SearchConfig,
     SearchDiverged,
@@ -18,7 +19,7 @@ from autoprune.search import (
     run_search,
     sgd_step,
 )
-from autoprune.tensor import Tensor
+from autoprune.tensor import Tensor, backward
 
 
 def tiny_dataset(n=32, seed=0, classes=10):
@@ -175,7 +176,66 @@ class TestInnerStep:
         assert set(exc.value.state["ratios"]) == set(ids)
 
 
+def live_weight_outer_step(model, xb, yb, ratios, rankings, flops, config, lr_r):
+    """outer_step's ratio update with every weight left trainable."""
+    ids = sorted(flops)
+    dtype = model.params[ids[0]]["weight"].data.dtype
+    rts = {i: Tensor(np.float64(ratios[i]), requires_grad=True, dtype=np.float64) for i in ids}
+    mask_ts = {i: ratio_mask_tensor(rts[i], rankings[i], dtype=dtype) for i in ids}
+    logits = forward(model, xb, masks=mask_ts, mode="train", update_running=False)
+    loss_t, _ = combined_loss(
+        logits, yb, [rts[i] for i in ids], [flops[i] for i in ids], config.alpha, config.beta
+    )
+    backward(loss_t)
+    assert all(p.grad is not None for p in model.parameters())
+    out = {}
+    for i in ids:
+        c = rankings[i].channels
+        g = float(rts[i].grad) if rts[i].grad is not None else 0.0
+        out[i] = float(min(1.0, max(1.0 / c, ratios[i] - lr_r * g)))
+    return out
+
+
+def assert_trainable_and_gradless(model):
+    for p in model.parameters():
+        assert p.requires_grad
+        assert p.grad is None
+
+
 class TestOuterStep:
+    def test_ratios_match_a_step_with_live_weights(self):
+        model = tiny_model()
+        ds = tiny_dataset()
+        flops, ids, rankings, _, _ = _setup_step_inputs(model)
+        rng = np.random.default_rng(4)
+        ratios = {i: float(rng.uniform(0.3, 0.95)) for i in ids}
+        cfg = tiny_config(alpha=0.5)
+        xb, yb = ds.images[:8], ds.labels[:8]
+        weights = [p.data.copy() for p in model.parameters()]
+        new, _ = outer_step(model, xb, yb, ratios, rankings, flops, cfg, 0.05)
+        assert_trainable_and_gradless(model)
+        for p, before in zip(model.parameters(), weights):
+            assert np.array_equal(p.data, before)
+        want = live_weight_outer_step(model, xb, yb, ratios, rankings, flops, cfg, 0.05)
+        assert new == want
+        assert any(new[i] != ratios[i] for i in ids)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_weights_stay_trainable_when_the_step_diverges(self):
+        model = tiny_model()
+        ds = tiny_dataset()
+        flops, ids, rankings, ratios, _ = _setup_step_inputs(model)
+        # a NaN input batch would not do: relu maps NaN to zero before the
+        # head, so the NaN has to sit past the last relu
+        head = next(l.id for l in model.layers if l.kind == "linear")
+        model.params[head]["weight"].data[:] = np.nan
+        with pytest.raises(SearchDiverged) as exc:
+            outer_step(
+                model, ds.images[:8], ds.labels[:8], ratios, rankings, flops, tiny_config(), 0.05
+            )
+        assert "lr_r" in exc.value.state
+        assert_trainable_and_gradless(model)
+
     def test_cost_pressure_pushes_ratios_down(self):
         model = tiny_model()
         ds = tiny_dataset()

@@ -13,6 +13,7 @@ from autoprune.tensor import (
     conv2d,
     finite_diff_check,
     linear,
+    mul,
     no_grad,
     pool2d,
     relu,
@@ -76,6 +77,49 @@ def pool2d_oracle(x, kind, window):
                     patch = x[b, ch, i * window : (i + 1) * window, j * window : (j + 1) * window]
                     out[b, ch, i, j] = patch.max() if kind == "max" else patch.mean()
     return out
+
+
+def argmax_max_pool(x, window, g):
+    """Reference max pool: argmax over a transposed copy of the windows.
+
+    Returns the pooled output and the gradient of sum(out * g) with
+    respect to x, both in x's dtype, so they can be compared bit for bit.
+    """
+    n, c, h, w = x.shape
+    ho, wo = h // window, w // window
+    patches = (
+        x.reshape(n, c, ho, window, wo, window)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(n, c, ho, wo, window * window)
+    )
+    idx = patches.argmax(axis=-1)
+    out = np.take_along_axis(patches, idx[..., None], axis=-1)[..., 0]
+    gp = np.zeros_like(patches)
+    np.put_along_axis(gp, idx[..., None], g[..., None], axis=-1)
+    gx = gp.reshape(n, c, ho, wo, window, window).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+    return out, gx
+
+
+def bits(a):
+    """The raw bit patterns of a float array, so that -0.0 != +0.0."""
+    a = np.ascontiguousarray(a)
+    return a.view(f"u{a.itemsize}")
+
+
+def max_pool_with_grad(x, window, g):
+    """pool2d's max output and the gradient of sum(out * g) with respect to x."""
+    t = Tensor(x, requires_grad=True)
+    out = pool2d(t, "max", window)
+    backward(tensor_sum(mul(out, Tensor(g))))
+    return out.data, t.grad
+
+
+def upstream_grad(rng, shape, dtype):
+    """Random upstream gradient with negative entries and both zeros."""
+    g = rng.standard_normal(shape)
+    g[rng.random(shape) < 0.1] = -0.0
+    g[rng.random(shape) < 0.1] = 0.0
+    return g.astype(dtype)
 
 
 def cross_entropy_oracle(logits, labels):
@@ -193,6 +237,18 @@ class TestOpSemantics:
         backward(out)
         np.testing.assert_array_equal(x.grad, np.array([0.0, 0.0, 1.0], dtype=np.float32))
 
+    def test_relu_is_bitwise_where_positive(self):
+        # NaN and -0.0 both map to +0.0; np.maximum would keep them
+        rng = np.random.default_rng(23)
+        special = [np.nan, -np.nan, -0.0, 0.0, np.inf, -np.inf, 1e-45, -1e-45]
+        for dtype in (np.float32, np.float64):
+            with use_dtype(dtype):
+                x = np.concatenate([special, rng.standard_normal(1000)]).astype(dtype)
+                out = relu(Tensor(x)).data
+                assert out.dtype == dtype
+                np.testing.assert_array_equal(bits(out), bits(np.where(x > 0, x, dtype(0))))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 in the loss
     def test_max_pool_tie_goes_to_lowest_flat_index(self):
         x = np.zeros((1, 1, 2, 2), dtype=np.float32)
         t = Tensor(x, requires_grad=True)
@@ -201,6 +257,61 @@ class TestOpSemantics:
         want = np.zeros((1, 1, 2, 2), dtype=np.float32)
         want[0, 0, 0, 0] = 1.0
         np.testing.assert_array_equal(t.grad, want)
+
+        # a tie between flat indices 1 and 3 of a 2x2 window goes to 1
+        x = np.array([[[[0.0, 5.0], [1.0, 5.0]]]], dtype=np.float32)
+        _, gx = max_pool_with_grad(x, 2, np.array([[[[-2.0]]]], dtype=np.float32))
+        np.testing.assert_array_equal(gx, [[[[0.0, -2.0], [0.0, 0.0]]]])
+
+        # -0.0 and +0.0 tie: the output keeps the earlier one's sign bit
+        for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+            x = np.array([[[[first, second], [second, first]]]], dtype=np.float32)
+            out, gx = max_pool_with_grad(x, 2, np.ones((1, 1, 1, 1), dtype=np.float32))
+            assert np.signbit(out[0, 0, 0, 0]) == np.signbit(first)
+            np.testing.assert_array_equal(gx, [[[[1.0, 0.0], [0.0, 0.0]]]])
+
+        # every case below against the argmax reference, bit for bit
+        rng = np.random.default_rng(29)
+        shape = (3, 4, 8, 8)
+        signed_zeros = rng.choice([-0.0, 0.0], shape)
+        cases = {
+            "random": rng.standard_normal(shape),
+            "all-equal": np.full(shape, 0.75),
+            "pairwise ties": rng.integers(-2, 3, shape).astype(np.float64),
+            "signed zeros": signed_zeros,
+            "signed zeros and negatives": np.where(rng.random(shape) < 0.5, signed_zeros, -1.0),
+            "infinities": rng.choice([-np.inf, np.inf, -1.0, 0.0, 1.0], shape),
+            "all -inf": np.full(shape, -np.inf),
+        }
+        for dtype in (np.float32, np.float64):
+            with use_dtype(dtype):
+                for name, values in cases.items():
+                    x = values.astype(dtype)
+                    for window in (2, 4):
+                        g = upstream_grad(rng, (3, 4, 8 // window, 8 // window), dtype)
+                        out, gx = max_pool_with_grad(x, window, g)
+                        want_out, want_gx = argmax_max_pool(x, window, g)
+                        where = f"{name}, window {window}, {dtype.__name__}"
+                        assert out.dtype == gx.dtype == dtype, where
+                        np.testing.assert_array_equal(bits(out), bits(want_out), err_msg=where)
+                        np.testing.assert_array_equal(bits(gx), bits(want_gx), err_msg=where)
+
+    def test_max_pool_window_with_nan_outputs_nan(self):
+        # the gradient of a NaN window goes to its first NaN, as argmax has it
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
+        x[0, 0, 1, 1] = np.nan
+        x[1, 2, 2, 3] = np.nan
+        x[1, 2, 3, 2] = np.nan
+        x[0, 1, :2, :2] = [[np.inf, -np.inf], [np.nan, 0.0]]
+        g = upstream_grad(rng, (2, 3, 2, 2), np.float32)
+        out, gx = max_pool_with_grad(x, 2, g)
+        want_out, want_gx = argmax_max_pool(x, 2, g)
+        np.testing.assert_array_equal(np.isnan(out), np.isnan(want_out))
+        assert np.isnan(out[0, 0, 0, 0]) and np.isnan(out[1, 2, 1, 1]) and np.isnan(out[0, 1, 0, 0])
+        assert np.isnan(out).sum() == 3
+        np.testing.assert_array_equal(bits(gx), bits(want_gx))
+        assert gx[1, 2, 2, 3] == g[1, 2, 1, 1] and gx[1, 2, 3, 2] == 0.0
 
     def test_channel_scale_matches_manual_broadcast(self):
         rng = np.random.default_rng(17)
