@@ -11,7 +11,7 @@ ratio falls, and only the relative sizes of the layers matter.
 
 import numpy as np
 
-from autoprune import build_model, flops_cost, flops_cost_grad, layer_flops
+from autoprune import build_model, exact_flops_by_layer, flops_cost, flops_cost_grad
 from autoprune.model import prunable_flops
 
 # ---------------------------------------------------------------------------
@@ -19,7 +19,7 @@ from autoprune.model import prunable_flops
 # convolutions dominate; the classifier head is noise.
 
 model = build_model("cnn-small", num_classes=10, input_shape=(1, 28, 28))
-per_layer = layer_flops(model)
+per_layer = exact_flops_by_layer(model)
 total = sum(per_layer.values())
 print(f"cnn-small total FLOPs: {total}")
 for lid, f in sorted(prunable_flops(model).items()):

@@ -33,7 +33,6 @@ from .masking import (
     ChannelMask,
     ChannelRanking,
     MaskDiagnostics,
-    apply_mask,
     build_mask,
     mask_grad_wrt_ratio,
     rank_channels,
@@ -46,7 +45,7 @@ from .model import (
     ModelGraph,
     build_model,
     forward,
-    layer_flops,
+    exact_flops_by_layer,
     exact_model_flops,
     evaluate,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "ChannelMask",
     "ChannelRanking",
     "MaskDiagnostics",
-    "apply_mask",
     "build_mask",
     "mask_grad_wrt_ratio",
     "rank_channels",
@@ -94,7 +92,7 @@ __all__ = [
     "ModelGraph",
     "build_model",
     "forward",
-    "layer_flops",
+    "exact_flops_by_layer",
     "exact_model_flops",
     "evaluate",
     "Dataset",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import sys
 import time
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .data import DataFormatError, load_cifar10, load_mnist, split_validation, substream
-from .model import build_model, evaluate, exact_model_flops, layer_flops
+from .model import build_model, evaluate, exact_flops_by_layer
 from .pruner import (
     PruningPlan,
     export_pruned,
@@ -47,6 +48,10 @@ def _bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+# [search] takes every SearchConfig field except the seed, which [run]
+# sets; each key parses with the type of its field's default
+_SEARCH_FIELDS = [f for f in dataclasses.fields(SearchConfig) if f.name != "seed"]
+
 SCHEMA = {
     "run": {
         "model": str,
@@ -63,23 +68,7 @@ SCHEMA = {
         "lr_min": float,
         "augment": _bool,
     },
-    "search": {
-        "alpha": float,
-        "beta": float,
-        "epochs": int,
-        "batch_size": int,
-        "lr_w_max": float,
-        "lr_w_min": float,
-        "lr_r_max": float,
-        "lr_r_min": float,
-        "cosine_period_epochs": float,
-        "ranking_interval": int,
-        "inner_steps_per_outer": int,
-        "cost_in_inner_loss": _bool,
-        "log_interval": int,
-        "convergence_tol": float,
-        "probe_size": int,
-    },
+    "search": {f.name: type(f.default) for f in _SEARCH_FIELDS},
     "finetune": {
         "epochs": int,
         "batch_size": int,
@@ -98,23 +87,7 @@ DEFAULTS = {
         "validation_fraction": 0.1,
     },
     "pretrain": {"epochs": 3, "batch_size": 64, "lr_max": 0.1, "lr_min": 0.001, "augment": False},
-    "search": {
-        "alpha": 0.5,
-        "beta": 0.3,
-        "epochs": 6,
-        "batch_size": 32,
-        "lr_w_max": 0.1,
-        "lr_w_min": 0.001,
-        "lr_r_max": 0.1,
-        "lr_r_min": 0.0001,
-        "cosine_period_epochs": 0.0,
-        "ranking_interval": 800,
-        "inner_steps_per_outer": 1,
-        "cost_in_inner_loss": True,
-        "log_interval": 50,
-        "convergence_tol": 1e-4,
-        "probe_size": 1024,
-    },
+    "search": {f.name: f.default for f in _SEARCH_FIELDS},
     "finetune": {"epochs": 10, "batch_size": 64, "lr_max": 0.01, "lr_min": 0.0001},
 }
 
@@ -244,18 +217,7 @@ def cmd_search(cfg: dict) -> int:
     model, base_manifest = load_checkpoint(base_dir)
     train, val, test = _splits(cfg)
 
-    s = cfg["search"]
-    sc = SearchConfig(
-        alpha=s["alpha"], beta=s["beta"], epochs=s["epochs"], batch_size=s["batch_size"],
-        lr_w_max=s["lr_w_max"], lr_w_min=s["lr_w_min"],
-        lr_r_max=s["lr_r_max"], lr_r_min=s["lr_r_min"],
-        cosine_period_epochs=s["cosine_period_epochs"],
-        ranking_interval=s["ranking_interval"],
-        inner_steps_per_outer=s["inner_steps_per_outer"],
-        cost_in_inner_loss=s["cost_in_inner_loss"],
-        log_interval=s["log_interval"], convergence_tol=s["convergence_tol"],
-        probe_size=s["probe_size"], seed=cfg["run"]["seed"],
-    )
+    sc = SearchConfig(**cfg["search"], seed=cfg["run"]["seed"])
     result = run_search(model, train, val, sc)
 
     out = out_root / "search"
@@ -395,7 +357,7 @@ def cmd_describe(cfg: dict) -> int:
         cfg["run"]["model"], num_classes=10, input_shape=_input_shape(cfg),
         rng=substream(cfg["run"]["seed"], "init"),
     )
-    flops = layer_flops(model)
+    flops = exact_flops_by_layer(model)
     rows = []
     for layer in model.layers:
         rows.append({
@@ -411,7 +373,7 @@ def cmd_describe(cfg: dict) -> int:
         })
     print(f"{model.name}  input={model.input_shape}  classes={model.num_classes}")
     print(format_table(rows))
-    print(f"total flops: {exact_model_flops(model)}")
+    print(f"total flops: {sum(flops.values())}")
     return 0
 
 

@@ -177,15 +177,6 @@ def kept_count(ratio: float, channels: int) -> int:
     return max(1, int(math.floor(ratio * channels + 0.5)))
 
 
-def apply_mask(features: Tensor, mask) -> Tensor:
-    """Scale a [N, C, H, W] feature map by a per-channel mask."""
-    from .tensor import channel_scale
-
-    if not isinstance(mask, Tensor):
-        mask = Tensor(np.asarray(mask), dtype=features.data.dtype)
-    return channel_scale(features, mask)
-
-
 def active_channels(mask: ChannelMask) -> np.ndarray:
     """Channel ids with a nonzero mask entry, ascending."""
     return np.flatnonzero(mask.by_channel > 0.0)

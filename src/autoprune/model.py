@@ -30,7 +30,6 @@ from .tensor import (
     pool2d,
     relu,
     reshape,
-    softmax_cross_entropy,
 )
 
 INPUT = -1  # predecessor id meaning "the network input"
@@ -51,7 +50,6 @@ class LayerSpec:
     padding: int = 0
     prunable: bool = False
     pool_kind: str = ""
-    flops: int = 0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -74,12 +72,12 @@ class ModelGraph:
     num_classes: int
     meta: dict = field(default_factory=dict)
 
-    def layer(self, layer_id: int) -> LayerSpec:
-        return self.layers_by_id[layer_id]
+    def __post_init__(self):
+        # the layer list is fixed once built; specs may change in place
+        self._by_id = {l.id: l for l in self.layers}
 
-    @property
-    def layers_by_id(self) -> dict[int, LayerSpec]:
-        return {l.id: l for l in self.layers}
+    def layer(self, layer_id: int) -> LayerSpec:
+        return self._by_id[layer_id]
 
     def prunable_ids(self) -> list[int]:
         return [l.id for l in self.layers if l.prunable]
@@ -261,7 +259,6 @@ def build_model(
         num_classes=num_classes,
     )
     _validate_graph(model)
-    _annotate_flops(model)
     return model
 
 
@@ -356,27 +353,10 @@ def _spatial_map(model: ModelGraph) -> dict[int, tuple[int, int]]:
     return sizes
 
 
-def _annotate_flops(model: ModelGraph) -> None:
-    sizes = _spatial_map(model)
-    for layer in model.layers:
-        if layer.kind == "conv":
-            oh, ow = sizes[layer.id]
-            kh, kw = layer.kernel
-            layer.flops = 2 * kh * kw * layer.in_channels * layer.out_channels * oh * ow
-        elif layer.kind == "linear":
-            layer.flops = 2 * layer.in_channels * layer.out_channels
-        else:
-            layer.flops = 0
-
-
-def layer_flops(model: ModelGraph) -> dict[int, int]:
-    """Full (unpruned) FLOPs per layer."""
-    return {l.id: l.flops for l in model.layers}
-
-
 def prunable_flops(model: ModelGraph) -> dict[int, int]:
     """Full FLOPs of each prunable conv, the weights of the cost term."""
-    return {l.id: l.flops for l in model.layers if l.prunable}
+    per_layer = exact_flops_by_layer(model)
+    return {l.id: per_layer[l.id] for l in model.layers if l.prunable}
 
 
 def _kept_channels(model: ModelGraph, kept: dict[int, int]) -> dict[int, int]:
@@ -462,21 +442,6 @@ def evaluate(
     return correct / len(images)
 
 
-def mean_loss(
-    model: ModelGraph, images: np.ndarray, labels: np.ndarray, batch_size: int = 256
-) -> float:
-    """Mean cross entropy in eval mode (diagnostic)."""
-    total, n = 0.0, 0
-    with no_grad():
-        for start in range(0, len(images), batch_size):
-            xb = images[start : start + batch_size]
-            yb = labels[start : start + batch_size]
-            logits = forward(model, xb, mode="eval")
-            total += float(softmax_cross_entropy(logits, yb).data) * len(yb)
-            n += len(yb)
-    return total / n
-
-
 # ---------------------------------------------------------------------------
 # (de)serialization helpers used by checkpoints
 
@@ -557,5 +522,4 @@ def model_from_table(table: dict, dtype=np.float32) -> ModelGraph:
         num_classes=table["num_classes"],
     )
     _validate_graph(model)
-    _annotate_flops(model)
     return model

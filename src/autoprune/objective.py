@@ -102,13 +102,14 @@ def combined_loss(
     flops: Sequence[float],
     alpha: float,
     beta: float,
-    include_cost: bool = True,
 ) -> tuple[Tensor, LossBreakdown]:
     """Cross entropy plus alpha times the FLOPs cost, as one scalar node.
 
     `ratios` may be scalar Tensors (gradients flow to them) or plain
-    floats (the cost enters as a constant).  With alpha == 0 the cost
-    term is dropped from the graph entirely, so total == ce exactly.
+    floats.  A float cost is a constant that moves no gradient, so it is
+    only reported; the graph then holds the cross entropy alone, as it
+    does with alpha == 0.  The breakdown always has
+    total == ce + alpha * cost.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
@@ -122,12 +123,10 @@ def combined_loss(
         values = [float(v) for v in ratios]
     cost = flops_cost(values, flops, beta)
 
-    if alpha == 0.0 or not include_cost:
-        loss_t = ce_t
-    elif graph_ratios:
+    if graph_ratios and alpha != 0.0:
         loss_t = ce_t + flops_cost_tensor(ratios, flops, beta) * alpha
     else:
-        loss_t = ce_t + alpha * cost
+        loss_t = ce_t
 
     breakdown = LossBreakdown(
         ce=ce, cost=cost, total=ce + alpha * cost, alpha=float(alpha), beta=float(beta)

@@ -170,14 +170,11 @@ def export_pruned(model: ModelGraph, plan: PruningPlan) -> ModelGraph:
     dtype = model.params[sorted(plan.entries)[0]]["weight"].data.dtype
     new_model = model_from_table(model_to_table(model), dtype=dtype)
 
-    def kept_ids(layer_id) -> np.ndarray | None:
-        return kept_out[layer_id]
-
     for layer in model.layers:
         pred = model.preds[layer.id][0]
         if layer.kind == "conv":
             w = model.params[layer.id]["weight"].data
-            in_keep = kept_ids(pred)
+            in_keep = kept_out[pred]
             if in_keep is not None:
                 w = w[:, in_keep]
             if layer.id in plan.entries:
@@ -191,7 +188,7 @@ def export_pruned(model: ModelGraph, plan: PruningPlan) -> ModelGraph:
             spec.out_channels = w.shape[0]
             new_model.params[layer.id] = {"weight": Tensor(w.copy(), requires_grad=True)}
         elif layer.kind == "bn":
-            keep = kept_ids(pred)
+            keep = kept_out[pred]
             gamma = model.params[layer.id]["gamma"].data
             beta = model.params[layer.id]["beta"].data
             stats = model.bn_stats[layer.id]
@@ -209,7 +206,7 @@ def export_pruned(model: ModelGraph, plan: PruningPlan) -> ModelGraph:
             new_model.bn_stats[layer.id] = stats
             kept_out[layer.id] = keep
         elif layer.kind in ("relu", "pool"):
-            keep = kept_ids(pred)
+            keep = kept_out[pred]
             spec = new_model.layer(layer.id)
             full = model.layer(layer.id).out_channels
             spec.in_channels = spec.out_channels = len(keep) if keep is not None else full
@@ -222,7 +219,7 @@ def export_pruned(model: ModelGraph, plan: PruningPlan) -> ModelGraph:
         elif layer.kind == "linear":
             w = model.params[layer.id]["weight"].data
             b = model.params[layer.id]["bias"].data
-            keep = kept_ids(pred)
+            keep = kept_out[pred]
             if keep is not None:
                 oh, ow = spatial[pred]
                 hw = oh * ow
@@ -236,9 +233,6 @@ def export_pruned(model: ModelGraph, plan: PruningPlan) -> ModelGraph:
             }
             kept_out[layer.id] = None
 
-    from .model import _annotate_flops
-
-    _annotate_flops(new_model)
     new_model.meta["plan"] = plan.to_dict()
     return new_model
 
@@ -410,27 +404,48 @@ def save_checkpoint(model: ModelGraph, directory, extra: dict | None = None) -> 
 
 
 def load_checkpoint(directory) -> tuple[ModelGraph, dict]:
-    """Rebuild a model and its weights from `save_checkpoint` output."""
+    """Rebuild a model and its weights from `save_checkpoint` output.
+
+    The manifest must list every array the model table implies exactly
+    once, each with the shape the table gives it.
+    """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
         raise FileNotFoundError(f"missing checkpoint manifest: expected {manifest_path}")
     manifest = json.loads(manifest_path.read_text())
     model = model_from_table(manifest["model"])
+    expected = {(lid, role): arr.shape for lid, role, arr in _param_files(model)}
+    seen = set()
     for entry in manifest["arrays"]:
         path = directory / entry["file"]
+        lid, role = entry["layer"], entry["role"]
+        key = (lid, role)
+        shape = tuple(entry["shape"])
+        where = f"{path}: layer {lid} {role}"
+        if key not in expected:
+            raise ValueError(f"{where} is not an array of model {model.name!r}")
+        if key in seen:
+            raise ValueError(f"{where} is listed more than once")
+        if shape != expected[key]:
+            raise ValueError(f"{where} has shape {shape}, expected shape {expected[key]}")
+        seen.add(key)
         if not path.is_file():
             raise FileNotFoundError(f"missing checkpoint array: expected {path}")
         arr = np.fromfile(path, dtype="<f4").astype(np.float32)
-        shape = tuple(entry["shape"])
         if arr.size != int(np.prod(shape)):
             raise ValueError(f"{path}: holds {arr.size} floats, expected shape {shape}")
         arr = arr.reshape(shape)
-        lid, role = entry["layer"], entry["role"]
         if role == "running_mean":
             model.bn_stats[lid].mean = arr
         elif role == "running_var":
             model.bn_stats[lid].var = arr
         else:
             model.params[lid][role].data = arr
+    missing = sorted(expected.keys() - seen)
+    if missing:
+        lid, role = missing[0]
+        raise ValueError(
+            f"{manifest_path}: no array for layer {lid} {role}, expected shape {expected[lid, role]}"
+        )
     return model, manifest

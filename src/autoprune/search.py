@@ -38,7 +38,10 @@ from .tensor import Tensor, backward, zero_grad
 
 @dataclass
 class SearchConfig:
-    """Knobs for one search run; the defaults are the desk-scale recipe."""
+    """Knobs for one search run; the defaults are the desk-scale recipe.
+
+    Every field but `seed` is also a `[search]` key of the CLI config.
+    """
 
     alpha: float = 0.5
     beta: float = 0.3
@@ -51,7 +54,6 @@ class SearchConfig:
     cosine_period_epochs: float = 0.0  # 0 means epochs / 5
     ranking_interval: int = 800
     inner_steps_per_outer: int = 1
-    cost_in_inner_loss: bool = True
     log_interval: int = 50
     convergence_tol: float = 1e-4
     probe_size: int = 1024
@@ -151,7 +153,6 @@ def inner_step(
         [flops[i] for i in ids],
         config.alpha,
         config.beta,
-        include_cost=config.cost_in_inner_loss,
     )
     if not math.isfinite(bd.ce):
         raise SearchDiverged(

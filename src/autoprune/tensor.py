@@ -36,10 +36,6 @@ def set_default_dtype(dtype) -> None:
     _DEFAULT_DTYPE = dtype.type
 
 
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
 @contextmanager
 def use_dtype(dtype):
     """Temporarily switch the default storage dtype (useful for 64-bit checks)."""
@@ -61,10 +57,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = old
-
-
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 class Tensor:

@@ -10,7 +10,6 @@ from autoprune.masking import (
     ChannelRanking,
     MaskDiagnostics,
     active_channels,
-    apply_mask,
     build_mask,
     kept_count,
     mask_by_rank,
@@ -211,11 +210,3 @@ class TestMaskTensor:
         h = 1e-6
         num = (value(r0 + h) - value(r0 - h)) / (2 * h)
         assert abs(float(r.grad) - num) < 1e-5
-
-    def test_apply_mask_zeroes_whole_channels(self):
-        rng = np.random.default_rng(17)
-        x = Tensor(rng.standard_normal((2, 4, 3, 3)).astype(np.float32))
-        out = apply_mask(x, np.array([1.0, 0.0, 0.5, 0.0]))
-        assert np.all(out.data[:, 1] == 0)
-        assert np.all(out.data[:, 3] == 0)
-        np.testing.assert_allclose(out.data[:, 2], 0.5 * x.data[:, 2], rtol=1e-6)

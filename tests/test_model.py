@@ -10,7 +10,6 @@ from autoprune.model import (
     exact_flops_by_layer,
     exact_model_flops,
     forward,
-    layer_flops,
     model_from_table,
     model_to_table,
     prunable_flops,
@@ -69,7 +68,7 @@ class TestArchitectures:
         assert [l.kind for l in m2.layers] == [l.kind for l in m.layers]
         assert m2.preds == m.preds
         assert m2.mask_points == m.mask_points
-        assert layer_flops(m2) == layer_flops(m)
+        assert exact_flops_by_layer(m2) == exact_flops_by_layer(m)
 
 
 class TestForwardSemantics:
@@ -164,7 +163,7 @@ class TestForwardSemantics:
 class TestFlops:
     def test_cnn_small_hand_computed_totals(self):
         m = small_model()
-        per = layer_flops(m)
+        per = exact_flops_by_layer(m)
         convs = m.prunable_ids()
         # 3x3 convs at 28x28, 14x14, 7x7, 7x7 with the stock widths
         assert per[convs[0]] == 2 * 9 * 1 * 16 * 28 * 28
@@ -177,7 +176,7 @@ class TestFlops:
 
     def test_non_compute_layers_are_free(self):
         m = small_model()
-        per = layer_flops(m)
+        per = exact_flops_by_layer(m)
         for l in m.layers:
             if l.kind in ("bn", "relu", "pool", "add"):
                 assert per[l.id] == 0

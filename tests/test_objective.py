@@ -116,9 +116,7 @@ class TestCombinedLoss:
 
     def test_cost_can_be_dropped_from_graph_but_stays_reported(self):
         logits, labels, _ = self._logits()
-        loss_t, bd = combined_loss(
-            logits, labels, [0.5, 0.5], [100, 100], alpha=0.5, beta=1.0, include_cost=False
-        )
+        loss_t, bd = combined_loss(logits, labels, [0.5, 0.5], [100, 100], alpha=0.5, beta=1.0)
         assert float(loss_t.data) == bd.ce
         assert bd.total == bd.ce + 0.5 * bd.cost
 

@@ -12,7 +12,7 @@ import pytest
 
 from autoprune.data import Dataset
 from autoprune.masking import rank_channels
-from autoprune.model import build_model, exact_model_flops, forward
+from autoprune.model import build_model, exact_flops_by_layer, exact_model_flops, forward
 from autoprune.pruner import (
     PruningPlan,
     export_pruned,
@@ -116,6 +116,20 @@ class TestExport:
             assert pruned.layer(i).out_channels == e.kept_count
         assert exact_model_flops(pruned) == plan.flops_pruned
         assert pruned.meta["plan"]["fpr"] == plan.fpr
+
+    @pytest.mark.parametrize(
+        "name, shape", [("cnn-small", (1, 8, 8)), ("resnet-tiny", (3, 16, 16))]
+    )
+    def test_exported_flops_match_the_plan_per_layer(self, name, shape):
+        model = build_model(name, 10, shape, rng=np.random.default_rng(0))
+        ids = model.prunable_ids()
+        for seed in range(5):
+            rng = np.random.default_rng(200 + seed)
+            ratios = {i: float(rng.uniform(1.0 / model.layer(i).out_channels, 1.0)) for i in ids}
+            plan = finalize_plan(model, ratios)
+            pruned = export_pruned(model, plan)
+            assert exact_flops_by_layer(pruned) == exact_flops_by_layer(model, plan.kept())
+            assert exact_model_flops(pruned) == plan.flops_pruned
 
     def test_full_plan_reproduces_logits_bitwise(self):
         model = small_model()
@@ -298,4 +312,49 @@ class TestCheckpoints:
         victim = next((tmp_path / "ck").glob("layer*.weight.f32"))
         victim.write_bytes(victim.read_bytes()[:-8])
         with pytest.raises(ValueError, match="expected shape"):
+            load_checkpoint(tmp_path / "ck")
+
+    @staticmethod
+    def edit_manifest(directory, edit):
+        path = directory / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["arrays"] = edit(manifest["arrays"])
+        path.write_text(json.dumps(manifest))
+
+    def test_missing_entry_raises(self, tmp_path):
+        save_checkpoint(small_model(), tmp_path / "ck")
+        gone = {(15, "weight"), (12, "running_var")}  # the head and a bn statistic
+        self.edit_manifest(
+            tmp_path / "ck", lambda arrays: [e for e in arrays if (e["layer"], e["role"]) not in gone]
+        )
+        with pytest.raises(ValueError, match=r"manifest.json: no array for layer 12 running_var, "
+                                             r"expected shape \(64,\)"):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_duplicate_entry_raises(self, tmp_path):
+        save_checkpoint(small_model(), tmp_path / "ck")
+        self.edit_manifest(tmp_path / "ck", lambda arrays: arrays + [dict(arrays[0])])
+        with pytest.raises(ValueError, match=r"layer000.weight.f32: layer 0 weight is listed more"):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_same_size_wrong_shape_raises(self, tmp_path):
+        save_checkpoint(small_model(), tmp_path / "ck")
+
+        def reverse_conv0(arrays):
+            for e in arrays:
+                if (e["layer"], e["role"]) == (0, "weight"):
+                    e["shape"] = e["shape"][::-1]
+            return arrays
+
+        self.edit_manifest(tmp_path / "ck", reverse_conv0)
+        with pytest.raises(ValueError, match=r"layer 0 weight has shape \(3, 3, 1, 16\), "
+                                             r"expected shape \(16, 1, 3, 3\)"):
+            load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("layer, role", [(2, "weight"), (99, "weight"), (0, "bias")])
+    def test_unknown_entry_raises(self, tmp_path, layer, role):
+        save_checkpoint(small_model(), tmp_path / "ck")
+        extra = {"file": "layer000.weight.f32", "layer": layer, "role": role, "shape": [16, 1, 3, 3]}
+        self.edit_manifest(tmp_path / "ck", lambda arrays: arrays + [extra])
+        with pytest.raises(ValueError, match=f"layer {layer} {role} is not an array of model"):
             load_checkpoint(tmp_path / "ck")

@@ -325,6 +325,29 @@ class TestRunSearch:
         assert mean_ratio < 0.8
         assert res.fpr_exact > 0.0
 
+    def test_short_search_matches_golden_values(self):
+        # pinned figures, so any change to the search arithmetic shows;
+        # every ratio stays inside (1/C, 1), so both the mask and the cost
+        # gradient count
+        model = tiny_model()
+        train, val = tiny_dataset(32), tiny_dataset(16, seed=1)
+        cfg = tiny_config(alpha=2.0, epochs=2, lr_r_max=0.2, lr_r_min=0.01)
+        res = run_search(model, train, val, cfg)
+        golden_ratios = {
+            0: 0.8679279079932118,
+            4: 0.8712173952840686,
+            8: 0.9223755513319326,
+            11: 0.18479580844721188,
+        }
+        assert sorted(res.ratios) == sorted(golden_ratios)
+        for i, want in golden_ratios.items():
+            np.testing.assert_allclose(res.ratios[i], want, rtol=1e-6)
+        row = res.metrics[-1]
+        assert row["iteration"] == 8
+        np.testing.assert_allclose(row["loss_ce"], 2.325913190841675, rtol=1e-6)
+        np.testing.assert_allclose(row["cost"], 0.9055257158128155, rtol=1e-6)
+        np.testing.assert_allclose(row["total"], 4.136964622467306, rtol=1e-6)
+
     def test_stop_when_mean_ratio(self):
         model = tiny_model()
         train, val = tiny_dataset(64), tiny_dataset(16, seed=1)
