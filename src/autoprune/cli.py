@@ -171,6 +171,25 @@ def _phase_manifest(cfg: dict, checksums: dict, seconds: float, extra: dict) -> 
     return out
 
 
+def _check_upstream(cfg: dict, checksums: dict, manifest: dict, path: Path) -> None:
+    """Refuse an upstream phase that another run wrote.
+
+    Its seed, model, dataset, validation fraction and dataset files must
+    be this run's: the validation split is a function of the seed, so a
+    foreign baseline would have trained on this run's validation images.
+    """
+    run = manifest.get("config", {}).get("run", {})
+    fields = [("seed", manifest.get("seed"), cfg["run"]["seed"])]
+    for key in ("model", "dataset", "validation_fraction"):
+        fields.append((f"run.{key}", run.get(key), cfg["run"][key]))
+    fields.append(("dataset_checksums", manifest.get("dataset_checksums"), checksums))
+    for name, theirs, ours in fields:
+        if theirs != ours:
+            raise ConfigError(
+                f"{path} is from another run: its {name} is {theirs!r}, this run's is {ours!r}"
+            )
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -216,6 +235,7 @@ def cmd_search(cfg: dict) -> int:
         raise FileNotFoundError(f"missing baseline checkpoint: expected {base_dir / 'manifest.json'}")
     model, base_manifest = load_checkpoint(base_dir)
     train, val, test = _splits(cfg)
+    _check_upstream(cfg, train.checksums, base_manifest, base_dir / "manifest.json")
 
     sc = SearchConfig(**cfg["search"], seed=cfg["run"]["seed"])
     result = run_search(model, train, val, sc)
@@ -259,10 +279,12 @@ def cmd_prune(cfg: dict) -> int:
     for need in (search_dir / "manifest.json", search_dir / "result.json", base_dir / "manifest.json"):
         if not need.is_file():
             raise FileNotFoundError(f"missing run artifact: expected {need}")
-    model, _ = load_checkpoint(search_dir)
+    model, search_manifest = load_checkpoint(search_dir)
     result = json.loads((search_dir / "result.json").read_text())
     baseline = json.loads((base_dir / "manifest.json").read_text())
     train, val, test = _splits(cfg)
+    _check_upstream(cfg, train.checksums, baseline, base_dir / "manifest.json")
+    _check_upstream(cfg, train.checksums, search_manifest, search_dir / "manifest.json")
 
     plan = PruningPlan.from_dict(result["plan"])
     pruned = export_pruned(model, plan)

@@ -110,6 +110,25 @@ def _validate_graph(model: ModelGraph) -> None:
             raise ValueError(f"layer {layer.id} ({layer.kind}) needs exactly one input")
         known.add(layer.id)
 
+    # each layer must take the width its inputs produce (the propagation
+    # refuses an add of unequal widths); only conv and linear change it
+    widths = _kept_channels(model, {})
+    sizes = _spatial_map(model)
+    for layer in model.layers:
+        src = model.preds[layer.id][0]
+        need = widths[src]
+        if layer.kind == "linear":
+            need *= sizes[src][0] * sizes[src][1]
+        if layer.in_channels != need:
+            raise ValueError(
+                f"layer {layer.id} ({layer.kind}) takes {layer.in_channels} input channels, "
+                f"but layer {src} gives it {need}"
+            )
+        if layer.kind not in ("conv", "linear") and layer.out_channels != need:
+            raise ValueError(
+                f"layer {layer.id} ({layer.kind}) cannot turn {need} channels into {layer.out_channels}"
+            )
+
 
 # ---------------------------------------------------------------------------
 # builders
@@ -292,10 +311,14 @@ def forward(
         raise ValueError(f"masks given for non-prunable layers {sorted(unknown)}")
     mask_at = {model.mask_points[cid]: (cid, masks[cid]) for cid in masks}
 
+    # drop each output after its last consumer, so a pass without a graph
+    # holds only the live activations, not every layer's
+    last_use = {p: layer.id for layer in model.layers for p in model.preds[layer.id]}
     outputs: dict[int, Tensor] = {INPUT: x}
     out = x
     for layer in model.layers:
-        srcs = [outputs[p] for p in model.preds[layer.id]]
+        pin = model.preds[layer.id]
+        srcs = [outputs.pop(p) if last_use[p] == layer.id else outputs[p] for p in pin]
         if layer.kind == "conv":
             out = conv2d(srcs[0], model.params[layer.id]["weight"], layer.stride, layer.padding)
         elif layer.kind == "bn":

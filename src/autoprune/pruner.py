@@ -36,7 +36,7 @@ from .model import (
     model_from_table,
     model_to_table,
 )
-from .search import cosine_lr, sgd_step
+from .search import cosine_lr, nonfinite_grads, sgd_step
 from .tensor import RunningStats, Tensor, backward, softmax_cross_entropy, zero_grad
 
 
@@ -283,8 +283,8 @@ def train_supervised(
     """Plain-SGD cross-entropy training with one cosine decay cycle.
 
     Tracks validation accuracy per epoch and restores the best snapshot
-    at the end.  A non-finite loss aborts immediately with the last good
-    (best so far) weights in place.
+    at the end.  A non-finite loss or weight gradient aborts immediately,
+    before the update, with the last good (best so far) weights in place.
     """
     if epochs < 0:
         raise ValueError(f"epochs must be nonnegative, got {epochs}")
@@ -310,6 +310,9 @@ def train_supervised(
                 break
             zero_grad(params)
             backward(loss)
+            if nonfinite_grads(model):
+                diverged = True
+                break
             sgd_step(params, lr)
             if step % log_interval == 0:
                 metrics.append(

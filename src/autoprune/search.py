@@ -132,6 +132,20 @@ def sgd_step(params, lr: float) -> None:
             p.data -= p.data.dtype.type(lr) * p.grad
 
 
+def nonfinite_grads(model: ModelGraph) -> list[str]:
+    """`<layer id>.<role>` of each parameter whose gradient holds a NaN or inf.
+
+    The loss alone cannot show these: relu maps NaN to zero, so NaN
+    weights or pixels before the last relu still give a finite loss.
+    """
+    return [
+        f"{lid}.{role}"
+        for lid in sorted(model.params)
+        for role, t in sorted(model.params[lid].items())
+        if t.grad is not None and not np.isfinite(t.grad).all()
+    ]
+
+
 def inner_step(
     model: ModelGraph,
     xb: np.ndarray,
@@ -142,7 +156,11 @@ def inner_step(
     config: SearchConfig,
     lr_w: float,
 ) -> LossBreakdown:
-    """One weight update under fixed masks.  Returns the loss breakdown."""
+    """One weight update under fixed masks.  Returns the loss breakdown.
+
+    Raises `SearchDiverged`, with the weights left as they were, when the
+    loss or any weight gradient is not finite.
+    """
     ids = sorted(flops)
     mask_vecs = {i: masks[i].by_channel for i in masks}
     logits = forward(model, xb, masks=mask_vecs, mode="train")
@@ -162,6 +180,12 @@ def inner_step(
     params = model.parameters()
     zero_grad(params)
     backward(loss_t)
+    bad = nonfinite_grads(model)
+    if bad:
+        raise SearchDiverged(
+            "weight gradient is not finite",
+            {"loss": bd.ce, "params": bad, "ratios": dict(ratios), "lr_w": lr_w},
+        )
     sgd_step(params, lr_w)
     return bd
 
@@ -185,7 +209,8 @@ def outer_step(
     out, also when it raises; their `.grad` is left as it was.  A ratio's
     gradient depends only on the upstream gradient at its mask, so it is
     the same as with the weights live.  Updated ratios are clamped to
-    [1/C, 1].
+    [1/C, 1]; a ratio gradient that is not finite raises `SearchDiverged`
+    instead, since the clamp would turn it into the floor 1/C.
     """
     ids = sorted(flops)
     dtype = model.params[ids[0]]["weight"].data.dtype
@@ -208,11 +233,17 @@ def outer_step(
         backward(loss_t)
     finally:
         model.set_requires_grad(True)
+    grads = {i: float(rts[i].grad) if rts[i].grad is not None else 0.0 for i in ids}
+    bad = [i for i in ids if not math.isfinite(grads[i])]
+    if bad:
+        raise SearchDiverged(
+            "ratio gradient is not finite",
+            {"loss": bd.ce, "layers": bad, "ratios": dict(ratios), "lr_r": lr_r},
+        )
     out = {}
     for i in ids:
         c = rankings[i].channels
-        g = float(rts[i].grad) if rts[i].grad is not None else 0.0
-        out[i] = float(min(1.0, max(1.0 / c, ratios[i] - lr_r * g)))
+        out[i] = float(min(1.0, max(1.0 / c, ratios[i] - lr_r * grads[i])))
     return out, bd
 
 

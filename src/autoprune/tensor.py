@@ -125,9 +125,14 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
 
 
+def _recording(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on `parents` records a graph node."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     """Wrap an op result, recording graph edges when gradients are live."""
-    needs = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    needs = _recording(parents)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -139,9 +144,18 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add `g` into `t.grad`, copying it when it is the first gradient.
+
+    `owned` says the caller has just allocated `g` and holds it nowhere
+    else; it then becomes `.grad` without the copy, provided it already
+    has the dtype and the C layout the copy would give it.
+    """
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+        if owned and g.dtype == t.data.dtype and g.flags.c_contiguous:
+            t.grad = g
+        else:
+            t.grad = np.array(g, dtype=t.data.dtype, copy=True)
     else:
         t.grad += g
 
@@ -264,14 +278,14 @@ def relu(a: Tensor) -> Tensor:
     while leaving every other value as it is.  (`np.maximum` would keep
     both NaN and -0.0.)
     """
-    keep = a.data > 0
+    keep = a.data > 0 if _recording((a,)) else None
     zero = a.data.dtype.type(0)
     out_data = np.fmax(a.data, zero)
     out_data += zero
 
     def back(g):
         if a.requires_grad:
-            _accum(a, g * keep)
+            _accum(a, g * keep, owned=True)
 
     return _make(out_data, (a,), back)
 
@@ -289,7 +303,7 @@ def channel_scale(x: Tensor, s: Tensor) -> Tensor:
 
     def back(g):
         if x.requires_grad:
-            _accum(x, g * col)
+            _accum(x, g * col, owned=True)
         if s.requires_grad:
             _accum(s, np.einsum("nchw,nchw->c", g, x.data, dtype=np.float64).astype(s.data.dtype))
 
@@ -324,7 +338,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
     n, c, h, w = x.shape
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        padded[:, :, padding : padding + h, padding : padding + w] = x
+        x = padded
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
     cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
@@ -334,17 +350,39 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
     return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
 
 
+def _tap_span(k: int, stride: int, padding: int, size: int, osize: int):
+    """Input and output slices of kernel tap `k` along one axis.
+
+    Output position o reads input k + stride*o - padding; the slices cover
+    the o for which that lands inside [0, size), or None if none do.
+    """
+    lo = max(0, -((k - padding) // stride))
+    hi = min(osize, (size - 1 + padding - k) // stride + 1)
+    if lo >= hi:
+        return None
+    start = k + stride * lo - padding
+    return slice(start, start + stride * (hi - lo - 1) + 1, stride), slice(lo, hi)
+
+
 def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
+    """Sum im2col columns back onto the input grid, tap by tap.
+
+    Each tap adds straight into the unpadded input over its clipped range,
+    so every input element receives its terms in the same (i, j) order as
+    a sum over the padded grid would give it, and gets the same bits.
+    """
     n, c, h, w = x_shape
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
     cols = cols.reshape(n, c, kh, kw, ho, wo)
-    out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            out[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols[:, :, i, j]
-    if padding:
-        out = out[:, :, padding:-padding, padding:-padding]
+    out = np.zeros((n, c, h, w), dtype=cols.dtype)
+    rows = [_tap_span(i, stride, padding, h, ho) for i in range(kh)]
+    columns = [_tap_span(j, stride, padding, w, wo) for j in range(kw)]
+    for i, row in enumerate(rows):
+        for j, col in enumerate(columns):
+            if row is None or col is None:
+                continue
+            out[:, :, row[0], col[0]] += cols[:, :, i, j, row[1], col[1]]
     return out
 
 
@@ -381,7 +419,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
             _accum(w, gw.reshape(w.data.shape))
         if x.requires_grad:
             gcols = np.matmul(wmat.T, gmat)
-            _accum(x, _col2im(gcols, x.data.shape, kh, kw, stride, padding))
+            _accum(x, _col2im(gcols, x.data.shape, kh, kw, stride, padding), owned=True)
 
     return _make(out_data, (x, w), back)
 
@@ -442,7 +480,7 @@ def pool2d(x: Tensor, kind: str, window: int) -> Tensor:
                     hit &= free
                     np.copyto(gx[:, :, i::window, j::window], g, where=hit)
                     free ^= hit
-            _accum(x, gx)
+            _accum(x, gx, owned=True)
 
         return _make(out_data, (x,), back)
 
@@ -517,7 +555,11 @@ def batch_norm2d(
     dt = x.data.dtype
     if mode == "train":
         mu = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        xhat = x.data - mu.reshape(1, c, 1, 1)
+        # np.var's own arithmetic on the centred input: sum of squares,
+        # then a true divide by an intp count, so the bits match x.var()
+        var = np.add.reduce(np.square(xhat), axis=(0, 2, 3))
+        np.true_divide(var, np.intp(n * h * w), out=var, casting="unsafe")
         if update_running:
             m = dt.type(momentum)
             stats.mean = ((1 - m) * stats.mean + m * mu).astype(stats.mean.dtype)
@@ -525,27 +567,35 @@ def batch_norm2d(
     else:
         mu = stats.mean.astype(dt)
         var = stats.var.astype(dt)
+        xhat = x.data - mu.reshape(1, c, 1, 1)
 
     sigma = np.sqrt(var + dt.type(eps))
-    xhat = (x.data - mu.reshape(1, c, 1, 1)) / sigma.reshape(1, c, 1, 1)
-    out_data = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
+    xhat /= sigma.reshape(1, c, 1, 1)
+    if not _recording((x, gamma, beta)):
+        # nothing reads xhat again, so the output takes its buffer
+        np.multiply(gamma.data.reshape(1, c, 1, 1), xhat, out=xhat)
+        xhat += beta.data.reshape(1, c, 1, 1)
+        return _make(xhat, (x, gamma, beta), None)
+    out_data = gamma.data.reshape(1, c, 1, 1) * xhat
+    out_data += beta.data.reshape(1, c, 1, 1)
 
     def back(g):
+        train_x = mode == "train" and x.requires_grad
+        if gamma.requires_grad or train_x:
+            g_xhat = np.einsum("nchw,nchw->c", g, xhat, dtype=np.float64).astype(dt)
         if gamma.requires_grad:
-            _accum(gamma, np.einsum("nchw,nchw->c", g, xhat, dtype=np.float64).astype(dt))
+            _accum(gamma, g_xhat)
         if beta.requires_grad:
             _accum(beta, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            gcol = gamma.data.reshape(1, c, 1, 1)
-            scol = sigma.reshape(1, c, 1, 1)
-            if mode == "train":
-                m = n * h * w
-                g_mean = g.mean(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-                gx_mean = np.einsum("nchw,nchw->c", g, xhat, dtype=np.float64).astype(dt)
-                gx_mean = (gx_mean / m).reshape(1, c, 1, 1)
-                _accum(x, (gcol / scol) * (g - g_mean - xhat * gx_mean))
+            scale = (gamma.data / sigma).reshape(1, c, 1, 1)
+            if train_x:
+                gx = g - g.mean(axis=(0, 2, 3)).reshape(1, c, 1, 1)
+                gx -= xhat * (g_xhat / (n * h * w)).reshape(1, c, 1, 1)
+                np.multiply(scale, gx, out=gx)
             else:
-                _accum(x, g * (gcol / scol))
+                gx = g * scale
+            _accum(x, gx, owned=True)
 
     return _make(out_data, (x, gamma, beta), back)
 

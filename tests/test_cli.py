@@ -150,6 +150,46 @@ class TestDescribe:
 
 
 @pytest.fixture(scope="class")
+def seed0_baseline(tmp_path_factory, synthetic_mnist_dir):
+    """A seed-0 cnn-small baseline and search, and the options that made them."""
+    root = tmp_path_factory.mktemp("upstream")
+    common = ["--config", write_config(root), "--data-dir", str(synthetic_mnist_dir),
+              "--out", str(root / "run")]
+    assert main(["pretrain", *common, "--seed", "0"]) == 0
+    assert main(["search", *common, "--seed", "0"]) == 0
+    return common
+
+
+class TestForeignUpstream:
+    def test_search_refuses_another_seed(self, seed0_baseline, capsys):
+        assert main(["search", *seed0_baseline, "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "baseline" in err and "its seed is 0, this run's is 1" in err
+
+    def test_search_refuses_another_model(self, seed0_baseline, capsys):
+        assert main(["search", *seed0_baseline, "--seed", "0", "--model", "resnet-tiny"]) == 2
+        assert "its run.model is 'cnn-small', this run's is 'resnet-tiny'" in capsys.readouterr().err
+
+    def test_prune_refuses_another_seed(self, seed0_baseline, capsys):
+        assert main(["prune", *seed0_baseline, "--seed", "1"]) == 2
+        assert "its seed is 0, this run's is 1" in capsys.readouterr().err
+
+    def test_search_refuses_other_data(self, seed0_baseline, tmp_path, synthetic_mnist_dir, capsys):
+        other = tmp_path / "mnist"
+        other.mkdir()
+        for f in synthetic_mnist_dir.iterdir():
+            other.joinpath(f.name).write_bytes(f.read_bytes())
+        labels = other / "train-labels-idx1-ubyte"
+        raw = bytearray(labels.read_bytes())
+        raw[-1] = (raw[-1] + 1) % 10
+        labels.write_bytes(bytes(raw))
+        args = list(seed0_baseline)
+        args[args.index("--data-dir") + 1] = str(other)
+        assert main(["search", *args, "--seed", "0"]) == 2
+        assert "its dataset_checksums is" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="class")
 def pipeline_run(tmp_path_factory, synthetic_mnist_dir):
     """One full pretrain/search/prune/report pass, shared by the checks."""
     root = tmp_path_factory.mktemp("pipeline")

@@ -71,6 +71,40 @@ class TestArchitectures:
         assert exact_flops_by_layer(m2) == exact_flops_by_layer(m)
 
 
+def _set(table, layer_id, **fields):
+    next(l for l in table["layers"] if l["id"] == layer_id).update(fields)
+
+
+def _narrow_first_block_conv(table):
+    # resnet-tiny: conv 6 -> bn 7 -> add 8, whose other operand is the
+    # 16-channel stem
+    _set(table, 6, out_channels=8)
+    _set(table, 7, in_channels=8, out_channels=8)
+
+
+WIDTH_MISMATCHES = {
+    "conv off the input": ("cnn-small", lambda t: _set(t, 0, in_channels=3),
+                           r"layer 0 \(conv\) takes 3 input channels, but layer -1 gives it 1"),
+    "conv off a pool": ("cnn-small", lambda t: _set(t, 4, in_channels=8),
+                        r"layer 4 \(conv\) takes 8 input channels, but layer 3 gives it 16"),
+    "bn changes width": ("cnn-small", lambda t: _set(t, 1, out_channels=8),
+                         r"layer 1 \(bn\) cannot turn 16 channels into 8"),
+    "linear head": ("cnn-small", lambda t: _set(t, 15, in_channels=32),
+                    r"layer 15 \(linear\) takes 32 input channels, but layer 14 gives it 64"),
+    "add operands": ("resnet-tiny", _narrow_first_block_conv,
+                     r"add layer 8 with unequal widths 8 and 16"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WIDTH_MISMATCHES))
+def test_table_with_mismatched_widths_rejected(case):
+    name, edit, message = WIDTH_MISMATCHES[case]
+    table = model_to_table(build_model(name, 10, (1, 8, 8)))
+    edit(table)
+    with pytest.raises(ValueError, match=message):
+        model_from_table(table)
+
+
 class TestForwardSemantics:
     def test_all_ones_mask_is_bit_identical_to_no_mask(self):
         m = small_model()
@@ -80,6 +114,34 @@ class TestForwardSemantics:
             plain = forward(m, x, mode="eval").data
             masked = forward(m, x, masks=ones, mode="eval").data
         assert np.array_equal(plain, masked)
+
+    @pytest.mark.parametrize("name", ["cnn-small", "resnet-tiny"])
+    def test_forward_without_graph_frees_consumed_outputs(self, monkeypatch, name):
+        # at every op, only the outputs some later layer still reads are
+        # alive: the op's input, plus a residual block's skip operand
+        import weakref
+
+        import autoprune.model as model_module
+
+        made, most = [], [0]
+
+        def tracked(op):
+            def wrapped(*args, **kwargs):
+                most[0] = max(most[0], sum(ref() is not None for ref in made))
+                out = op(*args, **kwargs)
+                made.append(weakref.ref(out.data))
+                return out
+
+            return wrapped
+
+        for op in ("conv2d", "batch_norm2d", "relu", "pool2d", "add", "linear"):
+            monkeypatch.setattr(model_module, op, tracked(getattr(model_module, op)))
+        m = build_model(name, 10, (1, 8, 8), rng=np.random.default_rng(0))
+        x = np.random.default_rng(5).standard_normal((2, 1, 8, 8)).astype(np.float32)
+        with no_grad():
+            forward(m, x, mode="eval")
+        assert len(made) == len(m.layers)
+        assert most[0] == (1 if name == "cnn-small" else 2)
 
     def test_eval_forward_is_deterministic(self):
         m = small_model()

@@ -256,6 +256,20 @@ class TestTrainer:
                                epochs=2, lr_max=0.1, lr_min=0.001)
         assert res.diverged
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_gradient_stops_before_the_update(self):
+        # relu maps the NaN pixels' conv output to zero: the loss is finite
+        model = small_model(seed=1)
+        before = [p.data.copy() for p in model.parameters()]
+        train = toy_problem(32)
+        train.images[:] = np.nan
+        res = train_supervised(model, train, toy_problem(16, seed=1),
+                               epochs=2, lr_max=0.1, lr_min=0.001)
+        assert res.diverged
+        assert res.metrics == []
+        for p, b in zip(model.parameters(), before):
+            assert np.array_equal(p.data, b)
+
     def test_finetune_reports_test_top1(self):
         model = small_model(seed=1)
         test = toy_problem(32, seed=2)
@@ -350,6 +364,23 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=r"layer 0 weight has shape \(3, 3, 1, 16\), "
                                              r"expected shape \(16, 1, 3, 3\)"):
             load_checkpoint(tmp_path / "ck")
+
+    def test_channel_width_mismatch_fails_at_load(self, tmp_path):
+        # conv 4 claims 8 input channels behind a 16-channel pool, with a
+        # weight of that shape: every array matches the table, the graph not
+        directory = tmp_path / "ck"
+        save_checkpoint(small_model(), directory)
+        path = directory / "manifest.json"
+        manifest = json.loads(path.read_text())
+        next(l for l in manifest["model"]["layers"] if l["id"] == 4)["in_channels"] = 8
+        entry = next(e for e in manifest["arrays"] if (e["layer"], e["role"]) == (4, "weight"))
+        entry["shape"] = [32, 8, 3, 3]
+        weight = directory / entry["file"]
+        weight.write_bytes(weight.read_bytes()[: 32 * 8 * 9 * 4])
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=r"layer 4 \(conv\) takes 8 input channels, "
+                                             r"but layer 3 gives it 16"):
+            load_checkpoint(directory)
 
     @pytest.mark.parametrize("layer, role", [(2, "weight"), (99, "weight"), (0, "bias")])
     def test_unknown_entry_raises(self, tmp_path, layer, role):

@@ -176,6 +176,39 @@ class TestInnerStep:
         assert set(exc.value.state["ratios"]) == set(ids)
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_conv_weights_raise_before_the_update(self):
+        # relu maps the NaN conv output to zero, so the loss stays finite
+        model = tiny_model()
+        ds = tiny_dataset()
+        flops, ids, rankings, ratios, masks = _setup_step_inputs(model)
+        model.params[0]["weight"].data[:] = np.nan
+        before = [bits_of(p.data) for p in model.parameters()]
+        with pytest.raises(SearchDiverged, match="gradient") as exc:
+            inner_step(
+                model, ds.images[:8], ds.labels[:8], masks, ratios, flops, tiny_config(), 0.05
+            )
+        assert math.isfinite(exc.value.state["loss"])
+        assert "0.weight" in exc.value.state["params"]
+        assert [bits_of(p.data) for p in model.parameters()] == before
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_batch_raises_and_leaves_the_weights(self):
+        model = tiny_model()
+        flops, ids, rankings, ratios, masks = _setup_step_inputs(model)
+        before = [p.data.copy() for p in model.parameters()]
+        xb = np.full((8, 1, 8, 8), np.nan, dtype=np.float32)
+        with pytest.raises(SearchDiverged) as exc:
+            inner_step(model, xb, np.arange(8), masks, ratios, flops, tiny_config(), 0.05)
+        assert math.isfinite(exc.value.state["loss"])
+        for p, b in zip(model.parameters(), before):
+            assert np.array_equal(p.data, b)
+
+
+def bits_of(a):
+    return a.view(f"u{a.itemsize}").tobytes()
+
+
 def live_weight_outer_step(model, xb, yb, ratios, rankings, flops, config, lr_r):
     """outer_step's ratio update with every weight left trainable."""
     ids = sorted(flops)
@@ -234,6 +267,22 @@ class TestOuterStep:
                 model, ds.images[:8], ds.labels[:8], ratios, rankings, flops, tiny_config(), 0.05
             )
         assert "lr_r" in exc.value.state
+        assert_trainable_and_gradless(model)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_ratio_gradient_raises_instead_of_clamping(self):
+        # NaN conv-8 weights: relu zeroes the NaN, the loss is finite, and
+        # the ratio gradients of layers 0 and 4 upstream of conv 8 are NaN
+        model = tiny_model()
+        ds = tiny_dataset()
+        flops, ids, rankings, ratios, _ = _setup_step_inputs(model)
+        model.params[8]["weight"].data[:] = np.nan
+        with pytest.raises(SearchDiverged, match="ratio gradient") as exc:
+            outer_step(
+                model, ds.images[:8], ds.labels[:8], ratios, rankings, flops, tiny_config(), 0.05
+            )
+        assert math.isfinite(exc.value.state["loss"])
+        assert exc.value.state["layers"] == [0, 4]
         assert_trainable_and_gradless(model)
 
     def test_cost_pressure_pushes_ratios_down(self):

@@ -7,6 +7,8 @@ import pytest
 from autoprune.tensor import (
     RunningStats,
     Tensor,
+    _col2im,
+    add,
     backward,
     batch_norm2d,
     channel_scale,
@@ -98,6 +100,52 @@ def argmax_max_pool(x, window, g):
     np.put_along_axis(gp, idx[..., None], g[..., None], axis=-1)
     gx = gp.reshape(n, c, ho, wo, window, window).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
     return out, gx
+
+
+def two_pass_batch_norm(x, gamma, beta, mean, var, mode, g, eps=1e-5, momentum=0.1):
+    """Reference batch norm: mean and var of x, then (x - mu) / sigma anew.
+
+    Returns the output, the running mean and var after the call, and the
+    x, gamma and beta gradients of sum(out * g), all in the dtypes the
+    engine gives them, so they can be compared bit for bit.
+    """
+    n, c, h, w = x.shape
+    dt = x.dtype
+    if mode == "train":
+        mu = x.mean(axis=(0, 2, 3))
+        v = x.var(axis=(0, 2, 3))
+        m = dt.type(momentum)
+        mean = ((1 - m) * mean + m * mu).astype(mean.dtype)
+        var = ((1 - m) * var + m * v).astype(var.dtype)
+    else:
+        mu = mean.astype(dt)
+        v = var.astype(dt)
+    sigma = np.sqrt(v + dt.type(eps))
+    xhat = (x - mu.reshape(1, c, 1, 1)) / sigma.reshape(1, c, 1, 1)
+    out = gamma.reshape(1, c, 1, 1) * xhat + beta.reshape(1, c, 1, 1)
+    g_gamma = np.einsum("nchw,nchw->c", g, xhat, dtype=np.float64).astype(dt)
+    g_beta = g.sum(axis=(0, 2, 3))
+    scale = gamma.reshape(1, c, 1, 1) / sigma.reshape(1, c, 1, 1)
+    if mode == "train":
+        g_mean = g.mean(axis=(0, 2, 3)).reshape(1, c, 1, 1)
+        gx_mean = (g_gamma / (n * h * w)).reshape(1, c, 1, 1)
+        g_x = scale * (g - g_mean - xhat * gx_mean)
+    else:
+        g_x = g * scale
+    return out, mean, var, g_x, g_gamma, g_beta
+
+
+def padded_col2im(cols, x_shape, kh, kw, stride, padding):
+    """Reference col2im: sum every tap into a padded grid, then crop it."""
+    n, c, h, w = x_shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    cols = cols.reshape(n, c, kh, kw, ho, wo)
+    out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            out[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols[:, :, i, j]
+    return out[:, :, padding : padding + h, padding : padding + w]
 
 
 def bits(a):
@@ -313,6 +361,63 @@ class TestOpSemantics:
         np.testing.assert_array_equal(bits(gx), bits(want_gx))
         assert gx[1, 2, 2, 3] == g[1, 2, 1, 1] and gx[1, 2, 3, 2] == 0.0
 
+    def test_batch_norm_is_bitwise_the_two_pass_kernel(self):
+        rng = np.random.default_rng(37)
+        shapes = {"batch": (4, 3, 5, 6), "batch 1": (1, 3, 5, 6)}
+        grads = {"all": (True, True, True), "x only": (True, False, False),
+                 "params only": (False, True, True)}
+        for dtype in (np.float32, np.float64):
+            with use_dtype(dtype):
+                for shape_name, shape in shapes.items():
+                    x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
+                    x[:, 1] = 0.625  # a constant channel: zero variance
+                    x[:, 2] = -0.0  # a channel of negative zeros
+                    gamma = rng.standard_normal(3).astype(dtype)
+                    beta = rng.standard_normal(3).astype(dtype)
+                    mean = rng.standard_normal(3).astype(dtype)
+                    var = rng.random(3).astype(dtype) + dtype(0.5)
+                    g = upstream_grad(rng, shape, dtype)
+                    for mode in ("train", "eval"):
+                        want = two_pass_batch_norm(x, gamma, beta, mean, var, mode, g)
+                        where = f"{shape_name}, {mode}, {dtype.__name__}"
+                        # no graph: output and running statistics
+                        stats = RunningStats(mean.copy(), var.copy())
+                        with no_grad():
+                            out = batch_norm2d(Tensor(x), Tensor(gamma), Tensor(beta), stats, mode)
+                        for got, ref in zip((out.data, stats.mean, stats.var), want[:3]):
+                            assert got.dtype == ref.dtype, where
+                            np.testing.assert_array_equal(bits(got), bits(ref), err_msg=where)
+                        # with a graph: the same, plus every gradient asked for
+                        for grad_name, flags in grads.items():
+                            ts = [Tensor(a, requires_grad=f) for a, f in zip((x, gamma, beta), flags)]
+                            stats = RunningStats(mean.copy(), var.copy())
+                            out = batch_norm2d(*ts, stats, mode)
+                            backward(tensor_sum(mul(out, Tensor(g))))
+                            got = (out.data, stats.mean, stats.var)
+                            got += tuple(t.grad if f else None for t, f in zip(ts, flags))
+                            for k, (a, b) in enumerate(zip(got, want)):
+                                if a is None:
+                                    continue
+                                at = f"{where}, {grad_name} grads, item {k}"
+                                assert a.dtype == b.dtype, at
+                                np.testing.assert_array_equal(bits(a), bits(b), err_msg=at)
+
+    def test_col2im_is_bitwise_the_padded_sum(self):
+        rng = np.random.default_rng(41)
+        x_shape = (2, 3, 7, 9)
+        for dtype in (np.float32, np.float64):
+            for k in (1, 2, 3, 5):
+                for stride in (1, 2, 3):
+                    for padding in range(4):
+                        ho = (7 + 2 * padding - k) // stride + 1
+                        wo = (9 + 2 * padding - k) // stride + 1
+                        cols = upstream_grad(rng, (2, 3 * k * k, ho * wo), dtype)
+                        got = _col2im(cols, x_shape, k, k, stride, padding)
+                        want = padded_col2im(cols, x_shape, k, k, stride, padding)
+                        where = f"k {k}, stride {stride}, padding {padding}, {dtype.__name__}"
+                        assert got.shape == x_shape and got.dtype == dtype, where
+                        np.testing.assert_array_equal(bits(got), bits(want), err_msg=where)
+
     def test_channel_scale_matches_manual_broadcast(self):
         rng = np.random.default_rng(17)
         x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
@@ -411,6 +516,14 @@ class TestGraphLifecycle:
             loss = tensor_sum(y)
             backward(loss)
             backward(loss)
+
+    def test_add_gives_each_parent_its_own_grad(self):
+        a = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        b = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        backward(tensor_sum(relu(add(a, b))))
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1
+        np.testing.assert_array_equal(b.grad, np.ones((2, 3), dtype=np.float32))
 
     def test_shared_subexpression_accumulates_both_paths(self):
         x = Tensor(np.array([3.0], dtype=np.float64), requires_grad=True)
