@@ -6,7 +6,7 @@ plus command-line overrides; unknown keys are hard errors so typos never
 silently fall back to defaults.
 
 Exit codes: 0 success, 1 failed run (divergence, violated invariant),
-2 bad arguments or missing files.
+2 bad arguments, missing or malformed files, or another run's upstream.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from . import __version__
 from .data import DataFormatError, load_cifar10, load_mnist, split_validation, substream
 from .model import build_model, evaluate, exact_flops_by_layer
 from .pruner import (
+    CheckpointError,
     PruningPlan,
     export_pruned,
     finalize_plan,
@@ -321,10 +322,18 @@ def cmd_report(cfg: dict) -> int:
     if not base_path.is_file():
         raise FileNotFoundError(f"missing run artifact: expected {base_path}")
     baseline = json.loads(base_path.read_text())
+    # The baseline's data checksums stand in for this run's: a report
+    # loads no data, and the seed and model checks still apply to it.
+    checksums = baseline.get("dataset_checksums")
+    _check_upstream(cfg, checksums, baseline, base_path)
+    search_path = out_root / "search" / "manifest.json"
+    if search_path.is_file():
+        _check_upstream(cfg, checksums, json.loads(search_path.read_text()), search_path)
     pruned = None
     pruned_path = out_root / "pruned" / "manifest.json"
     if pruned_path.is_file():
         pruned = json.loads(pruned_path.read_text())
+        _check_upstream(cfg, checksums, pruned, pruned_path)
 
     report_dir = out_root / "report"
     rows = summary_rows(
@@ -446,7 +455,7 @@ def main(argv=None) -> int:
     try:
         cfg = apply_overrides(load_config(args.config), args)
         return COMMANDS[args.command](cfg)
-    except (ConfigError, DataFormatError, FileNotFoundError) as e:
+    except (ConfigError, DataFormatError, CheckpointError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except SearchDiverged as e:

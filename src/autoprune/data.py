@@ -118,18 +118,53 @@ def _read_idx(path: Path, magic: int) -> np.ndarray:
     return body.reshape(dims)
 
 
+_STATS_BLOCK = 256  # images per float64 block in `_channel_stats`
+
+
+def _channel_stats(train: np.ndarray):
+    """Per-channel float64 mean and std of [N, C, H, W] float32 images.
+
+    Works on blocks of images, so no float64 copy of the whole set is
+    made. Each image's channel sums come from numpy's pairwise loop over
+    its pixels, and the image rows are then summed. With more than one
+    channel, `train.astype(np.float64).mean/std(axis=(0, 2, 3))` sums the
+    same way and gives the same bits. A single-channel array numpy sums
+    as one flat pairwise run instead, so there the float64 std can differ
+    in its last bits; its float32 rounding matched in every case tried.
+    """
+    n, c, h, w = train.shape
+    count = np.intp(n * h * w)
+    rows = np.empty((n, c), dtype=np.float64)
+    for s in range(0, n, _STATS_BLOCK):
+        block = train[s : s + _STATS_BLOCK].astype(np.float64)
+        np.add.reduce(block, axis=(2, 3), out=rows[s : s + _STATS_BLOCK])
+    mean = np.true_divide(np.add.reduce(rows, axis=0), count)
+    mean64 = mean.reshape(1, c, 1, 1)
+    for s in range(0, n, _STATS_BLOCK):
+        d = train[s : s + _STATS_BLOCK].astype(np.float64)
+        d -= mean64
+        np.multiply(d, d, out=d)
+        np.add.reduce(d, axis=(2, 3), out=rows[s : s + _STATS_BLOCK])
+    var = np.true_divide(np.add.reduce(rows, axis=0), count)
+    return mean, np.sqrt(var)
+
+
 def _normalize(train_u8: np.ndarray, other_u8: np.ndarray):
     """Scale to [0,1], then center/scale per channel by training statistics."""
     c = train_u8.shape[1]
-    train = train_u8.astype(np.float32) / np.float32(255.0)
-    other = other_u8.astype(np.float32) / np.float32(255.0)
-    mean = train.astype(np.float64).mean(axis=(0, 2, 3)).astype(np.float32)
-    std = train.astype(np.float64).std(axis=(0, 2, 3)).astype(np.float32)
+    train = train_u8.astype(np.float32)
+    train /= np.float32(255.0)
+    mean, std = (a.astype(np.float32) for a in _channel_stats(train))
     if np.any(std == 0):
         raise DataFormatError("constant image channel: cannot normalize")
     m = mean.reshape(1, c, 1, 1)
     s = std.reshape(1, c, 1, 1)
-    return (train - m) / s, (other - m) / s, mean, std
+    other = other_u8.astype(np.float32)
+    other /= np.float32(255.0)
+    for x in (train, other):
+        x -= m
+        x /= s
+    return train, other, mean, std
 
 
 def load_mnist(data_dir=None) -> tuple[Dataset, Dataset]:

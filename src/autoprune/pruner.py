@@ -40,6 +40,10 @@ from .search import cosine_lr, nonfinite_grads, sgd_step
 from .tensor import RunningStats, Tensor, backward, softmax_cross_entropy, zero_grad
 
 
+class CheckpointError(ValueError):
+    """A checkpoint's manifest or arrays do not describe a loadable model."""
+
+
 @dataclass
 class PlanEntry:
     layer_id: int
@@ -410,14 +414,18 @@ def load_checkpoint(directory) -> tuple[ModelGraph, dict]:
     """Rebuild a model and its weights from `save_checkpoint` output.
 
     The manifest must list every array the model table implies exactly
-    once, each with the shape the table gives it.
+    once, each with the shape the table gives it; a checkpoint that does
+    not raises `CheckpointError`.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
         raise FileNotFoundError(f"missing checkpoint manifest: expected {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    model = model_from_table(manifest["model"])
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        model = model_from_table(manifest["model"])
+    except ValueError as e:
+        raise CheckpointError(f"{manifest_path}: {e}") from e
     expected = {(lid, role): arr.shape for lid, role, arr in _param_files(model)}
     seen = set()
     for entry in manifest["arrays"]:
@@ -427,17 +435,17 @@ def load_checkpoint(directory) -> tuple[ModelGraph, dict]:
         shape = tuple(entry["shape"])
         where = f"{path}: layer {lid} {role}"
         if key not in expected:
-            raise ValueError(f"{where} is not an array of model {model.name!r}")
+            raise CheckpointError(f"{where} is not an array of model {model.name!r}")
         if key in seen:
-            raise ValueError(f"{where} is listed more than once")
+            raise CheckpointError(f"{where} is listed more than once")
         if shape != expected[key]:
-            raise ValueError(f"{where} has shape {shape}, expected shape {expected[key]}")
+            raise CheckpointError(f"{where} has shape {shape}, expected shape {expected[key]}")
         seen.add(key)
         if not path.is_file():
             raise FileNotFoundError(f"missing checkpoint array: expected {path}")
         arr = np.fromfile(path, dtype="<f4").astype(np.float32)
         if arr.size != int(np.prod(shape)):
-            raise ValueError(f"{path}: holds {arr.size} floats, expected shape {shape}")
+            raise CheckpointError(f"{path}: holds {arr.size} floats, expected shape {shape}")
         arr = arr.reshape(shape)
         if role == "running_mean":
             model.bn_stats[lid].mean = arr
@@ -448,7 +456,7 @@ def load_checkpoint(directory) -> tuple[ModelGraph, dict]:
     missing = sorted(expected.keys() - seen)
     if missing:
         lid, role = missing[0]
-        raise ValueError(
+        raise CheckpointError(
             f"{manifest_path}: no array for layer {lid} {role}, expected shape {expected[lid, role]}"
         )
     return model, manifest

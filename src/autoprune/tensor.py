@@ -335,6 +335,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (x, w, b), back)
 
 
+# Bytes of im2col columns built at a time when no weight gradient keeps them.
+_COLS_BLOCK_BYTES = 1 << 19
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
     n, c, h, w = x.shape
     if padding:
@@ -408,14 +412,29 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
                 f"stride {stride}, padding {padding}"
             )
 
-    cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
     wmat = w.data.reshape(cout, -1)
-    out_data = np.matmul(wmat, cols).reshape(n, cout, ho, wo)
+    if _recording((x, w)) and w.requires_grad:
+        cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
+        out_data = np.matmul(wmat, cols).reshape(n, cout, ho, wo)
+    else:
+        # Only the weight gradient reads the columns: build them a block
+        # of images at a time and run the same per-image GEMM on each.
+        cols = None
+        ho = (h + 2 * padding - kh) // stride + 1
+        wo = (wd + 2 * padding - kw) // stride + 1
+        per = max(1, _COLS_BLOCK_BYTES // max(1, cin * kh * kw * ho * wo * x.data.itemsize))
+        out_data = np.empty((n, cout, ho * wo), dtype=np.result_type(wmat, x.data))
+        for s in range(0, n, per):
+            block = _im2col(x.data[s : s + per], kh, kw, stride, padding)[0]
+            np.matmul(wmat, block, out=out_data[s : s + per])
+        out_data = out_data.reshape(n, cout, ho, wo)
 
     def back(g):
         gmat = g.reshape(n, cout, ho * wo)
         if w.requires_grad:
-            gw = np.tensordot(gmat, cols, axes=([0, 2], [0, 2]))
+            # A weight made trainable after the forward rebuilds its columns.
+            xcols = cols if cols is not None else _im2col(x.data, kh, kw, stride, padding)[0]
+            gw = np.tensordot(gmat, xcols, axes=([0, 2], [0, 2]))
             _accum(w, gw.reshape(w.data.shape))
         if x.requires_grad:
             gcols = np.matmul(wmat.T, gmat)

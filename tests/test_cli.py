@@ -7,6 +7,7 @@ exercise wiring and determinism rather than accuracy.
 
 import argparse
 import json
+import shutil
 
 import pytest
 
@@ -187,6 +188,24 @@ class TestForeignUpstream:
         args[args.index("--data-dir") + 1] = str(other)
         assert main(["search", *args, "--seed", "0"]) == 2
         assert "its dataset_checksums is" in capsys.readouterr().err
+
+    def test_report_refuses_another_seed(self, seed0_baseline, capsys):
+        assert main(["report", *seed0_baseline, "--seed", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "baseline" in err and "its seed is 0, this run's is 5" in err
+
+
+class TestBadCheckpoint:
+    def test_truncated_baseline_array_is_2(self, seed0_baseline, tmp_path, capsys):
+        args = list(seed0_baseline)
+        out = args.index("--out") + 1
+        run = tmp_path / "run"
+        shutil.copytree(args[out], run)
+        args[out] = str(run)
+        weight = run / "baseline" / "layer000.weight.f32"
+        weight.write_bytes(weight.read_bytes()[:-8])
+        assert main(["search", *args, "--seed", "0"]) == 2
+        assert "holds 142 floats, expected shape (16, 1, 3, 3)" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="class")

@@ -2,6 +2,7 @@
 fly, plus determinism properties of splitting and batching."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from autoprune.data import (
     DATA_DIR_ENV,
     DataFormatError,
     Dataset,
+    _channel_stats,
+    _normalize,
     batches,
     derive_seed,
     load_cifar10,
@@ -53,6 +56,18 @@ def make_cifar_dir(tmp_path, per_file=10, seed=0):
         rec[:, 1:] = rng.integers(0, 256, (per_file, 3072))
         (d / name).write_bytes(rec.tobytes())
     return d
+
+
+def full_copy_normalize(train_u8, other_u8):
+    """Reference normalisation: statistics from float64 copies of the whole set."""
+    c = train_u8.shape[1]
+    train = train_u8.astype(np.float32) / np.float32(255.0)
+    other = other_u8.astype(np.float32) / np.float32(255.0)
+    mean = train.astype(np.float64).mean(axis=(0, 2, 3)).astype(np.float32)
+    std = train.astype(np.float64).std(axis=(0, 2, 3)).astype(np.float32)
+    m = mean.reshape(1, c, 1, 1)
+    s = std.reshape(1, c, 1, 1)
+    return (train - m) / s, (other - m) / s, mean, std
 
 
 def toy_dataset(n=20, seed=0):
@@ -146,6 +161,59 @@ class TestCifarLoading:
         p.write_bytes(bytes(body))
         with pytest.raises(DataFormatError, match="out of range"):
             load_cifar10(d)
+
+
+class TestNormalize:
+    # 300 and 513 are not multiples of the 256-image statistics block
+    @pytest.mark.parametrize("n, c, side, zero_frac", [
+        (300, 3, 32, 0.0),
+        (7, 3, 32, 0.9),
+        (513, 1, 28, 0.0),
+        (256, 1, 28, 0.95),
+        (1000, 1, 28, 0.3),
+    ])
+    def test_bitwise_the_full_copy_statistics(self, n, c, side, zero_frac):
+        rng = np.random.default_rng(n * 10 + c)
+        train = rng.integers(0, 256, (n, c, side, side), dtype=np.uint8)
+        train[rng.random(train.shape) < zero_frac] = 0
+        other = rng.integers(0, 256, (13, c, side, side), dtype=np.uint8)
+        got = _normalize(train, other)
+        want = full_copy_normalize(train, other)
+        for name, a, b in zip(("train", "other", "mean", "std"), got, want):
+            assert a.dtype == b.dtype == np.float32 and a.shape == b.shape, name
+            np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32), err_msg=name)
+
+    @pytest.mark.parametrize("n, zero_frac", [(300, 0.0), (7, 0.9), (600, 0.3)])
+    def test_multichannel_float64_statistics_are_numpys(self, n, zero_frac):
+        # one channel is left out: numpy sums it as one flat pairwise run,
+        # so only the float32 rounding above is pinned there
+        rng = np.random.default_rng(n)
+        u8 = rng.integers(0, 256, (n, 3, 32, 32), dtype=np.uint8)
+        u8[rng.random(u8.shape) < zero_frac] = 0
+        train = u8.astype(np.float32) / np.float32(255.0)
+        mean, std = _channel_stats(train)
+        full = train.astype(np.float64)
+        for got, want in ((mean, full.mean(axis=(0, 2, 3))), (std, full.std(axis=(0, 2, 3)))):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_constant_channel_raises(self):
+        train = np.full((5, 2, 4, 4), 7, dtype=np.uint8)
+        train[:, 0, 0, 0] = 9
+        with pytest.raises(DataFormatError, match="constant image channel"):
+            _normalize(train, train[:1])
+
+    def test_peak_memory_is_the_outputs_plus_blocks(self):
+        rng = np.random.default_rng(5)
+        train = rng.integers(0, 256, (2500, 3, 32, 32), dtype=np.uint8)
+        other = rng.integers(0, 256, (512, 3, 32, 32), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            out = _normalize(train, other)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = out[0].nbytes + out[1].nbytes
+        assert peak <= outputs + (16 << 20), (peak, outputs)
 
 
 class TestSplit:

@@ -14,6 +14,7 @@ from autoprune.data import Dataset
 from autoprune.masking import rank_channels
 from autoprune.model import build_model, exact_flops_by_layer, exact_model_flops, forward
 from autoprune.pruner import (
+    CheckpointError,
     PruningPlan,
     export_pruned,
     finalize_plan,
@@ -325,7 +326,7 @@ class TestCheckpoints:
         save_checkpoint(model, tmp_path / "ck")
         victim = next((tmp_path / "ck").glob("layer*.weight.f32"))
         victim.write_bytes(victim.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="expected shape"):
+        with pytest.raises(CheckpointError, match="expected shape"):
             load_checkpoint(tmp_path / "ck")
 
     @staticmethod
@@ -378,8 +379,8 @@ class TestCheckpoints:
         weight = directory / entry["file"]
         weight.write_bytes(weight.read_bytes()[: 32 * 8 * 9 * 4])
         path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match=r"layer 4 \(conv\) takes 8 input channels, "
-                                             r"but layer 3 gives it 16"):
+        with pytest.raises(CheckpointError, match=r"layer 4 \(conv\) takes 8 input channels, "
+                                                  r"but layer 3 gives it 16"):
             load_checkpoint(directory)
 
     @pytest.mark.parametrize("layer, role", [(2, "weight"), (99, "weight"), (0, "bias")])

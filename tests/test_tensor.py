@@ -1,13 +1,18 @@
 """Engine checks: forward kernels against loop oracles, gradients against
 central finite differences, and the graph lifecycle rules."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from autoprune import tensor
 from autoprune.tensor import (
     RunningStats,
     Tensor,
     _col2im,
+    _im2col,
     add,
     backward,
     batch_norm2d,
@@ -146,6 +151,24 @@ def padded_col2im(cols, x_shape, kh, kw, stride, padding):
         for j in range(kw):
             out[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols[:, :, i, j]
     return out[:, :, padding : padding + h, padding : padding + w]
+
+
+def full_buffer_conv2d(x, w, stride, padding, g):
+    """Reference conv: one im2col buffer for the whole batch, then the
+    per-image GEMM, the weight-gradient tensordot and the input-gradient
+    GEMM on it.
+
+    Returns the output and the w and x gradients of sum(out * g).
+    """
+    n = x.shape[0]
+    cout, _, kh, kw = w.shape
+    cols, ho, wo = _im2col(x, kh, kw, stride, padding)
+    wmat = w.reshape(cout, -1)
+    out = np.matmul(wmat, cols).reshape(n, cout, ho, wo)
+    gmat = g.reshape(n, cout, ho * wo)
+    gw = np.tensordot(gmat, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
+    gx = _col2im(np.matmul(wmat.T, gmat), x.shape, kh, kw, stride, padding)
+    return out, gw, gx
 
 
 def bits(a):
@@ -417,6 +440,61 @@ class TestOpSemantics:
                         where = f"k {k}, stride {stride}, padding {padding}, {dtype.__name__}"
                         assert got.shape == x_shape and got.dtype == dtype, where
                         np.testing.assert_array_equal(bits(got), bits(want), err_msg=where)
+
+    @pytest.mark.parametrize("block_bytes", [None, 1 << 14])
+    def test_conv_without_kept_columns_is_bitwise_the_full_buffer(self, block_bytes, monkeypatch):
+        # 37 images at 3x32x32 span several column blocks and a remainder;
+        # the 16 KiB budget cuts every shape here into blocks of 1-2 images
+        if block_bytes is not None:
+            monkeypatch.setattr(tensor, "_COLS_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(53)
+        for dtype, k, stride, padding in itertools.product(
+            (np.float32, np.float64), (1, 3), (1, 2), (0, 1)
+        ):
+            where = f"k {k}, stride {stride}, padding {padding}, {dtype.__name__}"
+            x = rng.standard_normal((37, 3, 32, 32)).astype(dtype)
+            w = rng.standard_normal((8, 3, k, k)).astype(dtype)
+            ho = (32 + 2 * padding - k) // stride + 1
+            g = upstream_grad(rng, (37, 8, ho, ho), dtype)
+            want, _, want_gx = full_buffer_conv2d(x, w, stride, padding, g)
+            with use_dtype(dtype):
+                with no_grad():
+                    out = conv2d(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True),
+                                 stride, padding)
+                assert out.data.dtype == dtype, where
+                np.testing.assert_array_equal(bits(out.data), bits(want), err_msg=where)
+                # a frozen weight and a live input: the ratio step's case
+                xt = Tensor(x, requires_grad=True)
+                out = conv2d(xt, Tensor(w), stride, padding)
+                np.testing.assert_array_equal(bits(out.data), bits(want), err_msg=where)
+                backward(tensor_sum(mul(out, Tensor(g))))
+                np.testing.assert_array_equal(bits(xt.grad), bits(want_gx), err_msg=where)
+
+    def test_weight_made_trainable_after_forward_gets_its_gradient(self):
+        rng = np.random.default_rng(59)
+        x = rng.standard_normal((5, 3, 9, 9)).astype(np.float32)
+        w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+        g = upstream_grad(rng, (5, 4, 5, 5), np.float32)
+        _, want_gw, want_gx = full_buffer_conv2d(x, w, 2, 1, g)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w)
+        out = conv2d(xt, wt, stride=2, padding=1)
+        wt.requires_grad = True
+        backward(tensor_sum(mul(out, Tensor(g))))
+        np.testing.assert_array_equal(bits(wt.grad), bits(want_gw))
+        np.testing.assert_array_equal(bits(xt.grad), bits(want_gx))
+
+    def test_no_grad_conv_peak_memory_is_the_output_plus_a_block(self):
+        rng = np.random.default_rng(61)
+        x = Tensor(rng.standard_normal((256, 16, 32, 32)).astype(np.float32))
+        w = Tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = conv2d(x, w, padding=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.data.nbytes + (2 << 20), (peak, out.data.nbytes)
 
     def test_channel_scale_matches_manual_broadcast(self):
         rng = np.random.default_rng(17)
