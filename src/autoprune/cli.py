@@ -244,7 +244,7 @@ def cmd_search(cfg: dict) -> int:
     out = out_root / "search"
     write_csv(result.metrics, out / "trajectory.csv")
     write_csv(result.refresh_events, out / "diagnostics.csv")
-    plan = finalize_plan(model, result.ratios)
+    plan = finalize_plan(model, result.ratios, result.rankings)
     (out / "result.json").parent.mkdir(parents=True, exist_ok=True)
     (out / "result.json").write_text(json.dumps({
         "ratios": {str(k): v for k, v in result.ratios.items()},

@@ -151,16 +151,25 @@ def _channel_stats(train: np.ndarray):
 
 def _normalize(train_u8: np.ndarray, other_u8: np.ndarray):
     """Scale to [0,1], then center/scale per channel by training statistics."""
-    c = train_u8.shape[1]
-    train = train_u8.astype(np.float32)
-    train /= np.float32(255.0)
+    return _standardize(_unit_float(train_u8), other_u8)
+
+
+def _unit_float(images_u8: np.ndarray) -> np.ndarray:
+    x = images_u8.astype(np.float32)
+    x /= np.float32(255.0)
+    return x
+
+
+def _standardize(train: np.ndarray, other_u8: np.ndarray):
+    """Center/scale `train` (float32 in [0, 1]) in place, and `other_u8`
+    once scaled to [0, 1], per channel by `train`'s statistics."""
+    c = train.shape[1]
     mean, std = (a.astype(np.float32) for a in _channel_stats(train))
     if np.any(std == 0):
         raise DataFormatError("constant image channel: cannot normalize")
     m = mean.reshape(1, c, 1, 1)
     s = std.reshape(1, c, 1, 1)
-    other = other_u8.astype(np.float32)
-    other /= np.float32(255.0)
+    other = _unit_float(other_u8)
     for x in (train, other):
         x -= m
         x /= s
@@ -190,6 +199,7 @@ def load_mnist(data_dir=None) -> tuple[Dataset, Dataset]:
 
 
 def _read_cifar_file(path: Path):
+    """Images, labels and the sha256 of one batch file, read once."""
     raw = _require(path).read_bytes()
     if len(raw) == 0 or len(raw) % _CIFAR_RECORD != 0:
         raise DataFormatError(
@@ -200,25 +210,32 @@ def _read_cifar_file(path: Path):
     if labels.max() > 9:
         raise DataFormatError(f"{path}: label {labels.max()} out of range for 10 classes")
     images = rec[:, 1:].reshape(-1, 3, 32, 32)
-    return images, labels
+    return images, labels, hashlib.sha256(raw).hexdigest()
 
 
 def load_cifar10(data_dir=None) -> tuple[Dataset, Dataset]:
-    """Load the six binary batch files into (train, test) datasets."""
-    root = resolve_data_dir(data_dir)
-    xs, ys, checksums = [], [], {}
-    for name in CIFAR_TRAIN_FILES:
-        x, y = _read_cifar_file(root / name)
-        xs.append(x)
-        ys.append(y)
-        checksums[name] = _sha256(root / name)
-    train_u8 = np.concatenate(xs)
-    train_y = np.concatenate(ys)
-    test_u8, test_y = _read_cifar_file(root / CIFAR_TEST_FILE)
-    checksums[CIFAR_TEST_FILE] = _sha256(root / CIFAR_TEST_FILE)
+    """Load the six binary batch files into (train, test) datasets.
 
-    train_n, test_n, mean, std = _normalize(train_u8, test_u8)
-    train = Dataset(train_n, train_y, "train", mean, std, checksums)
+    Each training file is scaled straight into one float32 array, so
+    neither a uint8 copy of the whole set nor more than one file's bytes
+    is held at a time.
+    """
+    root = resolve_data_dir(data_dir)
+    paths = [_require(root / name) for name in CIFAR_TRAIN_FILES]
+    counts = [p.stat().st_size // _CIFAR_RECORD for p in paths]
+    train_x = np.empty((sum(counts), 3, 32, 32), dtype=np.float32)
+    ys, checksums, start = [], {}, 0
+    for path, n in zip(paths, counts):
+        x, y, checksums[path.name] = _read_cifar_file(path)
+        if len(x) != n:
+            raise DataFormatError(f"{path}: changed size while being read")
+        np.divide(x, np.float32(255.0), out=train_x[start : start + n], dtype=np.float32)
+        ys.append(y)
+        start += n
+    test_u8, test_y, checksums[CIFAR_TEST_FILE] = _read_cifar_file(root / CIFAR_TEST_FILE)
+
+    train_n, test_n, mean, std = _standardize(train_x, test_u8)
+    train = Dataset(train_n, np.concatenate(ys), "train", mean, std, checksums)
     test = Dataset(test_n, test_y, "test", mean, std, checksums)
     return train, test
 

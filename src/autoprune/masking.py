@@ -145,11 +145,15 @@ def ratio_mask_tensor(
     diag: MaskDiagnostics | None = None,
     layer_id: int = -1,
     dtype=None,
+    ids: np.ndarray | None = None,
 ) -> Tensor:
     """Build the channel-indexed mask as a graph node over a scalar ratio.
 
     Backward routes the upstream per-channel gradient through the mask
-    derivative, so one backward pass delivers d(loss)/d(ratio).
+    derivative, so one backward pass delivers d(loss)/d(ratio).  `ids`
+    restricts the mask to those channels, for a layer sliced down to
+    them; the derivative is nonzero only at the boundary channel, so the
+    gradient is the full mask's as long as `ids` holds that channel.
     """
     if ratio.data.size != 1:
         raise ValueError(f"ratio must be scalar, got shape {ratio.data.shape}")
@@ -158,6 +162,8 @@ def ratio_mask_tensor(
     out_dtype = dtype if dtype is not None else ratio.data.dtype
     data = entry.by_channel.astype(out_dtype)
     grad_by_channel = mask_grad_wrt_ratio(float(ratio.data), c, diag, layer_id)[ranking.ranks - 1]
+    if ids is not None:
+        data, grad_by_channel = data[ids], grad_by_channel[ids]
 
     def back(g):
         if ratio.requires_grad:
@@ -180,6 +186,17 @@ def kept_count(ratio: float, channels: int) -> int:
 def active_channels(mask: ChannelMask) -> np.ndarray:
     """Channel ids with a nonzero mask entry, ascending."""
     return np.flatnonzero(mask.by_channel > 0.0)
+
+
+def ratio_step_channels(ratio: float, ranking: ChannelRanking) -> np.ndarray:
+    """Channel ids the ratio gradient needs, ascending.
+
+    These are the channels with a nonzero mask entry plus the boundary
+    channel of rank floor(r*C)+1, whose entry is 0 at a kink but whose
+    derivative still carries the gradient.
+    """
+    rc = _check_ratio(ratio, ranking.channels) * ranking.channels
+    return np.sort(ranking.order[: math.floor(rc) + 1])
 
 
 def refresh_ranking(model, rankings, iteration: int, interval: int):

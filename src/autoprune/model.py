@@ -4,8 +4,8 @@ A model is a flat list of layers plus a predecessor map, so plain chains
 and residual blocks share one representation.  Only conv layers are
 prunable; each prunable conv has a mask point right after its bn+relu,
 where a per-channel mask multiplies the feature map.  Masking there is
-numerically identical to slicing the channels out, which is what the
-exporter relies on.
+numerically equivalent to slicing the channels out (`slice_channels`),
+which the exporter and the search's steps rely on.
 
 FLOPs use the multiply-add-counts-two convention: a conv costs
 2*Kh*Kw*Cin*Cout*Hout*Wout, a linear layer 2*D*K, and bn/relu/pool/add
@@ -14,7 +14,7 @@ are counted as zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -441,6 +441,114 @@ def exact_flops_by_layer(model: ModelGraph, kept: dict[int, int] | None = None) 
 def exact_model_flops(model: ModelGraph, kept: dict[int, int] | None = None) -> int:
     """Total FLOPs with channel counts reduced per `kept`."""
     return sum(exact_flops_by_layer(model, kept).values())
+
+
+# ---------------------------------------------------------------------------
+# channel slicing
+
+
+def _kept_index(model: ModelGraph, keep: dict[int, np.ndarray]):
+    """The channel ids flowing out of each layer under `keep` (None for
+    all of them), and per parameterised layer and role the index that
+    picks the entries `keep` leaves.
+
+    `keep` maps conv ids to ascending output channel ids; every other
+    layer passes its input's channels through, so a bn takes its conv's
+    ids, a conv takes its input's ids on axis 1, and the linear head the
+    rows of its input's kept channels.  A full-width index is `slice(None)`;
+    a bn's running statistics take its gamma's index.
+    """
+    flow: dict[int, np.ndarray | None] = {INPUT: None}  # channel ids out of each layer, None = all
+    index: dict[int, dict[str, object]] = {}
+    spatial = None
+    for layer in model.layers:
+        pin = model.preds[layer.id]
+        src = flow[pin[0]]
+        if layer.kind == "conv":
+            out = keep.get(layer.id)
+            if out is None:
+                idx = slice(None) if src is None else (slice(None), src)
+            else:
+                idx = out if src is None else np.ix_(out, src)
+            index[layer.id] = {"weight": idx}
+            flow[layer.id] = out
+        elif layer.kind == "bn":
+            idx = slice(None) if src is None else src
+            index[layer.id] = {"gamma": idx, "beta": idx}
+            flow[layer.id] = src
+        elif layer.kind == "add":
+            if any(flow[p] is not None for p in pin):
+                raise ValueError(f"add layer {layer.id} would see pruned operands")
+            flow[layer.id] = None
+        elif layer.kind == "linear":
+            rows = slice(None)
+            if src is not None:
+                spatial = spatial or _spatial_map(model)
+                hw = spatial[pin[0]][0] * spatial[pin[0]][1]
+                rows = (src[:, None] * hw + np.arange(hw)[None, :]).ravel()
+            index[layer.id] = {"weight": rows, "bias": slice(None)}
+            flow[layer.id] = None
+        else:
+            flow[layer.id] = src
+    return flow, index
+
+
+def slice_channels(model: ModelGraph, keep: dict[int, np.ndarray]) -> ModelGraph:
+    """A copy of `model` holding only the channels `keep` names.
+
+    `keep` maps conv ids to ascending output channel ids; convs it omits
+    stay full width.  Output channels shrink to the kept ids, and so does
+    everything that consumes them: bn parameters and running statistics,
+    the next conv's input channels, the linear head's input features.
+    Every array is a fresh copy, so training the slice leaves `model` as
+    it was until `write_back`.  Keeping every channel reproduces the
+    original logits bit for bit.
+    """
+    flow, index = _kept_index(model, keep)
+    params = {
+        lid: {role: Tensor(t.data[index[lid][role]].copy(), requires_grad=True) for role, t in d.items()}
+        for lid, d in model.params.items()
+    }
+    bn_stats = {}
+    for lid, s in model.bn_stats.items():
+        idx = index[lid]["gamma"]
+        bn_stats[lid] = RunningStats(s.mean[idx].copy(), s.var[idx].copy())
+    layers = []
+    for layer in model.layers:
+        if layer.kind == "conv":
+            cout, cin = params[layer.id]["weight"].data.shape[:2]
+        elif layer.kind == "linear":
+            cin, cout = params[layer.id]["weight"].data.shape
+        else:
+            ids = flow[layer.id]
+            cin = cout = layer.out_channels if ids is None else len(ids)
+        layers.append(replace(layer, in_channels=cin, out_channels=cout))
+    return ModelGraph(
+        name=model.name,
+        layers=layers,
+        preds=dict(model.preds),
+        params=params,
+        bn_stats=bn_stats,
+        mask_points=dict(model.mask_points),
+        input_shape=model.input_shape,
+        num_classes=model.num_classes,
+    )
+
+
+def write_back(dense: ModelGraph, small: ModelGraph, keep: dict[int, np.ndarray]) -> None:
+    """Copy every parameter and running statistic of `small`, which is
+    `slice_channels(dense, keep)`, into the entries of `dense` it came from.
+
+    Entries the slice left out are never written.
+    """
+    _, index = _kept_index(dense, keep)
+    for lid, d in small.params.items():
+        for role, t in d.items():
+            dense.params[lid][role].data[index[lid][role]] = t.data
+    for lid, s in small.bn_stats.items():
+        idx = index[lid]["gamma"]
+        dense.bn_stats[lid].mean[idx] = s.mean
+        dense.bn_stats[lid].var[idx] = s.var
 
 
 # ---------------------------------------------------------------------------

@@ -26,18 +26,17 @@ from . import __version__
 from .data import Dataset, batches
 from .masking import ChannelRanking, kept_count, rank_channels
 from .model import (
-    INPUT,
     ModelGraph,
-    _spatial_map,
     evaluate,
     exact_flops_by_layer,
     exact_model_flops,
     forward,
     model_from_table,
     model_to_table,
+    slice_channels,
 )
 from .search import cosine_lr, nonfinite_grads, sgd_step
-from .tensor import RunningStats, Tensor, backward, softmax_cross_entropy, zero_grad
+from .tensor import backward, softmax_cross_entropy, zero_grad
 
 
 class CheckpointError(ValueError):
@@ -110,9 +109,10 @@ def finalize_plan(
 ) -> PruningPlan:
     """Round ratios into kept counts and freeze the surviving channel ids.
 
-    Rankings default to fresh ones from the model's current weights.  The
-    kept ids are the top `kept_count` ranks, reported in ascending
-    channel order.
+    Rankings default to fresh ones from the model's current weights; after
+    a search, pass the ones its final masks used (`SearchResult.rankings`),
+    so the plan keeps the channels the search trained.  The kept ids are
+    the top `kept_count` ranks, reported in ascending channel order.
     """
     prunable = {l.id for l in model.layers if l.prunable}
     if set(ratios) != prunable:
@@ -147,13 +147,11 @@ def finalize_plan(
 
 
 def export_pruned(model: ModelGraph, plan: PruningPlan) -> ModelGraph:
-    """Build a physically smaller model by slicing out pruned channels.
+    """Build a physically smaller model holding only the plan's kept channels.
 
-    Output channels of each prunable conv shrink to the plan's kept set;
-    everything that consumes them (bn parameters and running statistics,
-    the next conv's input channels, the linear head's input features)
-    shrinks to match.  A plan that keeps every channel reproduces the
-    original logits bit for bit.
+    The plan must name, for each of its layers, `kept_count` ascending
+    unique channel ids in range; the model is then cut down by
+    `slice_channels`, and carries the plan in `meta["plan"]`.
     """
     for i, e in plan.entries.items():
         c = model.layer(i).out_channels
@@ -168,75 +166,8 @@ def export_pruned(model: ModelGraph, plan: PruningPlan) -> ModelGraph:
         if e.kept_channel_ids and (e.kept_channel_ids[0] < 0 or e.kept_channel_ids[-1] >= c):
             raise ValueError(f"plan layer {i}: channel id out of range [0, {c})")
 
-    spatial = _spatial_map(model)
-    # kept output channel ids flowing out of every layer (None = all)
-    kept_out: dict[int, np.ndarray | None] = {INPUT: None}
-    dtype = model.params[sorted(plan.entries)[0]]["weight"].data.dtype
-    new_model = model_from_table(model_to_table(model), dtype=dtype)
-
-    for layer in model.layers:
-        pred = model.preds[layer.id][0]
-        if layer.kind == "conv":
-            w = model.params[layer.id]["weight"].data
-            in_keep = kept_out[pred]
-            if in_keep is not None:
-                w = w[:, in_keep]
-            if layer.id in plan.entries:
-                out_keep = np.asarray(plan.entries[layer.id].kept_channel_ids, dtype=np.int64)
-                w = w[out_keep]
-                kept_out[layer.id] = out_keep
-            else:
-                kept_out[layer.id] = None
-            spec = new_model.layer(layer.id)
-            spec.in_channels = w.shape[1]
-            spec.out_channels = w.shape[0]
-            new_model.params[layer.id] = {"weight": Tensor(w.copy(), requires_grad=True)}
-        elif layer.kind == "bn":
-            keep = kept_out[pred]
-            gamma = model.params[layer.id]["gamma"].data
-            beta = model.params[layer.id]["beta"].data
-            stats = model.bn_stats[layer.id]
-            if keep is not None:
-                gamma, beta = gamma[keep], beta[keep]
-                stats = RunningStats(stats.mean[keep].copy(), stats.var[keep].copy())
-            else:
-                stats = stats.copy()
-            spec = new_model.layer(layer.id)
-            spec.in_channels = spec.out_channels = len(gamma)
-            new_model.params[layer.id] = {
-                "gamma": Tensor(gamma.copy(), requires_grad=True),
-                "beta": Tensor(beta.copy(), requires_grad=True),
-            }
-            new_model.bn_stats[layer.id] = stats
-            kept_out[layer.id] = keep
-        elif layer.kind in ("relu", "pool"):
-            keep = kept_out[pred]
-            spec = new_model.layer(layer.id)
-            full = model.layer(layer.id).out_channels
-            spec.in_channels = spec.out_channels = len(keep) if keep is not None else full
-            kept_out[layer.id] = keep
-        elif layer.kind == "add":
-            a, b = model.preds[layer.id]
-            if kept_out[a] is not None or kept_out[b] is not None:
-                raise ValueError(f"add layer {layer.id} would see pruned operands")
-            kept_out[layer.id] = None
-        elif layer.kind == "linear":
-            w = model.params[layer.id]["weight"].data
-            b = model.params[layer.id]["bias"].data
-            keep = kept_out[pred]
-            if keep is not None:
-                oh, ow = spatial[pred]
-                hw = oh * ow
-                rows = (keep[:, None] * hw + np.arange(hw)[None, :]).ravel()
-                w = w[rows]
-            spec = new_model.layer(layer.id)
-            spec.in_channels = w.shape[0]
-            new_model.params[layer.id] = {
-                "weight": Tensor(w.copy(), requires_grad=True),
-                "bias": Tensor(b.copy(), requires_grad=True),
-            }
-            kept_out[layer.id] = None
-
+    keep = {i: np.asarray(e.kept_channel_ids, dtype=np.int64) for i, e in plan.entries.items()}
+    new_model = slice_channels(model, keep)
     new_model.meta["plan"] = plan.to_dict()
     return new_model
 
@@ -410,12 +341,28 @@ def save_checkpoint(model: ModelGraph, directory, extra: dict | None = None) -> 
     return path
 
 
+_FIELD_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _field(manifest_path: Path, where: str, record, key: str, kind: type):
+    """`record[key]`, which must be a `kind` (a shape a list of integers)."""
+    value = record.get(key) if isinstance(record, dict) else None
+    ok = isinstance(value, kind) and not isinstance(value, bool)
+    if ok and key == "shape":
+        ok = all(isinstance(d, int) and not isinstance(d, bool) for d in value)
+    if not ok:
+        need = "a list of integers" if key == "shape" else _FIELD_TYPES[kind]
+        raise CheckpointError(f"{manifest_path}: {where}field {key!r} is missing or not {need}")
+    return value
+
+
 def load_checkpoint(directory) -> tuple[ModelGraph, dict]:
     """Rebuild a model and its weights from `save_checkpoint` output.
 
-    The manifest must list every array the model table implies exactly
-    once, each with the shape the table gives it; a checkpoint that does
-    not raises `CheckpointError`.
+    The manifest must hold a model table and list every array the table
+    implies exactly once, each with the shape the table gives it; a
+    checkpoint that does not, or whose fields are missing or of the
+    wrong type, raises `CheckpointError`.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -423,16 +370,24 @@ def load_checkpoint(directory) -> tuple[ModelGraph, dict]:
         raise FileNotFoundError(f"missing checkpoint manifest: expected {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text())
-        model = model_from_table(manifest["model"])
     except ValueError as e:
+        raise CheckpointError(f"{manifest_path}: {e}") from e
+    table = _field(manifest_path, "", manifest, "model", dict)
+    try:
+        model = model_from_table(table)
+    except KeyError as e:
+        raise CheckpointError(f"{manifest_path}: model table has no field {e}") from e
+    except (TypeError, ValueError) as e:
         raise CheckpointError(f"{manifest_path}: {e}") from e
     expected = {(lid, role): arr.shape for lid, role, arr in _param_files(model)}
     seen = set()
-    for entry in manifest["arrays"]:
-        path = directory / entry["file"]
-        lid, role = entry["layer"], entry["role"]
+    for n, entry in enumerate(_field(manifest_path, "", manifest, "arrays", list)):
+        where = f"array entry {n}: "
+        path = directory / _field(manifest_path, where, entry, "file", str)
+        lid = _field(manifest_path, where, entry, "layer", int)
+        role = _field(manifest_path, where, entry, "role", str)
+        shape = tuple(_field(manifest_path, where, entry, "shape", list))
         key = (lid, role)
-        shape = tuple(entry["shape"])
         where = f"{path}: layer {lid} {role}"
         if key not in expected:
             raise CheckpointError(f"{where} is not an array of model {model.name!r}")

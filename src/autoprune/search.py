@@ -6,9 +6,14 @@ the ratios using a validation batch, with gradients flowing to each
 ratio through both its mask and the FLOPs cost term.  Weights are frozen
 for the ratio step, so it records no graph before the first mask and
 computes no weight gradients the next weight step would discard.
-Rankings refresh on a fixed iteration interval, so channels masked to
-zero keep their stored weights and can re-enter when their importance
-recovers.
+Both steps, and the probe evaluation, run on a copy of the model sliced
+down to the channels they need: the weight step to those its masks keep,
+then writes the updates back; the ratio step to those plus each layer's
+boundary channel.  Masked channels would get zero gradient anyway, so
+they keep their weights; their bn running statistics, which masking
+would still update, stay as they were too.  Rankings refresh on a fixed
+iteration interval, so channels masked to zero can re-enter when their
+importance recovers.
 
 Both learning rates follow cosine schedules with warm restarts; the
 default restart period is a fifth of the search budget.
@@ -24,14 +29,24 @@ import numpy as np
 from .data import Dataset, batches, derive_seed
 from .masking import (
     ChannelMask,
+    ChannelRanking,
     MaskDiagnostics,
     active_channels,
     build_mask,
     kept_count,
     ratio_mask_tensor,
+    ratio_step_channels,
     refresh_ranking,
 )
-from .model import ModelGraph, evaluate, exact_model_flops, forward, prunable_flops
+from .model import (
+    ModelGraph,
+    evaluate,
+    exact_model_flops,
+    forward,
+    prunable_flops,
+    slice_channels,
+    write_back,
+)
 from .objective import LossBreakdown, combined_loss
 from .tensor import Tensor, backward, zero_grad
 
@@ -92,6 +107,7 @@ class SearchResult:
     ratios: dict[int, float]
     kept_counts: dict[int, int]
     active: dict[int, list[int]]
+    rankings: dict[int, ChannelRanking]  # the ones the final masks use
     metrics: list[dict]
     refresh_events: list[dict]
     diagnostics: MaskDiagnostics
@@ -146,6 +162,22 @@ def nonfinite_grads(model: ModelGraph) -> list[str]:
     ]
 
 
+def _narrow(model: ModelGraph, keep: dict[int, np.ndarray]):
+    """`model` sliced to the channel ids `keep` names per layer, or `model`
+    itself when every layer keeps all of them; and `keep` without its
+    full-width layers."""
+    keep = {i: ids for i, ids in keep.items() if len(ids) < model.layer(i).out_channels}
+    return (slice_channels(model, keep) if keep else model), keep
+
+
+def _active_view(model: ModelGraph, masks: dict[int, ChannelMask]):
+    """`_narrow` to the channels `masks` leaves nonzero, plus the mask
+    vectors cut down to match."""
+    net, keep = _narrow(model, {i: active_channels(m) for i, m in masks.items()})
+    vecs = {i: m.by_channel[keep[i]] if i in keep else m.by_channel for i, m in masks.items()}
+    return net, keep, vecs
+
+
 def inner_step(
     model: ModelGraph,
     xb: np.ndarray,
@@ -158,12 +190,14 @@ def inner_step(
 ) -> LossBreakdown:
     """One weight update under fixed masks.  Returns the loss breakdown.
 
+    It computes only the channels the masks keep, on a slice of the
+    model, and writes the updated entries back.
     Raises `SearchDiverged`, with the weights left as they were, when the
     loss or any weight gradient is not finite.
     """
     ids = sorted(flops)
-    mask_vecs = {i: masks[i].by_channel for i in masks}
-    logits = forward(model, xb, masks=mask_vecs, mode="train")
+    net, keep, mask_vecs = _active_view(model, masks)
+    logits = forward(net, xb, masks=mask_vecs, mode="train")
     loss_t, bd = combined_loss(
         logits,
         yb,
@@ -177,16 +211,18 @@ def inner_step(
             "training loss is not finite",
             {"loss": bd.ce, "ratios": dict(ratios), "lr_w": lr_w},
         )
-    params = model.parameters()
-    zero_grad(params)
+    # a slice starts without gradients; the model drops those of its last step
+    zero_grad(model.parameters())
     backward(loss_t)
-    bad = nonfinite_grads(model)
+    bad = nonfinite_grads(net)
     if bad:
         raise SearchDiverged(
             "weight gradient is not finite",
             {"loss": bd.ce, "params": bad, "ratios": dict(ratios), "lr_w": lr_w},
         )
-    sgd_step(params, lr_w)
+    sgd_step(net.parameters(), lr_w)
+    if net is not model:
+        write_back(model, net, keep)
     return bd
 
 
@@ -203,10 +239,11 @@ def outer_step(
 ) -> tuple[dict[int, float], LossBreakdown]:
     """One ratio update from a validation batch.
 
-    The forward pass normalizes by batch statistics (a validation batch
-    is still a batch) but leaves the running statistics untouched.  The
-    weights are frozen for the step and made trainable again on the way
-    out, also when it raises; their `.grad` is left as it was.  A ratio's
+    The step runs on each layer's `ratio_step_channels`.  The forward
+    pass normalizes by batch statistics (a validation batch is still a
+    batch) but leaves the running statistics untouched.  The weights are
+    frozen for the step and made trainable again on the way out, also
+    when it raises; their `.grad` is left as it was.  A ratio's
     gradient depends only on the upstream gradient at its mask, so it is
     the same as with the weights live.  Updated ratios are clamped to
     [1/C, 1]; a ratio gradient that is not finite raises `SearchDiverged`
@@ -214,14 +251,15 @@ def outer_step(
     """
     ids = sorted(flops)
     dtype = model.params[ids[0]]["weight"].data.dtype
+    net, keep = _narrow(model, {i: ratio_step_channels(ratios[i], rankings[i]) for i in ids})
     rts = {i: Tensor(np.float64(ratios[i]), requires_grad=True, dtype=np.float64) for i in ids}
     mask_ts = {
-        i: ratio_mask_tensor(rts[i], rankings[i], diag=diag, layer_id=i, dtype=dtype)
+        i: ratio_mask_tensor(rts[i], rankings[i], diag=diag, layer_id=i, dtype=dtype, ids=keep.get(i))
         for i in ids
     }
-    model.set_requires_grad(False)
+    net.set_requires_grad(False)
     try:
-        logits = forward(model, xb, masks=mask_ts, mode="train", update_running=False)
+        logits = forward(net, xb, masks=mask_ts, mode="train", update_running=False)
         loss_t, bd = combined_loss(
             logits, yb, [rts[i] for i in ids], [flops[i] for i in ids], config.alpha, config.beta
         )
@@ -232,7 +270,7 @@ def outer_step(
             )
         backward(loss_t)
     finally:
-        model.set_requires_grad(True)
+        net.set_requires_grad(True)
     grads = {i: float(rts[i].grad) if rts[i].grad is not None else 0.0 for i in ids}
     bad = [i for i in ids if not math.isfinite(grads[i])]
     if bad:
@@ -319,8 +357,8 @@ def run_search(
     bd = None
 
     def log_row(iteration: int, lr_w: float, lr_r: float, breakdown: LossBreakdown) -> None:
-        mask_vecs = {i: masks[i].by_channel for i in ids}
-        acc = evaluate(model, probe_x, probe_y, batch_size=256, masks=mask_vecs)
+        net, _, mask_vecs = _active_view(model, masks)
+        acc = evaluate(net, probe_x, probe_y, batch_size=256, masks=mask_vecs)
         row = {
             "iteration": iteration,
             "epoch": iteration // iters_per_epoch,
@@ -396,6 +434,7 @@ def run_search(
         ratios=dict(ratios),
         kept_counts=kept,
         active={i: active_channels(masks[i]).tolist() for i in ids},
+        rankings=rankings,
         metrics=metrics,
         refresh_events=refresh_events,
         diagnostics=diag,

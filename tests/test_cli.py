@@ -208,6 +208,21 @@ class TestBadCheckpoint:
         assert "holds 142 floats, expected shape (16, 1, 3, 3)" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("field", ["model", "shape"])
+    def test_manifest_without_a_field_is_2(self, seed0_baseline, tmp_path, capsys, field):
+        args = list(seed0_baseline)
+        out = args.index("--out") + 1
+        run = tmp_path / "run"
+        shutil.copytree(args[out], run)
+        args[out] = str(run)
+        path = run / "baseline" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del (manifest if field == "model" else manifest["arrays"][0])[field]
+        path.write_text(json.dumps(manifest))
+        assert main(["search", *args, "--seed", "0"]) == 2
+        assert f"field '{field}' is missing" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="class")
 def pipeline_run(tmp_path_factory, synthetic_mnist_dir):
     """One full pretrain/search/prune/report pass, shared by the checks."""

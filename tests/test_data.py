@@ -146,6 +146,30 @@ class TestCifarLoading:
         assert train.mean.shape == (3,)
         assert len(train.checksums) == 6
 
+    def test_matches_the_full_copy_and_holds_one_file(self, tmp_path):
+        per_file = 500
+        d = make_cifar_dir(tmp_path, per_file=per_file)
+        recs = [np.frombuffer((d / n).read_bytes(), np.uint8).reshape(-1, 3073)
+                for n in CIFAR_TRAIN_FILES + [CIFAR_TEST_FILE]]
+        train_u8 = np.concatenate([r[:, 1:] for r in recs[:-1]]).reshape(-1, 3, 32, 32)
+        test_u8 = recs[-1][:, 1:].reshape(-1, 3, 32, 32)
+        del recs
+        tracemalloc.start()
+        try:
+            train, test = load_cifar10(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        got = (train.images, test.images, train.mean, train.std)
+        for name, a, b in zip(("train", "test", "mean", "std"), got,
+                              full_copy_normalize(train_u8, test_u8)):
+            np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32), err_msg=name)
+        # the outputs, two float64 statistics blocks of 256 images (the
+        # next is built while the last is alive), and two files' bytes
+        outputs = train.images.nbytes + test.images.nbytes
+        block = 256 * 3 * 32 * 32 * 8
+        assert peak <= outputs + 2 * block + 2 * per_file * 3073, (peak, outputs)
+
     def test_ragged_file_raises(self, tmp_path):
         d = make_cifar_dir(tmp_path)
         p = d / "data_batch_3.bin"

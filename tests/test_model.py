@@ -1,6 +1,8 @@
 """Model graph checks: stock architectures, masked forward semantics,
 and FLOPs accounting against hand-computed values."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from autoprune.model import (
     model_from_table,
     model_to_table,
     prunable_flops,
+    slice_channels,
+    write_back,
 )
 from autoprune.tensor import Tensor, backward, no_grad, softmax_cross_entropy, zero_grad
 
@@ -281,6 +285,27 @@ class TestFlops:
         kept = {i: max(1, m.layer(i).out_channels // 2) for i in pf}
         pruned = exact_model_flops(m, kept)
         assert 0 < pruned < exact_model_flops(m)
+
+
+class TestSliceChannels:
+    @pytest.mark.parametrize("name, shape", [("cnn-small", (1, 8, 8)), ("resnet-tiny", (3, 8, 8))])
+    def test_write_back_fills_exactly_the_kept_entries(self, name, shape):
+        model = build_model(name, 10, shape, rng=np.random.default_rng(0))
+        keep = {i: np.arange(1, model.layer(i).out_channels, 3) for i in model.prunable_ids()}
+        small = slice_channels(model, keep)
+        before = copy.deepcopy(model)
+        arrays = lambda m: [p.data for p in m.parameters()] + [
+            a for s in m.bn_stats.values() for a in (s.mean, s.var)
+        ]
+        for a in arrays(small):
+            a += 1.0
+        write_back(model, small, keep)
+        # each kept entry is written once and nothing else moves
+        for new, old, part in zip(arrays(model), arrays(before), arrays(small)):
+            assert np.count_nonzero(new != old) == part.size
+        again = slice_channels(model, keep)
+        for a, b in zip(arrays(again), arrays(small)):
+            assert np.array_equal(a, b)
 
 
 class TestEvaluate:

@@ -23,6 +23,7 @@ from autoprune.pruner import (
     save_checkpoint,
     train_supervised,
 )
+from autoprune.search import SearchConfig, run_search
 from autoprune.tensor import no_grad
 
 
@@ -105,6 +106,30 @@ class TestFinalizePlan:
         back = PruningPlan.from_dict(json.loads(blob))
         assert back.entries == plan.entries
         assert back.fpr == plan.fpr
+
+
+class TestPlanFromSearch:
+    def test_plan_keeps_the_channels_the_search_trained(self):
+        model = small_model()
+        cfg = SearchConfig(alpha=50.0, epochs=2, batch_size=16, lr_w_max=0.05, lr_r_max=0.2,
+                           lr_r_min=0.01, ranking_interval=1000, log_interval=1000, probe_size=16)
+        result = run_search(model, toy_problem(64, seed=0), toy_problem(32, seed=1), cfg)
+        lid = model.prunable_ids()[0]
+        dropped = sorted(set(range(model.layer(lid).out_channels)) - set(result.active[lid]))
+        assert dropped
+        # a masked channel's stored weights come to outrank every kept one:
+        # fresh rankings would keep it, the search's rankings do not
+        victim = dropped[0]
+        w = model.params[lid]["weight"].data
+        w[victim] = np.abs(w).max() * 10.0
+        assert victim in finalize_plan(model, result.ratios).entries[lid].kept_channel_ids
+        plan = finalize_plan(model, result.ratios, result.rankings)
+        for i, e in plan.entries.items():
+            assert set(e.kept_channel_ids) <= set(result.active[i])
+        x = np.random.default_rng(5).standard_normal((16, 1, 8, 8)).astype(np.float32)
+        dense = logits_of(model, x, mask_vectors(model, plan))
+        sliced = logits_of(export_pruned(model, plan), x)
+        assert np.abs(dense - sliced).max() <= 1e-5
 
 
 class TestExport:
@@ -382,6 +407,45 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match=r"layer 4 \(conv\) takes 8 input channels, "
                                                   r"but layer 3 gives it 16"):
             load_checkpoint(directory)
+
+    @pytest.mark.parametrize("field, bad", [("model", []), ("arrays", {})])
+    def test_bad_top_level_field_raises(self, tmp_path, field, bad):
+        path = save_checkpoint(small_model(), tmp_path / "ck")
+        manifest = json.loads(path.read_text())
+        for value in (None, bad):
+            if value is None:
+                del manifest[field]
+            else:
+                manifest[field] = value
+            path.write_text(json.dumps(manifest))
+            with pytest.raises(CheckpointError, match=f"manifest.json: field '{field}' is missing or not"):
+                load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("field, bad", [("file", 7), ("layer", "4"), ("layer", True),
+                                            ("role", None), ("shape", [32, "16", 3, 3])])
+    def test_bad_array_field_raises(self, tmp_path, field, bad):
+        for missing in (True, False):
+            save_checkpoint(small_model(), tmp_path / "ck")
+
+            def edit(arrays):
+                if missing:
+                    del arrays[3][field]
+                else:
+                    arrays[3][field] = bad
+                return arrays
+
+            self.edit_manifest(tmp_path / "ck", edit)
+            with pytest.raises(CheckpointError, match=f"manifest.json: array entry 3: field '{field}' "
+                                                      f"is missing or not"):
+                load_checkpoint(tmp_path / "ck")
+
+    def test_model_table_without_a_field_raises(self, tmp_path):
+        path = save_checkpoint(small_model(), tmp_path / "ck")
+        manifest = json.loads(path.read_text())
+        del manifest["model"]["layers"][2]["kernel"]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="manifest.json: model table has no field 'kernel'"):
+            load_checkpoint(tmp_path / "ck")
 
     @pytest.mark.parametrize("layer, role", [(2, "weight"), (99, "weight"), (0, "bias")])
     def test_unknown_entry_raises(self, tmp_path, layer, role):

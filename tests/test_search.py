@@ -1,14 +1,22 @@
 """Search loop tests on synthetic data: schedules, the two update
 steps, determinism of full runs, and the divergence guard."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
+from autoprune import search
 from autoprune.data import Dataset
-from autoprune.masking import build_mask, rank_channels, ratio_mask_tensor
-from autoprune.model import build_model, forward, prunable_flops
+from autoprune.masking import (
+    MaskDiagnostics,
+    build_mask,
+    rank_channels,
+    ratio_mask_tensor,
+    ratio_step_channels,
+)
+from autoprune.model import build_model, forward, prunable_flops, slice_channels
 from autoprune.objective import combined_loss
 from autoprune.search import (
     SearchConfig,
@@ -19,7 +27,7 @@ from autoprune.search import (
     run_search,
     sgd_step,
 )
-from autoprune.tensor import Tensor, backward
+from autoprune.tensor import Tensor, backward, use_dtype, zero_grad
 
 
 def tiny_dataset(n=32, seed=0, classes=10):
@@ -210,17 +218,20 @@ def bits_of(a):
 
 
 def live_weight_outer_step(model, xb, yb, ratios, rankings, flops, config, lr_r):
-    """outer_step's ratio update with every weight left trainable."""
+    """outer_step's ratio update with every weight left trainable, on the
+    same channel slice."""
     ids = sorted(flops)
     dtype = model.params[ids[0]]["weight"].data.dtype
+    keep = {i: ratio_step_channels(ratios[i], rankings[i]) for i in ids}
+    net = slice_channels(model, keep)
     rts = {i: Tensor(np.float64(ratios[i]), requires_grad=True, dtype=np.float64) for i in ids}
-    mask_ts = {i: ratio_mask_tensor(rts[i], rankings[i], dtype=dtype) for i in ids}
-    logits = forward(model, xb, masks=mask_ts, mode="train", update_running=False)
+    mask_ts = {i: ratio_mask_tensor(rts[i], rankings[i], dtype=dtype, ids=keep[i]) for i in ids}
+    logits = forward(net, xb, masks=mask_ts, mode="train", update_running=False)
     loss_t, _ = combined_loss(
         logits, yb, [rts[i] for i in ids], [flops[i] for i in ids], config.alpha, config.beta
     )
     backward(loss_t)
-    assert all(p.grad is not None for p in model.parameters())
+    assert all(p.grad is not None for p in net.parameters())
     out = {}
     for i in ids:
         c = rankings[i].channels
@@ -334,6 +345,165 @@ class TestOuterStep:
         assert np.array_equal(model.bn_stats[bn_id].mean, before)
 
 
+def masked_dense_inner_step(model, xb, yb, masks, ratios, flops, config, lr_w):
+    """The weight step computing every channel and masking the dropped ones."""
+    ids = sorted(flops)
+    mask_vecs = {i: masks[i].by_channel for i in masks}
+    logits = forward(model, xb, masks=mask_vecs, mode="train")
+    loss_t, bd = combined_loss(
+        logits, yb, [ratios[i] for i in ids], [flops[i] for i in ids], config.alpha, config.beta
+    )
+    params = model.parameters()
+    zero_grad(params)
+    backward(loss_t)
+    sgd_step(params, lr_w)
+    return bd
+
+
+def masked_dense_outer_step(model, xb, yb, ratios, rankings, flops, config):
+    """The ratio step over every channel: its loss breakdown and ratio gradients."""
+    ids = sorted(flops)
+    dtype = model.params[ids[0]]["weight"].data.dtype
+    rts = {i: Tensor(np.float64(ratios[i]), requires_grad=True, dtype=np.float64) for i in ids}
+    mask_ts = {i: ratio_mask_tensor(rts[i], rankings[i], dtype=dtype) for i in ids}
+    model.set_requires_grad(False)
+    logits = forward(model, xb, masks=mask_ts, mode="train", update_running=False)
+    loss_t, bd = combined_loss(
+        logits, yb, [rts[i] for i in ids], [flops[i] for i in ids], config.alpha, config.beta
+    )
+    backward(loss_t)
+    model.set_requires_grad(True)
+    return bd, {i: float(rts[i].grad) for i in ids}
+
+
+def step_case(name, kind, seed=0):
+    """A model, a batch and per-layer ratios of one kind: "mid" puts every
+    boundary channel at mask 0.5, "kink" puts r*C on an integer (the
+    boundary channel's mask is 0), "full" keeps every channel."""
+    shape = (1, 8, 8) if name == "cnn-small" else (3, 8, 8)
+    model = build_model(name, 10, shape, rng=np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    xb = rng.standard_normal((8, *shape)).astype(np.float32)
+    yb = rng.integers(0, 10, 8)
+    flops = prunable_flops(model)
+    ids = sorted(flops)
+    rankings = {i: rank_channels(model.params[i]["weight"]) for i in ids}
+    ratios = {}
+    for i in ids:
+        c = model.layer(i).out_channels
+        k = int(rng.integers(1, c))
+        ratios[i] = {"mid": (k + 0.5) / c, "kink": k / c, "full": 1.0}[kind]
+    masks = {i: build_mask(ratios[i], rankings[i].channels, rankings[i]) for i in ids}
+    return model, xb, yb, flops, rankings, ratios, masks
+
+
+def bn_after(model, conv_id):
+    return next(l.id for l in model.layers if model.preds[l.id] == (conv_id,))
+
+
+def spy_ratio_tensors(monkeypatch):
+    """Record the ratio tensors outer_step builds, so their gradients can be read."""
+    seen = {}
+
+    def spy(ratio, ranking, *args, layer_id=-1, **kwargs):
+        seen[layer_id] = ratio
+        return ratio_mask_tensor(ratio, ranking, *args, layer_id=layer_id, **kwargs)
+
+    monkeypatch.setattr(search, "ratio_mask_tensor", spy)
+    return seen
+
+
+MODELS = ("cnn-small", "resnet-tiny")
+
+
+@pytest.fixture(params=(np.float32, np.float64), ids=("float32", "float64"))
+def dtype(request):
+    """Every tensor the test makes, the model's included, in this dtype."""
+    with use_dtype(request.param):
+        yield request.param
+
+
+class TestSlicedStepsMatchMaskedDense:
+    """The steps compute only the channels they need; the masked-dense
+    steps above, which compute every channel, are the reference.
+
+    Narrower GEMMs sum in another order.  In float64 that moves nothing
+    these tolerances can see, so a wrong channel set fails at once.  In
+    float32 the masked-dense ratio gradient itself sits up to 1.1e-5
+    (relative) from its float64 value, so the sliced one is held to 5e-5.
+    """
+
+    @pytest.mark.parametrize("kind", ("mid", "kink"))
+    @pytest.mark.parametrize("name", MODELS)
+    def test_inner_step(self, name, kind, dtype):
+        model, xb, yb, flops, rankings, ratios, masks = step_case(name, kind)
+        before, ref = copy.deepcopy(model), copy.deepcopy(model)
+        cfg = tiny_config()
+        want = masked_dense_inner_step(ref, xb, yb, masks, ratios, flops, cfg, 0.05)
+        got = inner_step(model, xb, yb, masks, ratios, flops, cfg, 0.05)
+        np.testing.assert_allclose(got.ce, want.ce, rtol=1e-6)
+        np.testing.assert_allclose(got.total, want.total, rtol=1e-6)
+        for p, r in zip(model.parameters(), ref.parameters()):
+            np.testing.assert_allclose(p.data, r.data, rtol=0, atol=1e-5)
+        for i, m in masks.items():
+            dropped = np.flatnonzero(m.by_channel == 0.0)
+            kept = np.flatnonzero(m.by_channel != 0.0)
+            assert len(dropped) and len(kept)
+            w, w0 = model.params[i]["weight"].data, before.params[i]["weight"].data
+            assert bits_of(w[dropped]) == bits_of(w0[dropped])
+            bn = bn_after(model, i)
+            for role in ("gamma", "beta"):
+                p, p0 = model.params[bn][role].data, before.params[bn][role].data
+                assert bits_of(p[dropped]) == bits_of(p0[dropped])
+            # a dropped channel's running statistics freeze; the kept ones
+            # move as in the masked-dense step
+            s, s0, sr = model.bn_stats[bn], before.bn_stats[bn], ref.bn_stats[bn]
+            assert bits_of(s.mean[dropped]) == bits_of(s0.mean[dropped])
+            assert bits_of(s.var[dropped]) == bits_of(s0.var[dropped])
+            np.testing.assert_allclose(s.mean[kept], sr.mean[kept], rtol=0, atol=1e-5)
+            np.testing.assert_allclose(s.var[kept], sr.var[kept], rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("kind", ("mid", "kink"))
+    @pytest.mark.parametrize("name", MODELS)
+    def test_outer_step(self, name, kind, dtype, monkeypatch):
+        model, xb, yb, flops, rankings, ratios, _ = step_case(name, kind)
+        assert model.params[0]["weight"].data.dtype == dtype
+        cfg = tiny_config()
+        want, want_grads = masked_dense_outer_step(
+            copy.deepcopy(model), xb, yb, ratios, rankings, flops, cfg
+        )
+        seen = spy_ratio_tensors(monkeypatch)
+        diag = MaskDiagnostics()
+        _, got = outer_step(model, xb, yb, ratios, rankings, flops, cfg, 0.05, diag)
+        assert diag.kink_count == (len(ratios) if kind == "kink" else 0)
+        np.testing.assert_allclose(got.ce, want.ce, rtol=1e-6)
+        np.testing.assert_allclose(got.total, want.total, rtol=1e-6)
+        rtol = 5e-5 if dtype == np.float32 else 1e-5
+        for i, g in want_grads.items():
+            np.testing.assert_allclose(float(seen[i].grad), g, rtol=rtol)
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_full_width_steps_are_the_masked_dense_steps(self, name, monkeypatch):
+        # float32 only: at full width no GEMM changes shape, in any dtype
+        model, xb, yb, flops, rankings, ratios, masks = step_case(name, "full")
+        ref = copy.deepcopy(model)
+        cfg = tiny_config()
+        want = masked_dense_inner_step(ref, xb, yb, masks, ratios, flops, cfg, 0.05)
+        got = inner_step(model, xb, yb, masks, ratios, flops, cfg, 0.05)
+        assert got == want
+        assert [bits_of(p.data) for p in model.parameters()] == [
+            bits_of(p.data) for p in ref.parameters()
+        ]
+        for lid, s in model.bn_stats.items():
+            assert bits_of(s.mean) == bits_of(ref.bn_stats[lid].mean)
+            assert bits_of(s.var) == bits_of(ref.bn_stats[lid].var)
+        want, want_grads = masked_dense_outer_step(ref, xb, yb, ratios, rankings, flops, cfg)
+        seen = spy_ratio_tensors(monkeypatch)
+        _, got = outer_step(model, xb, yb, ratios, rankings, flops, cfg, 0.05)
+        assert got == want
+        assert {i: float(t.grad) for i, t in seen.items()} == want_grads
+
+
 class TestRunSearch:
     def test_single_epoch_bookkeeping(self):
         model = tiny_model()
@@ -374,28 +544,48 @@ class TestRunSearch:
         assert mean_ratio < 0.8
         assert res.fpr_exact > 0.0
 
+    @staticmethod
+    def _short_search():
+        model = tiny_model()
+        train, val = tiny_dataset(32), tiny_dataset(16, seed=1)
+        cfg = tiny_config(alpha=2.0, epochs=2, lr_r_max=0.2, lr_r_min=0.01)
+        return run_search(model, train, val, cfg)
+
+    @staticmethod
+    def _assert_near(res, ratios, loss_ce, cost, total, rtol):
+        assert sorted(res.ratios) == sorted(ratios)
+        for i, want in ratios.items():
+            np.testing.assert_allclose(res.ratios[i], want, rtol=rtol)
+        row = res.metrics[-1]
+        assert row["iteration"] == 8
+        np.testing.assert_allclose(row["loss_ce"], loss_ce, rtol=rtol)
+        np.testing.assert_allclose(row["cost"], cost, rtol=rtol)
+        np.testing.assert_allclose(row["total"], total, rtol=rtol)
+
     def test_short_search_matches_golden_values(self):
         # pinned figures, so any change to the search arithmetic shows;
         # every ratio stays inside (1/C, 1), so both the mask and the cost
         # gradient count
-        model = tiny_model()
-        train, val = tiny_dataset(32), tiny_dataset(16, seed=1)
-        cfg = tiny_config(alpha=2.0, epochs=2, lr_r_max=0.2, lr_r_min=0.01)
-        res = run_search(model, train, val, cfg)
         golden_ratios = {
+            0: 0.8679276055125148,
+            4: 0.8712172028503338,
+            8: 0.9223755567478036,
+            11: 0.18479637731380247,
+        }
+        self._assert_near(self._short_search(), golden_ratios, 2.3259129524230957,
+                          0.9055256551235452, 4.136964262670186, rtol=1e-6)
+
+    def test_short_search_stays_near_the_masked_dense_values(self):
+        # the same search computed every channel and masked the dropped
+        # ones; the sliced steps only reassociate float sums
+        masked_dense_ratios = {
             0: 0.8679279079932118,
             4: 0.8712173952840686,
             8: 0.9223755513319326,
             11: 0.18479580844721188,
         }
-        assert sorted(res.ratios) == sorted(golden_ratios)
-        for i, want in golden_ratios.items():
-            np.testing.assert_allclose(res.ratios[i], want, rtol=1e-6)
-        row = res.metrics[-1]
-        assert row["iteration"] == 8
-        np.testing.assert_allclose(row["loss_ce"], 2.325913190841675, rtol=1e-6)
-        np.testing.assert_allclose(row["cost"], 0.9055257158128155, rtol=1e-6)
-        np.testing.assert_allclose(row["total"], 4.136964622467306, rtol=1e-6)
+        self._assert_near(self._short_search(), masked_dense_ratios, 2.325913190841675,
+                          0.9055257158128155, 4.136964622467306, rtol=1e-5)
 
     def test_stop_when_mean_ratio(self):
         model = tiny_model()
