@@ -53,12 +53,15 @@ class ChannelMask:
 class MaskDiagnostics:
     """Counters for non-smooth events hit during the search."""
 
-    kink_count: int = 0
-    kink_events: list = field(default_factory=list)
+    kinks_by_layer: dict[int, int] = field(default_factory=dict)
 
-    def record_kink(self, layer_id: int, ratio: float, channels: int) -> None:
-        self.kink_count += 1
-        self.kink_events.append((layer_id, float(ratio), int(channels)))
+    @property
+    def kink_count(self) -> int:
+        """Kinks hit so far, over every layer."""
+        return sum(self.kinks_by_layer.values())
+
+    def record_kink(self, layer_id: int) -> None:
+        self.kinks_by_layer[layer_id] = self.kinks_by_layer.get(layer_id, 0) + 1
 
 
 def rank_channels(weight) -> ChannelRanking:
@@ -132,7 +135,7 @@ def mask_grad_wrt_ratio(
     rc = ratio * channels
     floor = math.floor(rc)
     if rc == floor and diag is not None:
-        diag.record_kink(layer_id, ratio, channels)
+        diag.record_kink(layer_id)
     boundary = floor  # 0-based index of rank floor+1
     if boundary < channels:
         grad[boundary] = float(channels)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import tensor as engine
 from .tensor import (
     RunningStats,
     Tensor,
@@ -134,15 +135,24 @@ def _validate_graph(model: ModelGraph) -> None:
 # builders
 
 
+def _param_dtype(dtype):
+    """`dtype` as a numpy scalar type; None means the engine's current default."""
+    return np.dtype(engine._DEFAULT_DTYPE if dtype is None else dtype).type
+
+
+def _param(data, dtype) -> Tensor:
+    return Tensor(data, requires_grad=True, dtype=dtype)
+
+
 def _he_conv(rng, cout, cin, kh, kw, dtype):
     std = np.sqrt(2.0 / (cin * kh * kw))
-    return Tensor((rng.standard_normal((cout, cin, kh, kw)) * std).astype(dtype), requires_grad=True)
+    return _param((rng.standard_normal((cout, cin, kh, kw)) * std).astype(dtype), dtype)
 
 
 def _linear_init(rng, d, k, dtype):
     std = np.sqrt(2.0 / d)
-    w = Tensor((rng.standard_normal((d, k)) * std).astype(dtype), requires_grad=True)
-    b = Tensor(np.zeros(k, dtype=dtype), requires_grad=True)
+    w = _param((rng.standard_normal((d, k)) * std).astype(dtype), dtype)
+    b = _param(np.zeros(k, dtype=dtype), dtype)
     return w, b
 
 
@@ -180,8 +190,8 @@ class _Builder:
     def bn(self, src, channels) -> int:
         lid = self.emit("bn", src, in_channels=channels, out_channels=channels)
         self.params[lid] = {
-            "gamma": Tensor(np.ones(channels, dtype=self.dtype), requires_grad=True),
-            "beta": Tensor(np.zeros(channels, dtype=self.dtype), requires_grad=True),
+            "gamma": _param(np.ones(channels, dtype=self.dtype), self.dtype),
+            "beta": _param(np.zeros(channels, dtype=self.dtype), self.dtype),
         }
         self.bn_stats[lid] = RunningStats.zeros(channels, dtype=self.dtype)
         return lid
@@ -218,9 +228,12 @@ def build_model(
     num_classes: int = 10,
     input_shape: tuple[int, int, int] = (1, 28, 28),
     rng: np.random.Generator | None = None,
-    dtype=np.float32,
+    dtype=None,
 ) -> ModelGraph:
     """Construct one of the stock architectures with fresh parameters.
+
+    Every parameter and running statistic is stored in `dtype`, by
+    default the engine's current default dtype (see `use_dtype`).
 
     `cnn-small` is a plain four-conv chain (widths 16, 32, 32, 64) with
     two max pools and a global average pool.  `resnet-tiny` has a stem
@@ -234,7 +247,7 @@ def build_model(
     if num_classes < 2:
         raise ValueError(f"need at least two classes, got {num_classes}")
     rng = rng if rng is not None else np.random.default_rng(0)
-    b = _Builder(dtype)
+    b = _Builder(_param_dtype(dtype))
 
     if name == "cnn-small":
         _, r1 = b.conv_bn_relu(INPUT, rng, cin, 16, prunable=True)
@@ -506,7 +519,7 @@ def slice_channels(model: ModelGraph, keep: dict[int, np.ndarray]) -> ModelGraph
     """
     flow, index = _kept_index(model, keep)
     params = {
-        lid: {role: Tensor(t.data[index[lid][role]].copy(), requires_grad=True) for role, t in d.items()}
+        lid: {role: _param(t.data[index[lid][role]].copy(), t.data.dtype) for role, t in d.items()}
         for lid, d in model.params.items()
     }
     bn_stats = {}
@@ -602,8 +615,13 @@ def model_to_table(model: ModelGraph) -> dict:
     }
 
 
-def model_from_table(table: dict, dtype=np.float32) -> ModelGraph:
-    """Rebuild a graph (zeroed parameters) from `model_to_table` output."""
+def model_from_table(table: dict, dtype=None) -> ModelGraph:
+    """Rebuild a graph (zeroed parameters) from `model_to_table` output.
+
+    Parameters and running statistics are stored in `dtype`, by default
+    the engine's current default dtype.
+    """
+    dtype = _param_dtype(dtype)
     layers = [
         LayerSpec(
             id=e["id"],
@@ -624,23 +642,20 @@ def model_from_table(table: dict, dtype=np.float32) -> ModelGraph:
         if l.kind == "conv":
             kh, kw = l.kernel
             params[l.id] = {
-                "weight": Tensor(
-                    np.zeros((l.out_channels, l.in_channels, kh, kw), dtype=dtype),
-                    requires_grad=True,
+                "weight": _param(
+                    np.zeros((l.out_channels, l.in_channels, kh, kw), dtype=dtype), dtype
                 )
             }
         elif l.kind == "bn":
             params[l.id] = {
-                "gamma": Tensor(np.ones(l.out_channels, dtype=dtype), requires_grad=True),
-                "beta": Tensor(np.zeros(l.out_channels, dtype=dtype), requires_grad=True),
+                "gamma": _param(np.ones(l.out_channels, dtype=dtype), dtype),
+                "beta": _param(np.zeros(l.out_channels, dtype=dtype), dtype),
             }
             bn_stats[l.id] = RunningStats.zeros(l.out_channels, dtype=dtype)
         elif l.kind == "linear":
             params[l.id] = {
-                "weight": Tensor(
-                    np.zeros((l.in_channels, l.out_channels), dtype=dtype), requires_grad=True
-                ),
-                "bias": Tensor(np.zeros(l.out_channels, dtype=dtype), requires_grad=True),
+                "weight": _param(np.zeros((l.in_channels, l.out_channels), dtype=dtype), dtype),
+                "bias": _param(np.zeros(l.out_channels, dtype=dtype), dtype),
             }
     model = ModelGraph(
         name=table["name"],

@@ -403,7 +403,7 @@ def run_search(
                         "ratio": ratios[i],
                         "floor": math.floor(rc),
                         "boundary_value": rc - math.floor(rc),
-                        "kink_count": diag.kink_count,
+                        "kink_count": diag.kinks_by_layer.get(i, 0),
                         "entered": sorted(after - before[i]),
                         "left": sorted(before[i] - after),
                     }

@@ -11,6 +11,13 @@ stale state.
 Gradients accumulate into `.grad` and are populated for every tensor
 reachable from the loss that has `requires_grad` set, intermediates
 included.  Training loops are expected to call `zero_grad` between steps.
+
+`conv2d` has two formulations and picks one from the shapes alone.  With
+at least as many output as input channels it multiplies the weight by
+im2col columns of the input and scatters the input gradient back with
+col2im.  With fewer outputs than inputs (Cout < Cin) it works from the
+output side: each image times the tap-stacked weight, then a shifted add
+per kernel tap, and no column buffer in either direction.
 """
 
 from __future__ import annotations
@@ -368,6 +375,19 @@ def _tap_span(k: int, stride: int, padding: int, size: int, osize: int):
     return slice(start, start + stride * (hi - lo - 1) + 1, stride), slice(lo, hi)
 
 
+def _taps(kh: int, kw: int, stride: int, padding: int, h: int, w: int, ho: int, wo: int):
+    """Every kernel tap (i, j) that reads the input, in row-major order,
+    with its input (rows, cols) and output (rows, cols) slices."""
+    rows = [_tap_span(i, stride, padding, h, ho) for i in range(kh)]
+    columns = [_tap_span(j, stride, padding, w, wo) for j in range(kw)]
+    return [
+        (i, j, (row[0], col[0]), (row[1], col[1]))
+        for i, row in enumerate(rows)
+        for j, col in enumerate(columns)
+        if row is not None and col is not None
+    ]
+
+
 def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
     """Sum im2col columns back onto the input grid, tap by tap.
 
@@ -380,13 +400,8 @@ def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: i
     wo = (w + 2 * padding - kw) // stride + 1
     cols = cols.reshape(n, c, kh, kw, ho, wo)
     out = np.zeros((n, c, h, w), dtype=cols.dtype)
-    rows = [_tap_span(i, stride, padding, h, ho) for i in range(kh)]
-    columns = [_tap_span(j, stride, padding, w, wo) for j in range(kw)]
-    for i, row in enumerate(rows):
-        for j, col in enumerate(columns):
-            if row is None or col is None:
-                continue
-            out[:, :, row[0], col[0]] += cols[:, :, i, j, row[1], col[1]]
+    for i, j, (ri, ci), (ro, co) in _taps(kh, kw, stride, padding, h, w, ho, wo):
+        out[:, :, ri, ci] += cols[:, :, i, j, ro, co]
     return out
 
 
@@ -396,6 +411,12 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     Output size is floor((H + 2p - Kh) / stride) + 1 per dimension and
     must be at least 1x1. Rows and columns the stride never samples
     contribute nothing and receive zero gradient.
+
+    The GEMMs run on the narrow side.  A conv with at least as many
+    outputs as inputs multiplies the weight by im2col columns of the
+    input; one with fewer outputs than inputs (Cout < Cin) multiplies
+    each image by the tap-stacked weight and adds the shifted partial
+    outputs (`_output_side_conv2d`), so it builds no columns at all.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ValueError(f"conv2d expects 4-d input and weight, got {x.data.shape} and {w.data.shape}")
@@ -411,17 +432,19 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
                 f"conv2d kernel exceeds input: input {x.data.shape}, kernel {w.data.shape}, "
                 f"stride {stride}, padding {padding}"
             )
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wd + 2 * padding - kw) // stride + 1
+    if cout < cin:
+        return _output_side_conv2d(x, w, stride, padding, ho, wo)
 
     wmat = w.data.reshape(cout, -1)
     if _recording((x, w)) and w.requires_grad:
-        cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
+        cols = _im2col(x.data, kh, kw, stride, padding)[0]
         out_data = np.matmul(wmat, cols).reshape(n, cout, ho, wo)
     else:
         # Only the weight gradient reads the columns: build them a block
         # of images at a time and run the same per-image GEMM on each.
         cols = None
-        ho = (h + 2 * padding - kh) // stride + 1
-        wo = (wd + 2 * padding - kw) // stride + 1
         per = max(1, _COLS_BLOCK_BYTES // max(1, cin * kh * kw * ho * wo * x.data.itemsize))
         out_data = np.empty((n, cout, ho * wo), dtype=np.result_type(wmat, x.data))
         for s in range(0, n, per):
@@ -439,6 +462,49 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         if x.requires_grad:
             gcols = np.matmul(wmat.T, gmat)
             _accum(x, _col2im(gcols, x.data.shape, kh, kw, stride, padding), owned=True)
+
+    return _make(out_data, (x, w), back)
+
+
+def _output_side_conv2d(x: Tensor, w: Tensor, stride: int, padding: int, ho: int, wo: int) -> Tensor:
+    """conv2d for Cout < Cin, with every GEMM on the Kh*Kw*Cout side.
+
+    Row (i*Kw + j)*Cout + o of the stacked weight is tap (i, j) of output
+    channel o.  The forward multiplies each image by it, which gives
+    every tap's partial output at every input position, and adds each
+    tap's partials into the output over the tap's clipped range, a block
+    of images at a time.  The backward places g into the same tap layout
+    (zero where a tap reads padding or a position the stride skips); one
+    multiply of that buffer by x's transpose gives the weight gradient,
+    and one by the stacked weight's transpose gives the input gradient.
+    """
+    n, cin, h, wd = x.data.shape
+    cout, _, kh, kw = w.data.shape
+    taps = _taps(kh, kw, stride, padding, h, wd, ho, wo)
+    wstack = w.data.transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
+    xmat = x.data.reshape(n, cin, h * wd)
+    dt = np.result_type(wstack, x.data)
+    out_data = np.zeros((n, cout, ho, wo), dtype=dt)
+    per = max(1, _COLS_BLOCK_BYTES // max(1, wstack.shape[0] * h * wd * dt.itemsize))
+    part = np.empty((min(per, n), wstack.shape[0], h * wd), dtype=dt)
+    for s in range(0, n, per):
+        block = part[: min(per, n - s)]
+        np.matmul(wstack, xmat[s : s + per], out=block)
+        block = block.reshape(-1, kh, kw, cout, h, wd)
+        for i, j, (ri, ci), (ro, co) in taps:
+            out_data[s : s + per, :, ro, co] += block[:, i, j, :, ri, ci]
+
+    def back(g):
+        gtap = np.zeros((n, kh, kw, cout, h, wd), dtype=g.dtype)
+        for i, j, (ri, ci), (ro, co) in taps:
+            gtap[:, i, j, :, ri, ci] = g[:, :, ro, co]
+        gtap = gtap.reshape(n, kh * kw * cout, h * wd)
+        if w.requires_grad:
+            gw = np.matmul(gtap, xmat.transpose(0, 2, 1)).sum(axis=0)
+            _accum(w, gw.reshape(kh, kw, cout, cin).transpose(2, 3, 0, 1))
+        if x.requires_grad:
+            gx = np.matmul(wstack.T, gtap)
+            _accum(x, gx.reshape(n, cin, h, wd), owned=True)
 
     return _make(out_data, (x, w), back)
 

@@ -128,7 +128,7 @@ class TestMaskGradient:
         want[8] = 16.0
         np.testing.assert_array_equal(g, want)
         assert diag.kink_count == 1
-        assert diag.kink_events == [(4, 0.5, 16)]
+        assert diag.kinks_by_layer == {4: 1}
         h = 1e-7
         num_right = (mask_by_rank(0.5 + h, 16) - mask_by_rank(0.5, 16)) / h
         np.testing.assert_allclose(g, num_right, atol=1e-3)

@@ -18,7 +18,7 @@ from autoprune.model import (
     slice_channels,
     write_back,
 )
-from autoprune.tensor import Tensor, backward, no_grad, softmax_cross_entropy, zero_grad
+from autoprune.tensor import Tensor, backward, no_grad, softmax_cross_entropy, use_dtype, zero_grad
 
 
 def small_model(seed=0, input_shape=(1, 28, 28)):
@@ -306,6 +306,41 @@ class TestSliceChannels:
         again = slice_channels(model, keep)
         for a, b in zip(arrays(again), arrays(small)):
             assert np.array_equal(a, b)
+
+
+class TestDtypes:
+    """Parameters and running statistics share one dtype: the one asked
+    for, or the engine's default when none is."""
+
+    @staticmethod
+    def arrays(m):
+        return [p.data for p in m.parameters()] + [
+            a for s in m.bn_stats.values() for a in (s.mean, s.var)
+        ]
+
+    @pytest.mark.parametrize("asked", (None, np.float32, np.float64))
+    @pytest.mark.parametrize("default", (np.float32, np.float64))
+    @pytest.mark.parametrize("name, shape", [("cnn-small", (1, 8, 8)), ("resnet-tiny", (3, 8, 8))])
+    def test_every_array_has_the_dtype_asked_for(self, name, shape, default, asked):
+        want = np.dtype(asked if asked is not None else default)
+        with use_dtype(default):
+            built = build_model(name, 10, shape, rng=np.random.default_rng(0), dtype=asked)
+            rebuilt = model_from_table(model_to_table(built), dtype=asked)
+            keep = {i: np.arange(0, built.layer(i).out_channels, 2) for i in built.prunable_ids()}
+            sliced = slice_channels(built, keep)
+        # the slice keeps its model's dtype whatever the default is then
+        sliced_later = slice_channels(built, keep)
+        for what, m in (("built", built), ("rebuilt", rebuilt), ("sliced", sliced),
+                        ("sliced later", sliced_later)):
+            assert {a.dtype for a in self.arrays(m)} == {want}, what
+
+    def test_float64_weights_are_not_float32_rounded(self):
+        w32 = build_model("cnn-small", 10, (1, 8, 8), dtype=np.float32).params[0]["weight"].data
+        with use_dtype(np.float64):
+            w64 = build_model("cnn-small", 10, (1, 8, 8)).params[0]["weight"].data
+        assert w64.dtype == np.float64
+        assert np.array_equal(w64.astype(np.float32), w32)
+        assert not np.array_equal(w64.astype(np.float32).astype(np.float64), w64)
 
 
 class TestEvaluate:

@@ -4,7 +4,9 @@
 renamed or moved function breaks traced benchmark runs without failing
 any other test.  This installs the tracer, runs one small weight step and
 one ratio step through the wrapped attributes, and checks that the spans
-arrive and that uninstalling puts every attribute back.
+arrive and that uninstalling puts every attribute back: once on cnn-small
+at full width, and once on resnet-tiny with its prunable convs narrowed
+below their input width, where conv2d takes its output-side path.
 """
 
 import importlib.util
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import autoprune
-from autoprune import masking, model, objective, pruner, search
+from autoprune import masking, model, objective, pruner, search, tensor
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -25,18 +27,19 @@ def load_tracer():
     return module
 
 
-def test_tracer_wraps_a_search_step_and_unwraps():
+def traced_steps(net, ratios, shape):
+    """Run one inner_step and one outer_step on `net` at `ratios` under the
+    tracer, check that uninstalling restores every module attribute, and
+    return the tracer."""
     modules = (model, search, pruner, objective, masking)
     before = [dict(vars(m)) for m in modules]
 
-    net = model.build_model("cnn-small", 10, (1, 8, 8), rng=np.random.default_rng(0))
     rng = np.random.default_rng(1)
-    xb = rng.standard_normal((8, 1, 8, 8)).astype(np.float32)
+    xb = rng.standard_normal((8, *shape)).astype(np.float32)
     yb = rng.integers(0, 10, 8)
     flops = model.prunable_flops(net)
     rankings = {i: masking.rank_channels(net.params[i]["weight"].data) for i in flops}
-    ratios = {i: 1.0 for i in flops}
-    masks = {i: masking.build_mask(1.0, net.layer(i).out_channels, rankings[i]) for i in flops}
+    masks = {i: masking.build_mask(ratios[i], net.layer(i).out_channels, rankings[i]) for i in flops}
     config = search.SearchConfig(batch_size=8)
 
     tracer = load_tracer().Tracer()
@@ -53,6 +56,12 @@ def test_tracer_wraps_a_search_step_and_unwraps():
         assert now.keys() == saved.keys(), m.__name__
         changed = [k for k in saved if now[k] is not saved[k]]
         assert changed == [], f"{m.__name__}: {changed} not restored"
+    return tracer
+
+
+def test_tracer_wraps_a_search_step_and_unwraps():
+    net = model.build_model("cnn-small", 10, (1, 8, 8), rng=np.random.default_rng(0))
+    tracer = traced_steps(net, {i: 1.0 for i in net.prunable_ids()}, (1, 8, 8))
 
     spans = tracer.summary()
     for name in (
@@ -72,3 +81,28 @@ def test_tracer_wraps_a_search_step_and_unwraps():
     ):
         assert spans.get(name, {}).get("calls", 0) > 0, name
     assert tracer.counts["conv2d.flop"] > 0
+
+
+def test_narrowed_convs_run_behind_the_traced_conv2d(monkeypatch):
+    # resnet-tiny's prunable convs (3, 10, 19) take 16, 16 and 32 inputs;
+    # at these ratios both steps slice them to 2 outputs, which runs them
+    # from the output side
+    narrow = []
+
+    def spy(x, w, *args):
+        narrow.append(w.data.shape)
+        return output_side(x, w, *args)
+
+    output_side = tensor._output_side_conv2d
+    monkeypatch.setattr(tensor, "_output_side_conv2d", spy)
+    net = model.build_model("resnet-tiny", 10, (3, 8, 8), rng=np.random.default_rng(0))
+    ratios = {i: 1.5 / net.layer(i).out_channels for i in net.prunable_ids()}
+    assert net.prunable_ids() == [3, 10, 19]
+    tracer = traced_steps(net, ratios, (3, 8, 8))
+
+    assert {cout for cout, *_ in narrow} == {2} and len(narrow) >= 6
+    spans = tracer.summary()
+    for lid in net.prunable_ids():
+        for direction in ("fwd", "bwd"):
+            name = f"tensor.conv2d.{direction}@resnet-tiny.L{lid}"
+            assert spans.get(name, {}).get("calls", 0) > 0, name

@@ -615,6 +615,17 @@ class TestRunSearch:
                     "entered", "left"):
             assert key in ev
 
+    def test_refresh_events_count_kinks_per_layer(self):
+        # every ratio starts at 1, a kink, so each layer has counted some
+        model = tiny_model()
+        train, val = tiny_dataset(32), tiny_dataset(16, seed=1)
+        res = run_search(model, train, val, tiny_config(ranking_interval=2))
+        last = {e["layer"]: e["kink_count"] for e in res.refresh_events
+                if e["iteration"] == res.iterations}
+        assert last == res.diagnostics.kinks_by_layer
+        assert len(last) > 1 and all(c > 0 for c in last.values())
+        assert sum(last.values()) == res.diagnostics.kink_count
+
     def test_model_without_prunable_layers_rejected(self):
         model = tiny_model()
         for l in model.layers:

@@ -517,18 +517,21 @@ class TestOpSemantics:
 
     def test_conv_floors_and_ignores_unsampled_edge(self):
         # 7x7 input, 2x2 kernel, stride 2: output floors to 3x3 and the
-        # last row/column never enter the computation
+        # last row/column never enter the computation; with 3 input
+        # channels the conv runs from the output side
         rng = np.random.default_rng(12)
-        xv = rng.standard_normal((1, 1, 7, 7)).astype(np.float32)
-        wv = rng.standard_normal((1, 1, 2, 2)).astype(np.float32)
-        x = Tensor(xv, requires_grad=True)
-        out = conv2d(x, Tensor(wv), stride=2)
-        assert out.data.shape == (1, 1, 3, 3)
-        np.testing.assert_allclose(out.data, conv2d_oracle(xv, wv, stride=2), rtol=1e-5, atol=1e-5)
-        backward(tensor_sum(out))
-        assert np.all(x.grad[:, :, 6, :] == 0)
-        assert np.all(x.grad[:, :, :, 6] == 0)
-        assert np.any(x.grad[:, :, :6, :6] != 0)
+        for cin in (1, 3):
+            xv = rng.standard_normal((1, cin, 7, 7)).astype(np.float32)
+            wv = rng.standard_normal((1, cin, 2, 2)).astype(np.float32)
+            x = Tensor(xv, requires_grad=True)
+            out = conv2d(x, Tensor(wv), stride=2)
+            assert out.data.shape == (1, 1, 3, 3)
+            want = conv2d_oracle(xv, wv, stride=2)
+            np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-5)
+            backward(tensor_sum(out))
+            assert np.all(x.grad[:, :, 6, :] == 0)
+            assert np.all(x.grad[:, :, :, 6] == 0)
+            assert np.any(x.grad[:, :, :6, :6] != 0)
 
     def test_conv_kernel_must_fit(self):
         x = Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32))
@@ -551,6 +554,137 @@ class TestOpSemantics:
         stats = RunningStats.zeros(2)
         with pytest.raises(ValueError, match="empty batch"):
             batch_norm2d(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), stats, mode="train")
+
+
+def conv_with_grads(x, w, stride, padding, g):
+    """conv2d's output and the w and x gradients of sum(out * g)."""
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    out = conv2d(xt, wt, stride, padding)
+    backward(tensor_sum(mul(out, Tensor(g))))
+    return out.data, wt.grad, xt.grad
+
+
+def rel_err(got, want):
+    """Largest error relative to the largest magnitude of the reference."""
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-30))
+
+
+# (n, cin, h, w, cout, k, stride, padding): non-square inputs, both
+# strides, padding 0-2, and kernels that reach past the input, so that
+# some taps read only padding and get an empty span
+NARROW_CONVS = [
+    (3, 6, 7, 9, 2, 3, 1, 1),
+    (3, 6, 7, 9, 5, 3, 2, 1),
+    (2, 5, 8, 6, 1, 1, 1, 0),
+    (2, 5, 8, 6, 3, 1, 2, 0),
+    (2, 4, 5, 7, 3, 3, 1, 0),
+    (2, 4, 5, 7, 1, 3, 2, 2),
+    (2, 7, 6, 5, 2, 3, 1, 2),
+    (2, 3, 2, 3, 2, 5, 1, 2),
+    (2, 3, 1, 2, 1, 3, 2, 2),
+]
+
+
+class TestOutputSideConv:
+    """Convs with fewer outputs than inputs run from the output side; the
+    im2col kernel (`full_buffer_conv2d`) is the reference.  They sum each
+    output over the taps first and the input channels second, so they
+    match it to rounding, not bit for bit."""
+
+    @pytest.mark.parametrize("block_bytes", [None, 1 << 10])
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_matches_the_im2col_kernel(self, dtype, tol, block_bytes, monkeypatch):
+        # the 1 KiB budget runs the forward one image per block
+        if block_bytes is not None:
+            monkeypatch.setattr(tensor, "_COLS_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(67)
+        for n, cin, h, wd, cout, k, stride, padding in NARROW_CONVS:
+            where = f"{cin}->{cout} at {h}x{wd}, k {k}, stride {stride}, padding {padding}"
+            x = rng.standard_normal((n, cin, h, wd)).astype(dtype)
+            w = rng.standard_normal((cout, cin, k, k)).astype(dtype)
+            ho = (h + 2 * padding - k) // stride + 1
+            wo = (wd + 2 * padding - k) // stride + 1
+            g = upstream_grad(rng, (n, cout, ho, wo), dtype)
+            want = full_buffer_conv2d(x, w, stride, padding, g)
+            with use_dtype(dtype):
+                got = conv_with_grads(x, w, stride, padding, g)
+                with no_grad():
+                    plain = conv2d(Tensor(x), Tensor(w), stride, padding).data
+            np.testing.assert_array_equal(bits(plain), bits(got[0]), err_msg=where)
+            for name, a, b in zip(("output", "weight grad", "input grad"), got, want):
+                assert a.dtype == dtype and a.shape == b.shape, f"{where}: {name}"
+                assert rel_err(a, b) <= tol, f"{where}: {name} off by {rel_err(a, b):.2e}"
+
+    def test_builds_no_columns(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("im2col buffer built for a conv with Cout < Cin")
+
+        monkeypatch.setattr(tensor, "_im2col", refuse)
+        monkeypatch.setattr(tensor, "_col2im", refuse)
+        rng = np.random.default_rng(71)
+        x = rng.standard_normal((2, 4, 6, 6)).astype(np.float32)
+        w = rng.standard_normal((3, 4, 3, 3)).astype(np.float32)
+        conv_with_grads(x, w, 2, 1, rng.standard_normal((2, 3, 3, 3)).astype(np.float32))
+
+    def test_weight_made_trainable_after_forward_gets_its_gradient(self):
+        rng = np.random.default_rng(79)
+        x = rng.standard_normal((5, 6, 9, 9)).astype(np.float32)
+        w = rng.standard_normal((2, 6, 3, 3)).astype(np.float32)
+        g = upstream_grad(rng, (5, 2, 5, 5), np.float32)
+        _, want_gw, want_gx = conv_with_grads(x, w, 2, 1, g)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w)
+        out = conv2d(xt, wt, stride=2, padding=1)
+        wt.requires_grad = True
+        backward(tensor_sum(mul(out, Tensor(g))))
+        np.testing.assert_array_equal(bits(wt.grad), bits(want_gw))
+        np.testing.assert_array_equal(bits(xt.grad), bits(want_gx))
+
+    @pytest.mark.parametrize("cin, cout", [(3, 3), (3, 8), (1, 16), (16, 16)])
+    def test_at_least_as_many_outputs_keeps_the_im2col_bits(self, cin, cout):
+        rng = np.random.default_rng(83)
+        for dtype, k, stride, padding in itertools.product(
+            (np.float32, np.float64), (1, 3), (1, 2), (0, 1)
+        ):
+            where = f"{cin}->{cout}, k {k}, stride {stride}, padding {padding}, {dtype.__name__}"
+            x = rng.standard_normal((4, cin, 9, 8)).astype(dtype)
+            w = rng.standard_normal((cout, cin, k, k)).astype(dtype)
+            ho = (9 + 2 * padding - k) // stride + 1
+            wo = (8 + 2 * padding - k) // stride + 1
+            g = upstream_grad(rng, (4, cout, ho, wo), dtype)
+            with use_dtype(dtype):
+                got = conv_with_grads(x, w, stride, padding, g)
+            for a, b in zip(got, full_buffer_conv2d(x, w, stride, padding, g)):
+                np.testing.assert_array_equal(bits(a), bits(b), err_msg=where)
+
+    def test_train_step_peak_memory_stays_below_the_columns(self):
+        # 16 -> 1 channels, 3x3, on 16 images of 16x32x32: the im2col
+        # path's columns alone take 9.4 MB
+        rng = np.random.default_rng(89)
+        x = Tensor(rng.standard_normal((16, 16, 32, 32)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((1, 16, 3, 3)).astype(np.float32), requires_grad=True)
+        g = Tensor(rng.standard_normal((16, 1, 32, 32)).astype(np.float32))
+        cols_bytes = 16 * 16 * 9 * 32 * 32 * 4
+        tracemalloc.start()
+        try:
+            backward(tensor_sum(mul(conv2d(x, w, padding=1), g)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cols_bytes // 3, (peak, cols_bytes)
+
+    def test_no_grad_peak_memory_is_the_output_plus_a_block(self):
+        rng = np.random.default_rng(97)
+        x = Tensor(rng.standard_normal((256, 16, 32, 32)).astype(np.float32))
+        w = Tensor(rng.standard_normal((8, 16, 3, 3)).astype(np.float32))
+        block = max(tensor._COLS_BLOCK_BYTES, 9 * 8 * 32 * 32 * 4)
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = conv2d(x, w, padding=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.data.nbytes + block + (64 << 10), (peak, out.data.nbytes)
 
 
 class TestGraphLifecycle:
@@ -714,6 +848,16 @@ def _fd_cases(dtype):
     cases["channel_scale_x"] = (lambda v: tensor_sum(wt_cs(channel_scale(v, sc))), xc, BIG)
     xc2 = Tensor(bounded((1, 3, 3, 3), 0.3, 1.2), requires_grad=True)
     cases["channel_scale_s"] = (lambda v: tensor_sum(wt_cs(channel_scale(xc2, v))), sc, BIG)
+
+    # fewer outputs than inputs: the output-side conv, stride 2 on a
+    # non-square input
+    xn = Tensor(bounded((2, 3, 5, 4), 0.2, 1.2), requires_grad=True)
+    wn = Tensor(bounded((2, 3, 3, 3), 0.1, 0.4, signed=False), requires_grad=True)
+    wt_narrow = weighting((2, 2, 3, 2))
+    cases["conv_narrow_x"] = (lambda v: tensor_sum(wt_narrow(conv2d(v, wn, 2, 1))), xn, BIG)
+    xn2 = Tensor(bounded((2, 3, 5, 4), 0.2, 1.2, signed=False), requires_grad=True)
+    wn2 = Tensor(bounded((2, 3, 3, 3), 0.1, 0.4), requires_grad=True)
+    cases["conv_narrow_w"] = (lambda v: tensor_sum(wt_narrow(conv2d(xn2, v, 2, 1))), wn2, BIG)
 
     return cases
 
