@@ -11,7 +11,7 @@ FLOPs pressure against one with far too much.
 
 import numpy as np
 
-from autoprune import SearchConfig, build_model, run_search, train_supervised
+from autoprune import SearchConfig, build_model, finalize_plan, run_search, train_supervised
 from autoprune.data import Dataset
 from autoprune.report import format_table
 
@@ -38,7 +38,7 @@ train, val = synthetic(512, "train"), synthetic(128, "val")
 model = build_model("cnn-small", num_classes=4, input_shape=(1, 8, 8),
                     rng=np.random.default_rng(1))
 pre = train_supervised(model, train, val, epochs=2, lr_max=0.1, lr_min=0.01,
-                       batch_size=32, log_interval=1000)
+                       batch_size=32)
 print(f"pretrained: val top-1 {pre.best_val_accuracy:.3f}\n")
 
 
@@ -89,4 +89,7 @@ for m in mid.metrics[:: max(1, len(mid.metrics) // 6)]:
     })
 print("\nalpha = 2 trajectory:")
 print(format_table(rows))
-print(f"final kept channels per layer: {mid.kept_counts}")
+# The plan rounds each ratio into a kept count; it reads only the layer
+# widths and the rankings the search's final masks used.
+plan = finalize_plan(model, mid.ratios, mid.rankings)
+print(f"final kept channels per layer: {plan.kept()}")

@@ -64,7 +64,7 @@ assert autoprune(["report", *common]) == 0
 
 result = json.loads((Path(args.out) / "search" / "result.json").read_text())
 manifest = json.loads((Path(args.out) / "pruned" / "manifest.json").read_text())
-print("\nsearch kept:", result["kept_counts"])
+print("\nsearch kept:", {e["layer_id"]: e["kept_count"] for e in result["plan"]["entries"]})
 print(f"exact FPR {manifest['fpr']:.3f}, "
       f"top-1 {manifest['top1']:.4f} vs baseline {manifest['baseline_top1']:.4f}")
 print(f"artifacts in {args.out}/: baseline/ search/ pruned/ report/")

@@ -25,6 +25,7 @@ from .model import build_model, evaluate, exact_flops_by_layer
 from .pruner import (
     CheckpointError,
     PruningPlan,
+    _field,
     export_pruned,
     finalize_plan,
     finetune,
@@ -172,6 +173,13 @@ def _phase_manifest(cfg: dict, checksums: dict, seconds: float, extra: dict) -> 
     return out
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except ValueError as e:
+        raise CheckpointError(f"{path}: {e}") from e
+
+
 def _check_upstream(cfg: dict, checksums: dict, manifest: dict, path: Path) -> None:
     """Refuse an upstream phase that another run wrote.
 
@@ -248,8 +256,6 @@ def cmd_search(cfg: dict) -> int:
     (out / "result.json").parent.mkdir(parents=True, exist_ok=True)
     (out / "result.json").write_text(json.dumps({
         "ratios": {str(k): v for k, v in result.ratios.items()},
-        "kept_counts": {str(k): v for k, v in result.kept_counts.items()},
-        "active_channels": {str(k): v for k, v in result.active.items()},
         "fpr_exact": result.fpr_exact,
         "iterations": result.iterations,
         "epochs_run": result.epochs_run,
@@ -277,17 +283,18 @@ def cmd_prune(cfg: dict) -> int:
     out_root = Path(cfg["run"]["out_dir"])
     search_dir = out_root / "search"
     base_dir = out_root / "baseline"
-    for need in (search_dir / "manifest.json", search_dir / "result.json", base_dir / "manifest.json"):
+    result_path = search_dir / "result.json"
+    for need in (search_dir / "manifest.json", result_path, base_dir / "manifest.json"):
         if not need.is_file():
             raise FileNotFoundError(f"missing run artifact: expected {need}")
     model, search_manifest = load_checkpoint(search_dir)
-    result = json.loads((search_dir / "result.json").read_text())
-    baseline = json.loads((base_dir / "manifest.json").read_text())
+    result = _read_json(result_path)
+    baseline = _read_json(base_dir / "manifest.json")
     train, val, test = _splits(cfg)
     _check_upstream(cfg, train.checksums, baseline, base_dir / "manifest.json")
     _check_upstream(cfg, train.checksums, search_manifest, search_dir / "manifest.json")
 
-    plan = PruningPlan.from_dict(result["plan"])
+    plan = PruningPlan.from_dict(_field(result_path, "", result, "plan", dict), result_path)
     pruned = export_pruned(model, plan)
     f = cfg["finetune"]
     ft = finetune(
@@ -321,18 +328,18 @@ def cmd_report(cfg: dict) -> int:
     base_path = out_root / "baseline" / "manifest.json"
     if not base_path.is_file():
         raise FileNotFoundError(f"missing run artifact: expected {base_path}")
-    baseline = json.loads(base_path.read_text())
+    baseline = _read_json(base_path)
     # The baseline's data checksums stand in for this run's: a report
     # loads no data, and the seed and model checks still apply to it.
     checksums = baseline.get("dataset_checksums")
     _check_upstream(cfg, checksums, baseline, base_path)
     search_path = out_root / "search" / "manifest.json"
     if search_path.is_file():
-        _check_upstream(cfg, checksums, json.loads(search_path.read_text()), search_path)
+        _check_upstream(cfg, checksums, _read_json(search_path), search_path)
     pruned = None
     pruned_path = out_root / "pruned" / "manifest.json"
     if pruned_path.is_file():
-        pruned = json.loads(pruned_path.read_text())
+        pruned = _read_json(pruned_path)
         _check_upstream(cfg, checksums, pruned, pruned_path)
 
     report_dir = out_root / "report"

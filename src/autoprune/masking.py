@@ -43,8 +43,6 @@ class ChannelRanking:
 class ChannelMask:
     """A ratio realized as per-channel scale factors."""
 
-    ratio: float
-    by_rank: np.ndarray  # [C] float64, indexed by rank-1
     by_channel: np.ndarray  # [C] float64, indexed by channel id
     boundary_value: float  # fractional entry (0 when r*C is an integer)
 
@@ -106,14 +104,10 @@ def build_mask(ratio: float, channels: int, ranking: ChannelRanking) -> ChannelM
     if ranking.channels != channels:
         raise ValueError(f"ranking covers {ranking.channels} channels, expected {channels}")
     ratio = _check_ratio(ratio, channels)
-    by_rank = mask_by_rank(ratio, channels)
-    rc = float(ratio) * channels
-    frac = rc - math.floor(rc)
+    rc = ratio * channels
     return ChannelMask(
-        ratio=float(ratio),
-        by_rank=by_rank,
-        by_channel=by_rank[ranking.ranks - 1],
-        boundary_value=float(frac),
+        by_channel=mask_by_rank(ratio, channels)[ranking.ranks - 1],
+        boundary_value=rc - math.floor(rc),
     )
 
 

@@ -14,7 +14,7 @@ are counted as zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class ModelGraph:
     mask_points: dict[int, int]  # prunable conv id -> layer id whose output is masked
     input_shape: tuple[int, int, int]
     num_classes: int
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         # the layer list is fixed once built; specs may change in place

@@ -24,15 +24,13 @@ from .tensor import Tensor, _accum, _make, softmax_cross_entropy
 class LossBreakdown:
     """One training step's loss, split into its terms.
 
-    `total` is reconstructed from the stored parts, so
-    total == ce + alpha * cost holds exactly.
+    `total` is computed from the stored parts, so
+    total == ce + alpha * cost holds exactly for the step's alpha.
     """
 
     ce: float
     cost: float
     total: float
-    alpha: float
-    beta: float
 
 
 def _validate(ratios, flops, beta):
@@ -128,7 +126,4 @@ def combined_loss(
     else:
         loss_t = ce_t
 
-    breakdown = LossBreakdown(
-        ce=ce, cost=cost, total=ce + alpha * cost, alpha=float(alpha), beta=float(beta)
-    )
-    return loss_t, breakdown
+    return loss_t, LossBreakdown(ce=ce, cost=cost, total=ce + alpha * cost)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,33 +73,21 @@ class PruningPlan:
             "flops_full": self.flops_full,
             "flops_pruned": self.flops_pruned,
             "fpr": self.fpr,
-            "entries": [
-                {
-                    "layer_id": e.layer_id,
-                    "ratio": e.ratio,
-                    "kept_count": e.kept_count,
-                    "kept_channel_ids": e.kept_channel_ids,
-                    "flops_before": e.flops_before,
-                    "flops_after": e.flops_after,
-                }
-                for e in self.entries.values()
-            ],
+            "entries": [asdict(e) for e in self.entries.values()],
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "PruningPlan":
-        entries = {
-            e["layer_id"]: PlanEntry(
-                layer_id=e["layer_id"],
-                ratio=e["ratio"],
-                kept_count=e["kept_count"],
-                kept_channel_ids=list(e["kept_channel_ids"]),
-                flops_before=e["flops_before"],
-                flops_after=e["flops_after"],
-            )
-            for e in d["entries"]
-        }
-        return cls(entries=entries, flops_full=d["flops_full"], flops_pruned=d["flops_pruned"])
+    def from_dict(cls, d: dict, path="<plan>") -> "PruningPlan":
+        """Read back `to_dict` output; a missing or mistyped field raises
+        `CheckpointError` naming `path`, the file `d` came from."""
+        kinds = {"layer_id": int, "ratio": float, "kept_count": int, "kept_channel_ids": list,
+                 "flops_before": int, "flops_after": int}
+        entries = {}
+        for n, e in enumerate(_field(path, "plan: ", d, "entries", list)):
+            entry = PlanEntry(**{k: _field(path, f"plan entry {n}: ", e, k, t) for k, t in kinds.items()})
+            entries[entry.layer_id] = entry
+        full, pruned = (_field(path, "plan: ", d, k, int) for k in ("flops_full", "flops_pruned"))
+        return cls(entries, full, pruned)
 
 
 def finalize_plan(
@@ -151,7 +139,7 @@ def export_pruned(model: ModelGraph, plan: PruningPlan) -> ModelGraph:
 
     The plan must name, for each of its layers, `kept_count` ascending
     unique channel ids in range; the model is then cut down by
-    `slice_channels`, and carries the plan in `meta["plan"]`.
+    `slice_channels`.
     """
     for i, e in plan.entries.items():
         c = model.layer(i).out_channels
@@ -167,9 +155,7 @@ def export_pruned(model: ModelGraph, plan: PruningPlan) -> ModelGraph:
             raise ValueError(f"plan layer {i}: channel id out of range [0, {c})")
 
     keep = {i: np.asarray(e.kept_channel_ids, dtype=np.int64) for i, e in plan.entries.items()}
-    new_model = slice_channels(model, keep)
-    new_model.meta["plan"] = plan.to_dict()
-    return new_model
+    return slice_channels(model, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +199,13 @@ def train_supervised(
     batch_size: int = 64,
     seed: int = 0,
     augment: bool = False,
-    log_interval: int = 100,
 ) -> TrainResult:
     """Plain-SGD cross-entropy training with one cosine decay cycle.
 
-    Tracks validation accuracy per epoch and restores the best snapshot
-    at the end.  A non-finite loss or weight gradient aborts immediately,
-    before the update, with the last good (best so far) weights in place.
+    Logs the loss every 100 steps and validation accuracy per epoch, and
+    restores the best snapshot at the end.  A non-finite loss or weight
+    gradient aborts immediately, before the update, with the last good
+    (best so far) weights in place.
     """
     if epochs < 0:
         raise ValueError(f"epochs must be nonnegative, got {epochs}")
@@ -249,7 +235,7 @@ def train_supervised(
                 diverged = True
                 break
             sgd_step(params, lr)
-            if step % log_interval == 0:
+            if step % 100 == 0:
                 metrics.append(
                     {"iteration": step, "epoch": epoch, "lr": lr, "loss_ce": loss_val}
                 )
@@ -341,18 +327,20 @@ def save_checkpoint(model: ModelGraph, directory, extra: dict | None = None) -> 
     return path
 
 
-_FIELD_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+_FIELD_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a number"}
+_INT_LISTS = ("shape", "kept_channel_ids")
 
 
-def _field(manifest_path: Path, where: str, record, key: str, kind: type):
-    """`record[key]`, which must be a `kind` (a shape a list of integers)."""
+def _field(path, where: str, record, key: str, kind: type):
+    """`record[key]`, which must be a `kind` (a shape or an id list a list
+    of integers); otherwise `CheckpointError` names the file `path`."""
     value = record.get(key) if isinstance(record, dict) else None
     ok = isinstance(value, kind) and not isinstance(value, bool)
-    if ok and key == "shape":
+    if ok and key in _INT_LISTS:
         ok = all(isinstance(d, int) and not isinstance(d, bool) for d in value)
     if not ok:
-        need = "a list of integers" if key == "shape" else _FIELD_TYPES[kind]
-        raise CheckpointError(f"{manifest_path}: {where}field {key!r} is missing or not {need}")
+        need = "a list of integers" if key in _INT_LISTS else _FIELD_TYPES[kind]
+        raise CheckpointError(f"{path}: {where}field {key!r} is missing or not {need}")
     return value
 
 

@@ -1,9 +1,9 @@
 """Alternating search over network weights and remaining ratios.
 
-Each iteration takes one (or more) plain SGD steps on the weights using
-a training batch and the current masks held fixed, then one SGD step on
-the ratios using a validation batch, with gradients flowing to each
-ratio through both its mask and the FLOPs cost term.  Weights are frozen
+Each iteration takes one plain SGD step on the weights using a training
+batch and the current masks held fixed, then one SGD step on the ratios
+using a validation batch, with gradients flowing to each ratio through
+both its mask and the FLOPs cost term.  Weights are frozen
 for the ratio step, so it records no graph before the first mask and
 computes no weight gradients the next weight step would discard.
 Both steps, and the probe evaluation, run on a copy of the model sliced
@@ -22,7 +22,7 @@ default restart period is a fifth of the search budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +47,11 @@ from .model import (
     slice_channels,
     write_back,
 )
-from .objective import LossBreakdown, combined_loss
+from .objective import LossBreakdown, combined_loss, flops_cost
 from .tensor import Tensor, backward, zero_grad
+
+# The search has converged once no ratio moves more than this over an epoch.
+_CONVERGENCE_TOL = 1e-4
 
 
 @dataclass
@@ -68,9 +71,7 @@ class SearchConfig:
     lr_r_min: float = 0.0001
     cosine_period_epochs: float = 0.0  # 0 means epochs / 5
     ranking_interval: int = 800
-    inner_steps_per_outer: int = 1
     log_interval: int = 50
-    convergence_tol: float = 1e-4
     probe_size: int = 1024
     seed: int = 0
 
@@ -85,8 +86,6 @@ class SearchConfig:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.ranking_interval < 1:
             raise ValueError(f"ranking interval must be >= 1, got {self.ranking_interval}")
-        if self.inner_steps_per_outer < 1:
-            raise ValueError(f"inner steps per outer must be >= 1, got {self.inner_steps_per_outer}")
         for lo, hi, tag in (
             (self.lr_w_min, self.lr_w_max, "weight"),
             (self.lr_r_min, self.lr_r_max, "ratio"),
@@ -105,8 +104,6 @@ class SearchResult:
     """What the search hands to the pruner and the report."""
 
     ratios: dict[int, float]
-    kept_counts: dict[int, int]
-    active: dict[int, list[int]]
     rankings: dict[int, ChannelRanking]  # the ones the final masks use
     metrics: list[dict]
     refresh_events: list[dict]
@@ -295,13 +292,6 @@ def _exact_fpr(model: ModelGraph, ratios: dict[int, float]) -> float:
     return 1.0 - exact_model_flops(model, kept) / full
 
 
-def _surrogate_fpr(ratios, flops) -> float:
-    ids = sorted(flops)
-    p = np.array([flops[i] for i in ids], dtype=np.float64)
-    r = np.array([ratios[i] for i in ids], dtype=np.float64)
-    return float(1.0 - np.dot(p, r) / p.sum())
-
-
 def _batch_stream(ds: Dataset, batch_size: int, seed: int):
     epoch = 0
     while True:
@@ -331,11 +321,9 @@ def run_search(
     if not flops:
         raise ValueError(f"model {model.name!r} has no prunable layers")
     ids = sorted(flops)
-    channels = {i: model.layer(i).out_channels for i in ids}
     ratios = {i: 1.0 for i in ids}
 
-    steps_per_epoch = math.ceil(len(train) / config.batch_size)
-    iters_per_epoch = math.ceil(steps_per_epoch / config.inner_steps_per_outer)
+    iters_per_epoch = math.ceil(len(train) / config.batch_size)
     max_iters = config.epochs * iters_per_epoch
     period = max(1, round(config.period_epochs() * iters_per_epoch))
 
@@ -368,7 +356,8 @@ def run_search(
             "cost": breakdown.cost,
             "total": breakdown.total,
             "val_accuracy": acc,
-            "fpr_surrogate": _surrogate_fpr(ratios, flops),
+            # the FLOPs-weighted mean ratio is the cost at exponent 1
+            "fpr_surrogate": 1.0 - flops_cost([ratios[i] for i in ids], [flops[i] for i in ids], 1.0),
             "fpr_exact": _exact_fpr(model, ratios),
         }
         for i in ids:
@@ -379,9 +368,8 @@ def run_search(
         lr_w = cosine_lr(it, period, config.lr_w_max, config.lr_w_min)
         lr_r = cosine_lr(it, period, config.lr_r_max, config.lr_r_min)
 
-        for _ in range(config.inner_steps_per_outer):
-            xb, yb = next(train_stream)
-            bd = inner_step(model, xb, yb, masks, ratios, flops, config, lr_w)
+        xb, yb = next(train_stream)
+        bd = inner_step(model, xb, yb, masks, ratios, flops, config, lr_w)
 
         xb, yb = next(val_stream)
         ratios, _ = outer_step(model, xb, yb, ratios, rankings, flops, config, lr_r, diag)
@@ -395,14 +383,13 @@ def run_search(
             masks = _rebuild_masks(ratios, rankings)
             for i in ids:
                 after = set(active_channels(masks[i]).tolist())
-                rc = ratios[i] * channels[i]
                 refresh_events.append(
                     {
                         "iteration": it,
                         "layer": i,
                         "ratio": ratios[i],
-                        "floor": math.floor(rc),
-                        "boundary_value": rc - math.floor(rc),
+                        "floor": math.floor(ratios[i] * rankings[i].channels),
+                        "boundary_value": masks[i].boundary_value,
                         "kink_count": diag.kinks_by_layer.get(i, 0),
                         "entered": sorted(after - before[i]),
                         "left": sorted(before[i] - after),
@@ -419,7 +406,7 @@ def run_search(
 
         if it % iters_per_epoch == 0:
             delta = max(abs(ratios[i] - epoch_start[i]) for i in ids)
-            if delta < config.convergence_tol:
+            if delta < _CONVERGENCE_TOL:
                 converged = True
                 break
             epoch_start = dict(ratios)
@@ -429,11 +416,8 @@ def run_search(
         lr_r = cosine_lr(max(it - 1, 0), period, config.lr_r_max, config.lr_r_min)
         log_row(it, lr_w, lr_r, bd)
 
-    kept = {i: kept_count(ratios[i], channels[i]) for i in ids}
     return SearchResult(
         ratios=dict(ratios),
-        kept_counts=kept,
-        active={i: active_channels(masks[i]).tolist() for i in ids},
         rankings=rankings,
         metrics=metrics,
         refresh_events=refresh_events,

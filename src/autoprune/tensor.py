@@ -34,24 +34,18 @@ _GRAD_ENABLED = True
 _SEQ = itertools.count()
 
 
-def set_default_dtype(dtype) -> None:
-    """Set the dtype new tensors are stored in (float32 or float64)."""
+@contextmanager
+def use_dtype(dtype):
+    """Store new tensors in `dtype` (float32 or float64) inside the block."""
     global _DEFAULT_DTYPE
     dtype = np.dtype(dtype)
     if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError(f"unsupported default dtype {dtype}")
-    _DEFAULT_DTYPE = dtype.type
-
-
-@contextmanager
-def use_dtype(dtype):
-    """Temporarily switch the default storage dtype (useful for 64-bit checks)."""
-    old = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
+    old, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dtype.type
     try:
         yield
     finally:
-        set_default_dtype(old)
+        _DEFAULT_DTYPE = old
 
 
 @contextmanager
@@ -84,24 +78,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ValueError(f"item() on tensor of shape {self.data.shape}")
-        return float(self.data.reshape(())[()])
-
-    def __float__(self) -> float:
-        return self.item()
-
-    def backward(self) -> None:
-        backward(self)
-
-    def sum(self) -> "Tensor":
-        return tensor_sum(self)
-
     def reshape(self, shape) -> "Tensor":
         return reshape(self, shape)
 
@@ -110,22 +86,10 @@ class Tensor:
             return add(self, other)
         return add_scalar(self, float(other))
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         if isinstance(other, Tensor):
             return mul(self, other)
         return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, scale(other, -1.0))
-        return add_scalar(self, -float(other))
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""

@@ -104,9 +104,11 @@ class TestConfig:
 
 class TestExitCodes:
     def test_bad_config_is_2(self, tmp_path, capsys):
-        path = write_config(tmp_path, "[search]\nwat = 1\n")
-        assert run_cli("describe", "--config", path) == 2
-        assert "unknown config key" in capsys.readouterr().err
+        # knobs removed from SearchConfig are unknown keys like any other
+        for line in ("wat = 1", "inner_steps_per_outer = 2", "convergence_tol = 0.01"):
+            path = write_config(tmp_path, f"[search]\n{line}\n")
+            assert run_cli("describe", "--config", path) == 2, line
+            assert "unknown config key" in capsys.readouterr().err, line
 
     def test_missing_data_dir_is_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("AUTOPRUNE_DATA_DIR", raising=False)
@@ -258,7 +260,9 @@ class TestPipeline:
     def test_search_artifacts(self, pipeline_run):
         out, _, _ = pipeline_run
         result = json.loads((out / "search" / "result.json").read_text())
-        assert set(result["ratios"]) == set(result["kept_counts"])
+        # the plan is the one record of kept channels
+        assert set(result["ratios"]) == {str(e["layer_id"]) for e in result["plan"]["entries"]}
+        assert "kept_counts" not in result and "active_channels" not in result
         assert result["iterations"] > 0
         assert "plan" in result
         traj = (out / "search" / "trajectory.csv").read_text().splitlines()
@@ -284,6 +288,32 @@ class TestPipeline:
             "model,method,top1,accuracy_drop,fpr"
         for name in ("accuracy.svg", "loss.svg", "ratios.svg", "fpr.svg"):
             assert (report / name).is_file(), name
+
+    @pytest.mark.parametrize("damage, message", [
+        ("truncate", "line 1 column"),
+        ("drop plan", "field 'plan' is missing or not an object"),
+        ("drop ids", "plan entry 0: field 'kept_channel_ids' is missing or not a list of integers"),
+    ])
+    def test_malformed_search_result_is_2(self, pipeline_run, synthetic_mnist_dir, tmp_path,
+                                          capsys, damage, message):
+        out, _, cfg = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        path = run / "search" / "result.json"
+        text = path.read_text()
+        result = json.loads(text)
+        if damage == "truncate":
+            path.write_text(text[: len(text) // 2].replace("\n", " "))
+        else:
+            if damage == "drop plan":
+                del result["plan"]
+            else:
+                del result["plan"]["entries"][0]["kept_channel_ids"]
+            path.write_text(json.dumps(result))
+        assert main(["prune", "--config", cfg, "--data-dir", str(synthetic_mnist_dir),
+                     "--out", str(run), "--seed", "3"]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and message in err, err
 
     def test_rerun_is_byte_identical(self, pipeline_run, synthetic_mnist_dir,
                                      tmp_path_factory):

@@ -106,7 +106,7 @@ class TestCombinedLoss:
         logits, labels, _ = self._logits()
         _, bd = combined_loss(logits, labels, [0.7, 0.9], [100, 200], alpha=0.5, beta=0.3)
         assert isinstance(bd, LossBreakdown)
-        assert bd.total == bd.ce + bd.alpha * bd.cost
+        assert bd.total == bd.ce + 0.5 * bd.cost
 
     def test_zero_alpha_reduces_to_cross_entropy_exactly(self):
         logits, labels, _ = self._logits()

@@ -1,21 +1,25 @@
 """The benchmark's trace hooks still resolve against the program.
 
 `perfbench/tracer.py` wraps the program's module attributes by name, so a
-renamed or moved function breaks traced benchmark runs without failing
-any other test.  This installs the tracer, runs one small weight step and
+renamed or moved function breaks benchmark runs without failing any
+other test.  This installs the tracer, runs one small weight step and
 one ratio step through the wrapped attributes, and checks that the spans
 arrive and that uninstalling puts every attribute back: once on cnn-small
 at full width, and once on resnet-tiny with its prunable convs narrowed
-below their input width, where conv2d takes its output-side path.
+below their input width, where conv2d takes its output-side path.  It
+also checks that the always-on clock stamps every SGD step, search
+iteration and probe evaluation.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 
 import autoprune
 from autoprune import masking, model, objective, pruner, search, tensor
+from autoprune.data import Dataset
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -106,3 +110,32 @@ def test_narrowed_convs_run_behind_the_traced_conv2d(monkeypatch):
         for direction in ("fwd", "bwd"):
             name = f"tensor.conv2d.{direction}@resnet-tiny.L{lid}"
             assert spans.get(name, {}).get("calls", 0) > 0, name
+
+
+def test_clock_stamps_each_step_iteration_and_probe(monkeypatch):
+    # Clock never uninstalls: re-set its three targets so monkeypatch puts
+    # the originals back
+    for module, attr in ((search, "outer_step"), (pruner, "sgd_step"), (search, "evaluate")):
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    clock = load_tracer().Clock(autoprune)
+    rng = np.random.default_rng(2)
+
+    def data(n):
+        return Dataset(rng.standard_normal((n, 1, 8, 8)).astype(np.float32), rng.integers(0, 10, n),
+                       "train", np.zeros(1, np.float32), np.ones(1, np.float32), {})
+
+    train, val = data(40), data(16)
+    net = model.build_model("cnn-small", 10, (1, 8, 8), rng=np.random.default_rng(0))
+    pruner.train_supervised(net, train, val, epochs=1, lr_max=0.05, lr_min=0.001, batch_size=16)
+    assert len(clock.step_ends) == math.ceil(40 / 16) and clock.iter_ends == []
+
+    clock.reset()
+    config = search.SearchConfig(alpha=5.0, epochs=2, batch_size=8, ranking_interval=3,
+                                 log_interval=4, probe_size=12)
+    result = search.run_search(net, train, val, config)
+    assert result.iterations == 10
+    assert len(clock.iter_ends) == result.iterations
+    assert clock.iter_ends == sorted(clock.iter_ends)
+    # one probe evaluation per trajectory row, each over the probe images
+    assert [n for _, _, n in clock.probe_spans] == [12] * len(result.metrics)
+    assert all(t0 <= t1 for t0, t1, _ in clock.probe_spans)

@@ -111,7 +111,6 @@ class TestConfigValidation:
             {"epochs": 0},
             {"batch_size": 0},
             {"ranking_interval": 0},
-            {"inner_steps_per_outer": 0},
             {"lr_w_max": 0.0},
             {"lr_w_min": 0.5, "lr_w_max": 0.1},
             {"cosine_period_epochs": -1.0},
@@ -518,14 +517,6 @@ class TestRunSearch:
             assert math.isfinite(row[key]), key
         for i in sorted(res.ratios):
             assert f"ratio_{i}" in row
-            assert res.kept_counts[i] >= 1
-            assert len(res.active[i]) >= 1
-
-    def test_inner_steps_shorten_the_iteration_count(self):
-        model = tiny_model()
-        train, val = tiny_dataset(32), tiny_dataset(16, seed=1)
-        res = run_search(model, train, val, tiny_config(inner_steps_per_outer=2))
-        assert res.iterations == 2
 
     def test_same_seed_runs_are_identical(self):
         train, val = tiny_dataset(32), tiny_dataset(16, seed=1)
