@@ -50,34 +50,8 @@ def _bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-# [search] takes every SearchConfig field except the seed, which [run]
-# sets; each key parses with the type of its field's default
+# [search] takes every SearchConfig field except the seed, which [run] sets
 _SEARCH_FIELDS = [f for f in dataclasses.fields(SearchConfig) if f.name != "seed"]
-
-SCHEMA = {
-    "run": {
-        "model": str,
-        "dataset": str,
-        "data_dir": str,
-        "out_dir": str,
-        "seed": int,
-        "validation_fraction": float,
-    },
-    "pretrain": {
-        "epochs": int,
-        "batch_size": int,
-        "lr_max": float,
-        "lr_min": float,
-        "augment": _bool,
-    },
-    "search": {f.name: type(f.default) for f in _SEARCH_FIELDS},
-    "finetune": {
-        "epochs": int,
-        "batch_size": int,
-        "lr_max": float,
-        "lr_min": float,
-    },
-}
 
 DEFAULTS = {
     "run": {
@@ -91,6 +65,12 @@ DEFAULTS = {
     "pretrain": {"epochs": 3, "batch_size": 64, "lr_max": 0.1, "lr_min": 0.001, "augment": False},
     "search": {f.name: f.default for f in _SEARCH_FIELDS},
     "finetune": {"epochs": 10, "batch_size": 64, "lr_max": 0.01, "lr_min": 0.0001},
+}
+
+# each key parses with the type of its default
+SCHEMA = {
+    section: {key: _bool if isinstance(v, bool) else type(v) for key, v in keys.items()}
+    for section, keys in DEFAULTS.items()
 }
 
 
@@ -186,8 +166,9 @@ def _check_upstream(cfg: dict, checksums: dict, manifest: dict, path: Path) -> N
     Its seed, model, dataset, validation fraction and dataset files must
     be this run's: the validation split is a function of the seed, so a
     foreign baseline would have trained on this run's validation images.
+    A manifest, `config` or `run` that is not a JSON object is refused too.
     """
-    run = manifest.get("config", {}).get("run", {})
+    run = _field(path, "config: ", _field(path, "", manifest, "config", dict), "run", dict)
     fields = [("seed", manifest.get("seed"), cfg["run"]["seed"])]
     for key in ("model", "dataset", "validation_fraction"):
         fields.append((f"run.{key}", run.get(key), cfg["run"][key]))
@@ -293,6 +274,7 @@ def cmd_prune(cfg: dict) -> int:
     train, val, test = _splits(cfg)
     _check_upstream(cfg, train.checksums, baseline, base_dir / "manifest.json")
     _check_upstream(cfg, train.checksums, search_manifest, search_dir / "manifest.json")
+    baseline_top1 = _field(base_dir / "manifest.json", "", baseline, "top1", float)
 
     plan = PruningPlan.from_dict(_field(result_path, "", result, "plan", dict), result_path)
     pruned = export_pruned(model, plan)
@@ -304,14 +286,14 @@ def cmd_prune(cfg: dict) -> int:
     )
     out = out_root / "pruned"
     write_csv(ft.metrics, out / "metrics.csv")
-    drop = baseline["top1"] - (ft.test_top1 or 0.0)
+    drop = baseline_top1 - (ft.test_top1 or 0.0)
     save_checkpoint(
         pruned, out,
         extra=_phase_manifest(cfg, train.checksums, time.perf_counter() - t0, {
             "phase": "prune",
             "plan": plan.to_dict(),
             "top1": ft.test_top1,
-            "baseline_top1": baseline["top1"],
+            "baseline_top1": baseline_top1,
             "accuracy_drop": drop,
             "fpr": plan.fpr,
             "best_val_accuracy": ft.best_val_accuracy,
@@ -331,7 +313,7 @@ def cmd_report(cfg: dict) -> int:
     baseline = _read_json(base_path)
     # The baseline's data checksums stand in for this run's: a report
     # loads no data, and the seed and model checks still apply to it.
-    checksums = baseline.get("dataset_checksums")
+    checksums = baseline.get("dataset_checksums") if isinstance(baseline, dict) else None
     _check_upstream(cfg, checksums, baseline, base_path)
     search_path = out_root / "search" / "manifest.json"
     if search_path.is_file():
@@ -342,15 +324,16 @@ def cmd_report(cfg: dict) -> int:
         pruned = _read_json(pruned_path)
         _check_upstream(cfg, checksums, pruned, pruned_path)
 
+    def summary(path, manifest, *keys):
+        model = _field(path, "", manifest, "model", dict)
+        out = {"model": _field(path, "model: ", model, "name", str)}
+        return out | {k: _field(path, "", manifest, k, float) for k in keys}
+
     report_dir = out_root / "report"
     rows = summary_rows(
-        {"model": baseline["model"]["name"], "top1": baseline["top1"]},
-        None if pruned is None else {
-            "model": pruned["model"]["name"],
-            "method": "auto-pruned",
-            "top1": pruned["top1"],
-            "fpr": pruned["fpr"],
-        },
+        summary(base_path, baseline, "top1"),
+        None if pruned is None else
+        {**summary(pruned_path, pruned, "top1", "fpr"), "method": "auto-pruned"},
     )
     write_csv(rows, report_dir / "summary.csv")
 

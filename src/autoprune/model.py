@@ -14,7 +14,7 @@ are counted as zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -93,6 +93,26 @@ class ModelGraph:
         for p in self.parameters():
             p.requires_grad = flag
 
+    def arrays(self):
+        """Every parameter and bn running statistic as `(layer id, role,
+        array)`: parameters by layer id and role, then each bn's
+        `running_mean` and `running_var`.  Checkpoints list them in this order."""
+        for lid in sorted(self.params):
+            for role in sorted(self.params[lid]):
+                yield lid, role, self.params[lid][role].data
+        for lid in sorted(self.bn_stats):
+            yield lid, "running_mean", self.bn_stats[lid].mean
+            yield lid, "running_var", self.bn_stats[lid].var
+
+    def set_array(self, layer_id: int, role: str, array: np.ndarray) -> None:
+        """Replace the array `arrays` lists under `(layer_id, role)`."""
+        if role == "running_mean":
+            self.bn_stats[layer_id].mean = array
+        elif role == "running_var":
+            self.bn_stats[layer_id].var = array
+        else:
+            self.params[layer_id][role].data = array
+
 
 def _validate_graph(model: ModelGraph) -> None:
     ids = [l.id for l in model.layers]
@@ -110,13 +130,19 @@ def _validate_graph(model: ModelGraph) -> None:
             raise ValueError(f"layer {layer.id} ({layer.kind}) needs exactly one input")
         known.add(layer.id)
 
-    # each layer must take the width its inputs produce (the propagation
-    # refuses an add of unequal widths); only conv and linear change it
-    widths = _kept_channels(model, {})
+    # each layer must take the width its sources declare; only conv and
+    # linear change it
+    def width(lid):
+        return model.input_shape[0] if lid == INPUT else model.layer(lid).out_channels
+
     sizes = _spatial_map(model)
     for layer in model.layers:
-        src = model.preds[layer.id][0]
-        need = widths[src]
+        src, *other = model.preds[layer.id]
+        need = width(src)
+        if other and width(other[0]) != need:
+            raise ValueError(
+                f"add layer {layer.id} with unequal widths {need} and {width(other[0])}"
+            )
         if layer.kind == "linear":
             need *= sizes[src][0] * sizes[src][1]
         if layer.in_channels != need:
@@ -143,37 +169,51 @@ def _param(data, dtype) -> Tensor:
     return Tensor(data, requires_grad=True, dtype=dtype)
 
 
-def _he_conv(rng, cout, cin, kh, kw, dtype):
-    std = np.sqrt(2.0 / (cin * kh * kw))
-    return _param((rng.standard_normal((cout, cin, kh, kw)) * std).astype(dtype), dtype)
+def _init_params(layers: list[LayerSpec], dtype, rng: np.random.Generator | None = None):
+    """Parameters and bn running statistics for `layers`, stored in `dtype`.
 
+    With `rng`, conv and linear weights are He-normal draws taken in layer
+    order; without one they are zeros.  Biases and bn betas start at 0,
+    bn gammas at 1.
+    """
 
-def _linear_init(rng, d, k, dtype):
-    std = np.sqrt(2.0 / d)
-    w = _param((rng.standard_normal((d, k)) * std).astype(dtype), dtype)
-    b = _param(np.zeros(k, dtype=dtype), dtype)
-    return w, b
+    def weight(shape, fan_in):
+        if rng is None:
+            return np.zeros(shape, dtype=dtype)
+        return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
+
+    arrays: dict[int, dict[str, np.ndarray]] = {}
+    bn_stats: dict[int, RunningStats] = {}
+    for l in layers:
+        if l.kind == "conv":
+            kh, kw = l.kernel
+            fan_in = l.in_channels * kh * kw
+            arrays[l.id] = {"weight": weight((l.out_channels, l.in_channels, kh, kw), fan_in)}
+        elif l.kind == "bn":
+            arrays[l.id] = {"gamma": np.ones(l.out_channels, dtype=dtype),
+                            "beta": np.zeros(l.out_channels, dtype=dtype)}
+            bn_stats[l.id] = RunningStats.zeros(l.out_channels, dtype=dtype)
+        elif l.kind == "linear":
+            arrays[l.id] = {"weight": weight((l.in_channels, l.out_channels), l.in_channels),
+                            "bias": np.zeros(l.out_channels, dtype=dtype)}
+    params = {lid: {role: _param(a, dtype) for role, a in d.items()} for lid, d in arrays.items()}
+    return params, bn_stats
 
 
 class _Builder:
-    def __init__(self, dtype):
+    def __init__(self):
         self.layers: list[LayerSpec] = []
         self.preds: dict[int, tuple[int, ...]] = {}
-        self.params: dict[int, dict[str, Tensor]] = {}
-        self.bn_stats: dict[int, RunningStats] = {}
         self.mask_points: dict[int, int] = {}
-        self.dtype = dtype
-        self.next_id = 0
 
     def emit(self, kind: str, src, **kw) -> int:
-        lid = self.next_id
-        self.next_id += 1
+        lid = len(self.layers)
         self.layers.append(LayerSpec(id=lid, kind=kind, **kw))
         self.preds[lid] = tuple(src) if isinstance(src, (tuple, list)) else (src,)
         return lid
 
-    def conv(self, src, rng, cin, cout, k=3, stride=1, padding=1, prunable=False) -> int:
-        lid = self.emit(
+    def conv(self, src, cin, cout, k=3, stride=1, padding=1, prunable=False) -> int:
+        return self.emit(
             "conv",
             src,
             in_channels=cin,
@@ -183,17 +223,9 @@ class _Builder:
             padding=padding,
             prunable=prunable,
         )
-        self.params[lid] = {"weight": _he_conv(rng, cout, cin, k, k, self.dtype)}
-        return lid
 
     def bn(self, src, channels) -> int:
-        lid = self.emit("bn", src, in_channels=channels, out_channels=channels)
-        self.params[lid] = {
-            "gamma": _param(np.ones(channels, dtype=self.dtype), self.dtype),
-            "beta": _param(np.zeros(channels, dtype=self.dtype), self.dtype),
-        }
-        self.bn_stats[lid] = RunningStats.zeros(channels, dtype=self.dtype)
-        return lid
+        return self.emit("bn", src, in_channels=channels, out_channels=channels)
 
     def relu(self, src, channels) -> int:
         return self.emit("relu", src, in_channels=channels, out_channels=channels)
@@ -207,14 +239,11 @@ class _Builder:
     def add(self, a, b, channels) -> int:
         return self.emit("add", (a, b), in_channels=channels, out_channels=channels)
 
-    def head(self, src, rng, d, classes) -> int:
-        lid = self.emit("linear", src, in_channels=d, out_channels=classes)
-        w, b = _linear_init(rng, d, classes, self.dtype)
-        self.params[lid] = {"weight": w, "bias": b}
-        return lid
+    def head(self, src, d, classes) -> int:
+        return self.emit("linear", src, in_channels=d, out_channels=classes)
 
-    def conv_bn_relu(self, src, rng, cin, cout, stride=1, prunable=False):
-        c = self.conv(src, rng, cin, cout, stride=stride, prunable=prunable)
+    def conv_bn_relu(self, src, cin, cout, stride=1, prunable=False):
+        c = self.conv(src, cin, cout, stride=stride, prunable=prunable)
         b = self.bn(c, cout)
         r = self.relu(b, cout)
         if prunable:
@@ -245,46 +274,48 @@ def build_model(
         raise ValueError(f"input spatial dims must be divisible by 4, got {input_shape}")
     if num_classes < 2:
         raise ValueError(f"need at least two classes, got {num_classes}")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    b = _Builder(_param_dtype(dtype))
+    b = _Builder()
 
     if name == "cnn-small":
-        _, r1 = b.conv_bn_relu(INPUT, rng, cin, 16, prunable=True)
+        _, r1 = b.conv_bn_relu(INPUT, cin, 16, prunable=True)
         p1 = b.pool(r1, 16, "max", 2)
-        _, r2 = b.conv_bn_relu(p1, rng, 16, 32, prunable=True)
+        _, r2 = b.conv_bn_relu(p1, 16, 32, prunable=True)
         p2 = b.pool(r2, 32, "max", 2)
-        _, r3 = b.conv_bn_relu(p2, rng, 32, 32, prunable=True)
-        _, r4 = b.conv_bn_relu(r3, rng, 32, 64, prunable=True)
+        _, r3 = b.conv_bn_relu(p2, 32, 32, prunable=True)
+        _, r4 = b.conv_bn_relu(r3, 32, 64, prunable=True)
         g = b.pool(r4, 64, "avg", h // 4)
-        b.head(g, rng, 64, num_classes)
+        b.head(g, 64, num_classes)
     elif name == "resnet-tiny":
-        _, trunk = b.conv_bn_relu(INPUT, rng, cin, 16)
+        _, trunk = b.conv_bn_relu(INPUT, cin, 16)
         widths = (16, 32, 64)
         prev_c = 16
         for stage, cout in enumerate(widths):
             stride = 1 if stage == 0 else 2
-            _, r_in = b.conv_bn_relu(trunk, rng, prev_c, cout, stride=stride, prunable=True)
-            c2 = b.conv(r_in, rng, cout, cout)
+            _, r_in = b.conv_bn_relu(trunk, prev_c, cout, stride=stride, prunable=True)
+            c2 = b.conv(r_in, cout, cout)
             bn2 = b.bn(c2, cout)
             if stride == 1 and prev_c == cout:
                 short = trunk
             else:
-                sc = b.conv(trunk, rng, prev_c, cout, k=1, stride=stride, padding=0)
+                sc = b.conv(trunk, prev_c, cout, k=1, stride=stride, padding=0)
                 short = b.bn(sc, cout)
             s = b.add(bn2, short, cout)
             trunk = b.relu(s, cout)
             prev_c = cout
         g = b.pool(trunk, 64, "avg", h // 4)
-        b.head(g, rng, 64, num_classes)
+        b.head(g, 64, num_classes)
     else:
         raise ValueError(f"unknown model {name!r}; expected 'cnn-small' or 'resnet-tiny'")
 
+    params, bn_stats = _init_params(
+        b.layers, _param_dtype(dtype), rng if rng is not None else np.random.default_rng(0)
+    )
     model = ModelGraph(
         name=name,
         layers=b.layers,
         preds=b.preds,
-        params=b.params,
-        bn_stats=b.bn_stats,
+        params=params,
+        bn_stats=bn_stats,
         mask_points=b.mask_points,
         input_shape=tuple(input_shape),
         num_classes=num_classes,
@@ -394,30 +425,6 @@ def prunable_flops(model: ModelGraph) -> dict[int, int]:
     return {l.id: per_layer[l.id] for l in model.layers if l.prunable}
 
 
-def _kept_channels(model: ModelGraph, kept: dict[int, int]) -> dict[int, int]:
-    """Effective channel count flowing out of every layer under `kept`."""
-    out: dict[int, int] = {INPUT: model.input_shape[0]}
-    for layer in model.layers:
-        if layer.kind == "conv":
-            if layer.prunable:
-                k = kept.get(layer.id, layer.out_channels)
-                if not (1 <= k <= layer.out_channels):
-                    raise ValueError(
-                        f"kept count {k} out of range [1, {layer.out_channels}] for layer {layer.id}"
-                    )
-                out[layer.id] = k
-            else:
-                out[layer.id] = layer.out_channels
-        elif layer.kind == "add":
-            a, b_ = (out[p] for p in model.preds[layer.id])
-            if a != b_:
-                raise ValueError(f"add layer {layer.id} with unequal widths {a} and {b_}")
-            out[layer.id] = a
-        else:
-            out[layer.id] = out[model.preds[layer.id][0]]
-    return out
-
-
 def exact_flops_by_layer(model: ModelGraph, kept: dict[int, int] | None = None) -> dict[int, int]:
     """Per-layer FLOPs with channel counts reduced per `kept`.
 
@@ -427,24 +434,30 @@ def exact_flops_by_layer(model: ModelGraph, kept: dict[int, int] | None = None) 
     per-layer FLOPs.
     """
     kept = kept or {}
-    unknown = set(kept) - {l.id for l in model.layers if l.prunable}
+    unknown = set(kept) - set(model.prunable_ids())
     if unknown:
         raise ValueError(f"kept counts for non-prunable layers {sorted(unknown)}")
-    widths = _kept_channels(model, kept)
+    for i, k in kept.items():
+        c = model.layer(i).out_channels
+        if not (1 <= k <= c):
+            raise ValueError(f"kept count {k} out of range [1, {c}] for layer {i}")
+    flow, _ = _kept_index(model, {i: np.arange(k) for i, k in kept.items()})
     sizes = _spatial_map(model)
     out: dict[int, int] = {}
     for layer in model.layers:
+        src = flow[model.preds[layer.id][0]]
+        cin = layer.in_channels if src is None else len(src)
         if layer.kind == "conv":
-            cin = widths[model.preds[layer.id][0]]
-            cout = widths[layer.id]
+            cout = layer.out_channels if flow[layer.id] is None else len(flow[layer.id])
             oh, ow = sizes[layer.id]
             kh, kw = layer.kernel
             out[layer.id] = 2 * kh * kw * cin * cout * oh * ow
         elif layer.kind == "linear":
-            src = model.preds[layer.id][0]
-            cin_full = model.input_shape[0] if src == INPUT else model.layer(src).out_channels
-            per_channel = layer.in_channels // cin_full
-            out[layer.id] = 2 * widths[src] * per_channel * layer.out_channels
+            # the head's input features are its source's channels times their pixels
+            if src is not None:
+                h, w = sizes[model.preds[layer.id][0]]
+                cin *= h * w
+            out[layer.id] = 2 * cin * layer.out_channels
         else:
             out[layer.id] = 0
     return out
@@ -468,7 +481,7 @@ def _kept_index(model: ModelGraph, keep: dict[int, np.ndarray]):
     layer passes its input's channels through, so a bn takes its conv's
     ids, a conv takes its input's ids on axis 1, and the linear head the
     rows of its input's kept channels.  A full-width index is `slice(None)`;
-    a bn's running statistics take its gamma's index.
+    a bn's running statistics take the index of its gamma and beta.
     """
     flow: dict[int, np.ndarray | None] = {INPUT: None}  # channel ids out of each layer, None = all
     index: dict[int, dict[str, object]] = {}
@@ -486,7 +499,7 @@ def _kept_index(model: ModelGraph, keep: dict[int, np.ndarray]):
             flow[layer.id] = out
         elif layer.kind == "bn":
             idx = slice(None) if src is None else src
-            index[layer.id] = {"gamma": idx, "beta": idx}
+            index[layer.id] = dict.fromkeys(("gamma", "beta", "running_mean", "running_var"), idx)
             flow[layer.id] = src
         elif layer.kind == "add":
             if any(flow[p] is not None for p in pin):
@@ -523,7 +536,7 @@ def slice_channels(model: ModelGraph, keep: dict[int, np.ndarray]) -> ModelGraph
     }
     bn_stats = {}
     for lid, s in model.bn_stats.items():
-        idx = index[lid]["gamma"]
+        idx = index[lid]["running_mean"]
         bn_stats[lid] = RunningStats(s.mean[idx].copy(), s.var[idx].copy())
     layers = []
     for layer in model.layers:
@@ -554,13 +567,8 @@ def write_back(dense: ModelGraph, small: ModelGraph, keep: dict[int, np.ndarray]
     Entries the slice left out are never written.
     """
     _, index = _kept_index(dense, keep)
-    for lid, d in small.params.items():
-        for role, t in d.items():
-            dense.params[lid][role].data[index[lid][role]] = t.data
-    for lid, s in small.bn_stats.items():
-        idx = index[lid]["gamma"]
-        dense.bn_stats[lid].mean[idx] = s.mean
-        dense.bn_stats[lid].var[idx] = s.var
+    for (lid, role, whole), (_, _, part) in zip(dense.arrays(), small.arrays()):
+        whole[index[lid][role]] = part
 
 
 # ---------------------------------------------------------------------------
@@ -595,20 +603,7 @@ def model_to_table(model: ModelGraph) -> dict:
         "name": model.name,
         "input_shape": list(model.input_shape),
         "num_classes": model.num_classes,
-        "layers": [
-            {
-                "id": l.id,
-                "kind": l.kind,
-                "in_channels": l.in_channels,
-                "out_channels": l.out_channels,
-                "kernel": list(l.kernel),
-                "stride": l.stride,
-                "padding": l.padding,
-                "prunable": l.prunable,
-                "pool_kind": l.pool_kind,
-            }
-            for l in model.layers
-        ],
+        "layers": [{**asdict(l), "kernel": list(l.kernel)} for l in model.layers],
         "preds": {str(k): list(v) for k, v in model.preds.items()},
         "mask_points": {str(k): v for k, v in model.mask_points.items()},
     }
@@ -620,42 +615,10 @@ def model_from_table(table: dict, dtype=None) -> ModelGraph:
     Parameters and running statistics are stored in `dtype`, by default
     the engine's current default dtype.
     """
-    dtype = _param_dtype(dtype)
-    layers = [
-        LayerSpec(
-            id=e["id"],
-            kind=e["kind"],
-            in_channels=e["in_channels"],
-            out_channels=e["out_channels"],
-            kernel=tuple(e["kernel"]),
-            stride=e["stride"],
-            padding=e["padding"],
-            prunable=e["prunable"],
-            pool_kind=e["pool_kind"],
-        )
-        for e in table["layers"]
-    ]
-    params: dict[int, dict[str, Tensor]] = {}
-    bn_stats: dict[int, RunningStats] = {}
+    layers = [LayerSpec(**{f.name: e[f.name] for f in fields(LayerSpec)}) for e in table["layers"]]
     for l in layers:
-        if l.kind == "conv":
-            kh, kw = l.kernel
-            params[l.id] = {
-                "weight": _param(
-                    np.zeros((l.out_channels, l.in_channels, kh, kw), dtype=dtype), dtype
-                )
-            }
-        elif l.kind == "bn":
-            params[l.id] = {
-                "gamma": _param(np.ones(l.out_channels, dtype=dtype), dtype),
-                "beta": _param(np.zeros(l.out_channels, dtype=dtype), dtype),
-            }
-            bn_stats[l.id] = RunningStats.zeros(l.out_channels, dtype=dtype)
-        elif l.kind == "linear":
-            params[l.id] = {
-                "weight": _param(np.zeros((l.in_channels, l.out_channels), dtype=dtype), dtype),
-                "bias": _param(np.zeros(l.out_channels, dtype=dtype), dtype),
-            }
+        l.kernel = tuple(l.kernel)  # a list in JSON
+    params, bn_stats = _init_params(layers, _param_dtype(dtype))
     model = ModelGraph(
         name=table["name"],
         layers=layers,

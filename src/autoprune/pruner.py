@@ -173,20 +173,8 @@ class TrainResult:
     seconds: float = 0.0
 
 
-def _snapshot(model: ModelGraph):
-    params = {
-        (lid, role): t.data.copy() for lid, d in model.params.items() for role, t in d.items()
-    }
-    stats = {lid: s.copy() for lid, s in model.bn_stats.items()}
-    return params, stats
-
-
-def _restore(model: ModelGraph, snap) -> None:
-    params, stats = snap
-    for (lid, role), arr in params.items():
-        model.params[lid][role].data = arr.copy()
-    for lid, s in stats.items():
-        model.bn_stats[lid] = s.copy()
+def _snapshot(model: ModelGraph) -> list:
+    return [(lid, role, arr.copy()) for lid, role, arr in model.arrays()]
 
 
 def train_supervised(
@@ -252,7 +240,8 @@ def train_supervised(
             best_epoch = epoch
             best = _snapshot(model)
 
-    _restore(model, best)
+    for lid, role, arr in best:
+        model.set_array(lid, role, arr)
     if best_acc < 0:
         best_acc = evaluate(model, val.images, val.labels)
     return TrainResult(
@@ -295,21 +284,12 @@ def finetune(
 # checkpoints: JSON manifest + one raw little-endian float32 file per array
 
 
-def _param_files(model: ModelGraph):
-    for lid in sorted(model.params):
-        for role in sorted(model.params[lid]):
-            yield lid, role, model.params[lid][role].data
-    for lid in sorted(model.bn_stats):
-        yield lid, "running_mean", model.bn_stats[lid].mean
-        yield lid, "running_var", model.bn_stats[lid].var
-
-
 def save_checkpoint(model: ModelGraph, directory, extra: dict | None = None) -> Path:
     """Write the model into `directory`; returns the manifest path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     files = []
-    for lid, role, arr in _param_files(model):
+    for lid, role, arr in model.arrays():
         name = f"layer{lid:03d}.{role}.f32"
         arr.astype("<f4").tofile(directory / name)
         files.append({"file": name, "layer": lid, "role": role, "shape": list(arr.shape)})
@@ -367,7 +347,7 @@ def load_checkpoint(directory) -> tuple[ModelGraph, dict]:
         raise CheckpointError(f"{manifest_path}: model table has no field {e}") from e
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{manifest_path}: {e}") from e
-    expected = {(lid, role): arr.shape for lid, role, arr in _param_files(model)}
+    expected = {(lid, role): arr.shape for lid, role, arr in model.arrays()}
     seen = set()
     for n, entry in enumerate(_field(manifest_path, "", manifest, "arrays", list)):
         where = f"array entry {n}: "
@@ -389,13 +369,7 @@ def load_checkpoint(directory) -> tuple[ModelGraph, dict]:
         arr = np.fromfile(path, dtype="<f4").astype(np.float32)
         if arr.size != int(np.prod(shape)):
             raise CheckpointError(f"{path}: holds {arr.size} floats, expected shape {shape}")
-        arr = arr.reshape(shape)
-        if role == "running_mean":
-            model.bn_stats[lid].mean = arr
-        elif role == "running_var":
-            model.bn_stats[lid].var = arr
-        else:
-            model.params[lid][role].data = arr
+        model.set_array(lid, role, arr.reshape(shape))
     missing = sorted(expected.keys() - seen)
     if missing:
         lid, role = missing[0]

@@ -11,7 +11,7 @@ import shutil
 
 import pytest
 
-from autoprune.cli import ConfigError, _bool, apply_overrides, load_config, main
+from autoprune.cli import DEFAULTS, ConfigError, _bool, apply_overrides, load_config, main
 
 SMALL_CONFIG = """
 [run]
@@ -78,6 +78,16 @@ class TestConfig:
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/settings.ini")
+
+    def test_ini_spelling_out_every_default_loads_to_the_defaults(self, tmp_path):
+        text = "".join(
+            f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for section, keys in DEFAULTS.items()
+        )
+        cfg = load_config(write_config(tmp_path, text))
+        assert cfg == DEFAULTS
+        assert {s: {k: type(v) for k, v in keys.items()} for s, keys in cfg.items()} == \
+            {s: {k: type(v) for k, v in keys.items()} for s, keys in DEFAULTS.items()}
 
     def test_bool_values(self):
         for text, want in (("yes", True), ("ON", True), ("1", True),
@@ -311,6 +321,29 @@ class TestPipeline:
                 del result["plan"]["entries"][0]["kept_channel_ids"]
             path.write_text(json.dumps(result))
         assert main(["prune", "--config", cfg, "--data-dir", str(synthetic_mnist_dir),
+                     "--out", str(run), "--seed", "3"]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and message in err, err
+
+    @pytest.mark.parametrize("phase, damage, message", [
+        ("report", "drop top1", "field 'top1' is missing or not a number"),
+        ("report", "not an object", "field 'config' is missing or not an object"),
+        ("prune", "drop top1", "field 'top1' is missing or not a number"),
+    ])
+    def test_malformed_manifest_is_2(self, pipeline_run, synthetic_mnist_dir, tmp_path,
+                                     capsys, phase, damage, message):
+        out, _, cfg = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        # report reads the pruned manifest, prune the baseline's
+        path = run / ("pruned" if phase == "report" else "baseline") / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if damage == "drop top1":
+            del manifest["top1"]
+        else:
+            manifest = [1, 2]
+        path.write_text(json.dumps(manifest))
+        assert main([phase, "--config", cfg, "--data-dir", str(synthetic_mnist_dir),
                      "--out", str(run), "--seed", "3"]) == 2
         err = capsys.readouterr().err
         assert f"{path}: " in err and message in err, err

@@ -2,6 +2,7 @@
 and FLOPs accounting against hand-computed values."""
 
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -66,13 +67,25 @@ class TestArchitectures:
             for role in a.params[lid]:
                 assert np.array_equal(a.params[lid][role].data, b.params[lid][role].data)
 
+    @pytest.mark.parametrize("name, shape, digest", [
+        ("cnn-small", (1, 28, 28), "0fad5dc3347055127fcd2915a18c6b99974b0173aeab637b1188231e6a648b2e"),
+        ("resnet-tiny", (3, 32, 32), "fa9592aa103fc7487a759ea16b222fe9825fb060fea8f7a295423e0fd91020ae"),
+    ])
+    def test_seeded_build_golden_digest(self, name, shape, digest):
+        # pins the initial values and the order of the He-normal draws
+        m = build_model(name, 10, shape, rng=np.random.default_rng(0))
+        h = hashlib.sha256()
+        for _, _, a in m.arrays():
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest
+
     def test_table_roundtrip_preserves_structure(self):
-        m = small_model()
-        m2 = model_from_table(model_to_table(m))
-        assert [l.kind for l in m2.layers] == [l.kind for l in m.layers]
-        assert m2.preds == m.preds
-        assert m2.mask_points == m.mask_points
-        assert exact_flops_by_layer(m2) == exact_flops_by_layer(m)
+        for m in (small_model(), build_model("resnet-tiny", 10, (3, 32, 32))):
+            m2 = model_from_table(model_to_table(m))
+            assert m2.layers == m.layers
+            assert m2.preds == m.preds
+            assert m2.mask_points == m.mask_points
+            assert exact_flops_by_layer(m2) == exact_flops_by_layer(m)
 
 
 def _set(table, layer_id, **fields):

@@ -269,6 +269,27 @@ class TestTrainer:
         assert evaluate(model, val.images, val.labels) == res.best_val_accuracy
         assert 0 <= res.best_epoch < 3
 
+    def test_restores_every_array_of_the_best_epoch(self, monkeypatch):
+        import autoprune.pruner as pruner
+
+        model = small_model(seed=1)
+        seen = []
+
+        def falling_accuracy(m, images, labels):
+            # the first epoch scores best, so the trainer must roll back
+            seen.append([a.copy() for _, _, a in m.arrays()])
+            return 0.9 - 0.3 * len(seen)
+
+        monkeypatch.setattr(pruner, "evaluate", falling_accuracy)
+        res = train_supervised(model, toy_problem(64), toy_problem(32, seed=1), epochs=3,
+                               lr_max=0.05, lr_min=0.001, batch_size=32, seed=0)
+        assert res.best_epoch == 0 and len(seen) == 3
+        arrays = list(model.arrays())
+        assert {role for _, role, _ in arrays} >= {"running_mean", "running_var"}
+        for (lid, role, got), best, last in zip(arrays, seen[0], seen[-1]):
+            assert np.array_equal(got, best), (lid, role)
+            assert not np.array_equal(got, last), (lid, role)
+
     def test_zero_epochs_is_evaluate_only(self):
         model = small_model(seed=1)
         val = toy_problem(32, seed=1)
