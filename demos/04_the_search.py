@@ -92,4 +92,5 @@ print(format_table(rows))
 # The plan rounds each ratio into a kept count; it reads only the layer
 # widths and the rankings the search's final masks used.
 plan = finalize_plan(model, mid.ratios, mid.rankings)
-print(f"final kept channels per layer: {plan.kept()}")
+print("final kept channels per layer:", {i: len(e.kept_channel_ids) for i, e in plan.entries.items()})
+print(f"plan FPR {plan.fpr:.3f}, the search's own figure {mid.fpr_exact:.3f}")

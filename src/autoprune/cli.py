@@ -79,7 +79,7 @@ def load_config(path: str | None) -> dict:
     cfg = {s: dict(v) for s, v in DEFAULTS.items()}
     if path is None:
         return cfg
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
@@ -219,6 +219,11 @@ def cmd_pretrain(cfg: dict) -> int:
 
 def cmd_search(cfg: dict) -> int:
     t0 = time.perf_counter()
+    sc = SearchConfig(**cfg["search"], seed=cfg["run"]["seed"])
+    try:
+        sc.validate()
+    except ValueError as e:
+        raise ConfigError(f"bad [search] setting: {e}") from e
     out_root = Path(cfg["run"]["out_dir"])
     base_dir = out_root / "baseline"
     if not (base_dir / "manifest.json").is_file():
@@ -227,7 +232,6 @@ def cmd_search(cfg: dict) -> int:
     train, val, test = _splits(cfg)
     _check_upstream(cfg, train.checksums, base_manifest, base_dir / "manifest.json")
 
-    sc = SearchConfig(**cfg["search"], seed=cfg["run"]["seed"])
     result = run_search(model, train, val, sc)
 
     out = out_root / "search"
@@ -276,7 +280,7 @@ def cmd_prune(cfg: dict) -> int:
     _check_upstream(cfg, train.checksums, search_manifest, search_dir / "manifest.json")
     baseline_top1 = _field(base_dir / "manifest.json", "", baseline, "top1", float)
 
-    plan = PruningPlan.from_dict(_field(result_path, "", result, "plan", dict), result_path)
+    plan = PruningPlan.from_dict(_field(result_path, "", result, "plan", dict), model, result_path)
     pruned = export_pruned(model, plan)
     f = cfg["finetune"]
     ft = finetune(

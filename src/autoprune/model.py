@@ -128,7 +128,18 @@ def _validate_graph(model: ModelGraph) -> None:
             raise ValueError(f"add layer {layer.id} needs exactly two inputs")
         if layer.kind != "add" and len(pin) != 1:
             raise ValueError(f"layer {layer.id} ({layer.kind}) needs exactly one input")
+        if layer.kind in ("conv", "pool") and (min(*layer.kernel, layer.stride) < 1 or layer.padding < 0):
+            raise ValueError(f"layer {layer.id} ({layer.kind}) needs a kernel and stride of at least 1 "
+                             f"and a nonnegative padding, got kernel {layer.kernel}, stride "
+                             f"{layer.stride}, padding {layer.padding}")
         known.add(layer.id)
+
+    # each prunable conv is masked after the relu that follows its bn (`conv_bn_relu`)
+    consumer = {(model.preds[l.id], l.kind): l.id for l in model.layers}
+    want = {c: consumer.get(((consumer.get(((c,), "bn")),), "relu")) for c in model.prunable_ids()}
+    if model.mask_points != want or None in want.values():
+        raise ValueError(f"mask points {model.mask_points} must map each prunable conv to the relu "
+                         f"after its bn, {want}")
 
     # each layer must take the width its sources declare; only conv and
     # linear change it
@@ -618,6 +629,9 @@ def model_from_table(table: dict, dtype=None) -> ModelGraph:
     layers = [LayerSpec(**{f.name: e[f.name] for f in fields(LayerSpec)}) for e in table["layers"]]
     for l in layers:
         l.kernel = tuple(l.kernel)  # a list in JSON
+    for key in ("preds", "mask_points"):
+        if not isinstance(table[key], dict):
+            raise ValueError(f"model table field {key!r} is not an object")
     params, bn_stats = _init_params(layers, _param_dtype(dtype))
     model = ModelGraph(
         name=table["name"],

@@ -1,8 +1,10 @@
 """Turning searched ratios into a physically smaller network.
 
-The plan rounds each ratio half-up into a kept-channel count (never
-below one), selects the top-ranked channels, and freezes those index
-sets.  Export then slices conv output channels, the matching bn
+A plan is the kept channel ids of each prunable conv and nothing else:
+each ratio rounds half-up into a kept count (never below one), and the
+top-ranked channels survive.  Its FLOPs pruning ratio comes from the
+model the plan is checked against, never from a file.  Export then
+slices conv output channels, the matching bn
 parameters and running statistics, downstream conv input channels, and
 the linear head's input features.  A sliced forward pass is numerically
 identical to masking the same channels to zero in the dense model.
@@ -28,14 +30,14 @@ from .masking import ChannelRanking, kept_count, rank_channels
 from .model import (
     ModelGraph,
     evaluate,
-    exact_flops_by_layer,
+    exact_flops_by_layer,  # unused here; perfbench's tracer times it on this module too
     exact_model_flops,
     forward,
     model_from_table,
     model_to_table,
     slice_channels,
 )
-from .search import cosine_lr, nonfinite_grads, sgd_step
+from .search import _exact_fpr, cosine_lr, nonfinite_grads, sgd_step
 from .tensor import backward, softmax_cross_entropy, zero_grad
 
 
@@ -46,48 +48,57 @@ class CheckpointError(ValueError):
 @dataclass
 class PlanEntry:
     layer_id: int
-    ratio: float
-    kept_count: int
     kept_channel_ids: list[int]
-    flops_before: int
-    flops_after: int
 
 
 @dataclass
 class PruningPlan:
-    """Frozen channel selections plus the FLOPs ledger."""
+    """The channel ids each prunable conv keeps, and the FPR they give on
+    the model the plan was built against (see `_checked_plan`)."""
 
     entries: dict[int, PlanEntry]
-    flops_full: int
-    flops_pruned: int
-
-    @property
-    def fpr(self) -> float:
-        return 1.0 - self.flops_pruned / self.flops_full
-
-    def kept(self) -> dict[int, int]:
-        return {i: e.kept_count for i, e in self.entries.items()}
+    fpr: float
 
     def to_dict(self) -> dict:
-        return {
-            "flops_full": self.flops_full,
-            "flops_pruned": self.flops_pruned,
-            "fpr": self.fpr,
-            "entries": [asdict(e) for e in self.entries.values()],
-        }
+        return {"entries": [asdict(e) for e in self.entries.values()]}
 
     @classmethod
-    def from_dict(cls, d: dict, path="<plan>") -> "PruningPlan":
-        """Read back `to_dict` output; a missing or mistyped field raises
+    def from_dict(cls, d: dict, model: ModelGraph, path="<plan>") -> "PruningPlan":
+        """Read back `to_dict` output as a plan for `model`; a missing or
+        mistyped field, or a plan `_checked_plan` refuses, raises
         `CheckpointError` naming `path`, the file `d` came from."""
-        kinds = {"layer_id": int, "ratio": float, "kept_count": int, "kept_channel_ids": list,
-                 "flops_before": int, "flops_after": int}
-        entries = {}
-        for n, e in enumerate(_field(path, "plan: ", d, "entries", list)):
-            entry = PlanEntry(**{k: _field(path, f"plan entry {n}: ", e, k, t) for k, t in kinds.items()})
-            entries[entry.layer_id] = entry
-        full, pruned = (_field(path, "plan: ", d, k, int) for k in ("flops_full", "flops_pruned"))
-        return cls(entries, full, pruned)
+        kinds = {"layer_id": int, "kept_channel_ids": list}
+        entries = [
+            PlanEntry(**{k: _field(path, f"plan entry {n}: ", e, k, t) for k, t in kinds.items()})
+            for n, e in enumerate(_field(path, "plan: ", d, "entries", list))
+        ]
+        try:
+            return _checked_plan(model, entries)
+        except ValueError as e:
+            raise CheckpointError(f"{path}: {e}") from e
+
+
+def _checked_plan(model: ModelGraph, entries: list[PlanEntry]) -> PruningPlan:
+    """The plan `entries` make for `model`, with its FPR.  `ValueError`
+    unless they name every prunable conv exactly once, each with
+    nonempty, ascending, unique channel ids in range."""
+    prunable = model.prunable_ids()
+    plan: dict[int, PlanEntry] = {}
+    for n, e in enumerate(entries):
+        i, ids = e.layer_id, e.kept_channel_ids
+        if i not in prunable:
+            raise ValueError(f"plan entry {n}: layer {i} is not a prunable conv of model {model.name!r}")
+        if i in plan:
+            raise ValueError(f"plan entry {n}: layer {i} is named more than once")
+        c = model.layer(i).out_channels
+        if not ids or any(a >= b for a, b in zip(ids, ids[1:])) or ids[0] < 0 or ids[-1] >= c:
+            raise ValueError(f"plan entry {n}: layer {i} channel ids must be nonempty, ascending, "
+                             f"unique and in [0, {c})")
+        plan[i] = e
+    missing = sorted(set(prunable) - plan.keys())
+    if missing:
+        raise ValueError(f"plan names no entry for prunable conv {missing[0]}")
+    return PruningPlan(plan, _exact_fpr(model, {i: len(e.kept_channel_ids) for i, e in plan.items()}))
 
 
 def finalize_plan(
@@ -102,60 +113,24 @@ def finalize_plan(
     so the plan keeps the channels the search trained.  The kept ids are
     the top `kept_count` ranks, reported in ascending channel order.
     """
-    prunable = {l.id for l in model.layers if l.prunable}
+    prunable = set(model.prunable_ids())
     if set(ratios) != prunable:
         raise ValueError(f"ratios cover layers {sorted(ratios)}, expected {sorted(prunable)}")
     if rankings is None:
         rankings = {i: rank_channels(model.params[i]["weight"]) for i in prunable}
-
-    kept_counts = {}
+    entries = []
     for i in sorted(ratios):
-        c = model.layer(i).out_channels
-        kept_counts[i] = kept_count(ratios[i], c)
-
-    before = exact_flops_by_layer(model)
-    after = exact_flops_by_layer(model, kept_counts)
-    entries = {}
-    for i in sorted(ratios):
-        k = kept_counts[i]
-        ids = np.sort(rankings[i].order[:k])
-        entries[i] = PlanEntry(
-            layer_id=i,
-            ratio=float(ratios[i]),
-            kept_count=k,
-            kept_channel_ids=[int(v) for v in ids],
-            flops_before=before[i],
-            flops_after=after[i],
-        )
-    return PruningPlan(
-        entries=entries,
-        flops_full=sum(before.values()),
-        flops_pruned=sum(after.values()),
-    )
+        k = kept_count(ratios[i], model.layer(i).out_channels)
+        entries.append(PlanEntry(i, sorted(int(v) for v in rankings[i].order[:k])))
+    return _checked_plan(model, entries)
 
 
 def export_pruned(model: ModelGraph, plan: PruningPlan) -> ModelGraph:
-    """Build a physically smaller model holding only the plan's kept channels.
-
-    The plan must name, for each of its layers, `kept_count` ascending
-    unique channel ids in range; the model is then cut down by
-    `slice_channels`.
-    """
-    for i, e in plan.entries.items():
-        c = model.layer(i).out_channels
-        if not (1 <= e.kept_count <= c):
-            raise ValueError(f"plan keeps {e.kept_count} of {c} channels at layer {i}")
-        if sorted(e.kept_channel_ids) != e.kept_channel_ids or len(set(e.kept_channel_ids)) != len(
-            e.kept_channel_ids
-        ):
-            raise ValueError(f"plan channel ids for layer {i} must be ascending and unique")
-        if len(e.kept_channel_ids) != e.kept_count:
-            raise ValueError(f"plan layer {i}: {len(e.kept_channel_ids)} ids for count {e.kept_count}")
-        if e.kept_channel_ids and (e.kept_channel_ids[0] < 0 or e.kept_channel_ids[-1] >= c):
-            raise ValueError(f"plan layer {i}: channel id out of range [0, {c})")
-
-    keep = {i: np.asarray(e.kept_channel_ids, dtype=np.int64) for i, e in plan.entries.items()}
-    return slice_channels(model, keep)
+    """Build a physically smaller model holding only the plan's kept
+    channels, by `slice_channels`."""
+    return slice_channels(
+        model, {i: np.asarray(e.kept_channel_ids, dtype=np.int64) for i, e in plan.entries.items()}
+    )
 
 
 # ---------------------------------------------------------------------------

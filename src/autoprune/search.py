@@ -80,12 +80,9 @@ class SearchConfig:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
         if self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.ranking_interval < 1:
-            raise ValueError(f"ranking interval must be >= 1, got {self.ranking_interval}")
+        for name in ("epochs", "batch_size", "ranking_interval", "log_interval", "probe_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for lo, hi, tag in (
             (self.lr_w_min, self.lr_w_max, "weight"),
             (self.lr_r_min, self.lr_r_max, "ratio"),
@@ -286,10 +283,10 @@ def _rebuild_masks(ratios, rankings) -> dict[int, ChannelMask]:
     return {i: build_mask(ratios[i], rankings[i].channels, rankings[i]) for i in ratios}
 
 
-def _exact_fpr(model: ModelGraph, ratios: dict[int, float]) -> float:
-    full = exact_model_flops(model)
-    kept = {i: kept_count(ratios[i], model.layer(i).out_channels) for i in ratios}
-    return 1.0 - exact_model_flops(model, kept) / full
+def _exact_fpr(model: ModelGraph, kept: dict[int, int]) -> float:
+    """The FLOPs pruning ratio of keeping `kept[i]` output channels of each
+    conv `i`: the one FPR formula, shared by the search's log and the plan."""
+    return 1.0 - exact_model_flops(model, kept) / exact_model_flops(model)
 
 
 def _batch_stream(ds: Dataset, batch_size: int, seed: int):
@@ -344,6 +341,9 @@ def run_search(
     it = 0
     bd = None
 
+    def exact_fpr() -> float:
+        return _exact_fpr(model, {i: kept_count(ratios[i], rankings[i].channels) for i in ids})
+
     def log_row(iteration: int, lr_w: float, lr_r: float, breakdown: LossBreakdown) -> None:
         net, _, mask_vecs = _active_view(model, masks)
         acc = evaluate(net, probe_x, probe_y, batch_size=256, masks=mask_vecs)
@@ -358,7 +358,7 @@ def run_search(
             "val_accuracy": acc,
             # the FLOPs-weighted mean ratio is the cost at exponent 1
             "fpr_surrogate": 1.0 - flops_cost([ratios[i] for i in ids], [flops[i] for i in ids], 1.0),
-            "fpr_exact": _exact_fpr(model, ratios),
+            "fpr_exact": exact_fpr(),
         }
         for i in ids:
             row[f"ratio_{i}"] = ratios[i]
@@ -425,5 +425,5 @@ def run_search(
         iterations=it,
         epochs_run=it / iters_per_epoch,
         converged=converged,
-        fpr_exact=_exact_fpr(model, ratios),
+        fpr_exact=exact_fpr(),
     )

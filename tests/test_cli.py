@@ -6,12 +6,17 @@ exercise wiring and determinism rather than accuracy.
 """
 
 import argparse
+import configparser
 import json
+import re
 import shutil
+from pathlib import Path
 
 import pytest
 
 from autoprune.cli import DEFAULTS, ConfigError, _bool, apply_overrides, load_config, main
+from autoprune.model import exact_model_flops
+from autoprune.pruner import load_checkpoint
 
 SMALL_CONFIG = """
 [run]
@@ -89,6 +94,14 @@ class TestConfig:
         assert {s: {k: type(v) for k, v in keys.items()} for s, keys in cfg.items()} == \
             {s: {k: type(v) for k, v in keys.items()} for s, keys in DEFAULTS.items()}
 
+    def test_readme_example_spells_out_the_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        assert load_config(write_config(tmp_path, text)) == DEFAULTS
+        parser = configparser.ConfigParser()
+        parser.read_string(text)
+        assert set(parser["search"]) == set(DEFAULTS["search"])
+
     def test_bool_values(self):
         for text, want in (("yes", True), ("ON", True), ("1", True),
                            ("no", False), ("Off", False), ("0", False)):
@@ -119,6 +132,18 @@ class TestExitCodes:
             path = write_config(tmp_path, f"[search]\n{line}\n")
             assert run_cli("describe", "--config", path) == 2, line
             assert "unknown config key" in capsys.readouterr().err, line
+
+    @pytest.mark.parametrize("line, message", [
+        ("alpha = -1", "alpha must be nonnegative, got -1.0"),
+        ("log_interval = 0", "log_interval must be >= 1, got 0"),
+        ("probe_size = 0", "probe_size must be >= 1, got 0"),
+        ("probe_size = -3", "probe_size must be >= 1, got -3"),
+    ])
+    def test_bad_search_value_is_2_before_any_file_is_read(self, tmp_path, capsys, line, message):
+        # no baseline and no data: the config is refused first
+        path = write_config(tmp_path, f"[search]\n{line}\n")
+        assert run_cli("search", "--config", path, "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"error: bad [search] setting: {message}\n"
 
     def test_missing_data_dir_is_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("AUTOPRUNE_DATA_DIR", raising=False)
@@ -288,8 +313,16 @@ class TestPipeline:
         assert manifest["accuracy_drop"] == pytest.approx(
             manifest["baseline_top1"] - manifest["top1"]
         )
-        plan = manifest["plan"]
-        assert plan["flops_pruned"] <= plan["flops_full"]
+        # the plan is the kept ids, one entry per prunable conv; FPR comes from the models
+        dense, _ = load_checkpoint(out / "search")
+        pruned, _ = load_checkpoint(out / "pruned")
+        entries = manifest["plan"]["entries"]
+        assert list(manifest["plan"]) == ["entries"]
+        assert [sorted(e) for e in entries] == [["kept_channel_ids", "layer_id"]] * len(entries)
+        assert [e["layer_id"] for e in entries] == dense.prunable_ids()
+        for e in entries:
+            assert pruned.layer(e["layer_id"]).out_channels == len(e["kept_channel_ids"])
+        assert manifest["fpr"] == 1.0 - exact_model_flops(pruned) / exact_model_flops(dense)
 
     def test_report_artifacts(self, pipeline_run):
         out, _, _ = pipeline_run
@@ -303,6 +336,14 @@ class TestPipeline:
         ("truncate", "line 1 column"),
         ("drop plan", "field 'plan' is missing or not an object"),
         ("drop ids", "plan entry 0: field 'kept_channel_ids' is missing or not a list of integers"),
+        ("drop entry 0", "plan names no entry for prunable conv 0"),
+        ("layer -1", "plan entry 0: layer -1 is not a prunable conv"),
+        ("layer 1e9", "plan entry 0: layer 1000000000 is not a prunable conv"),
+        ("layer 1", "plan entry 0: layer 1 is not a prunable conv"),
+        ("repeat entry 0", "plan entry 4: layer 0 is named more than once"),
+        ("reverse ids", "plan entry 0: layer 0 channel ids must be nonempty, ascending, unique"),
+        ("empty ids", "plan entry 0: layer 0 channel ids must be nonempty"),
+        ("id 16", "plan entry 0: layer 0 channel ids must be nonempty, ascending, unique and in [0, 16)"),
     ])
     def test_malformed_search_result_is_2(self, pipeline_run, synthetic_mnist_dir, tmp_path,
                                           capsys, damage, message):
@@ -312,18 +353,31 @@ class TestPipeline:
         path = run / "search" / "result.json"
         text = path.read_text()
         result = json.loads(text)
+        entries = result["plan"]["entries"]
+        ids = entries[0]["kept_channel_ids"]
         if damage == "truncate":
-            path.write_text(text[: len(text) // 2].replace("\n", " "))
+            text = text[: len(text) // 2].replace("\n", " ")
+        elif damage == "drop plan":
+            del result["plan"]
+        elif damage == "drop ids":
+            del entries[0]["kept_channel_ids"]
+        elif damage == "drop entry 0":
+            del entries[0]
+        elif damage.startswith("layer "):
+            entries[0]["layer_id"] = int(float(damage.split()[1]))
+        elif damage == "repeat entry 0":
+            entries.append(entries[0])
+        elif damage == "reverse ids":
+            entries[0]["kept_channel_ids"] = [ids[-1], ids[0]]
+        elif damage == "empty ids":
+            ids.clear()
         else:
-            if damage == "drop plan":
-                del result["plan"]
-            else:
-                del result["plan"]["entries"][0]["kept_channel_ids"]
-            path.write_text(json.dumps(result))
+            ids[-1] = 16
+        path.write_text(text if damage == "truncate" else json.dumps(result))
         assert main(["prune", "--config", cfg, "--data-dir", str(synthetic_mnist_dir),
                      "--out", str(run), "--seed", "3"]) == 2
         err = capsys.readouterr().err
-        assert f"{path}: " in err and message in err, err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1 and message in err, err
 
     @pytest.mark.parametrize("phase, damage, message", [
         ("report", "drop top1", "field 'top1' is missing or not a number"),

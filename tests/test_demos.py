@@ -1,6 +1,6 @@
 """Smoke tests for the scripts in demos/: each runs to completion in a
-fresh working directory, and the MNIST pipeline demo fails cleanly
-when it has no data."""
+fresh working directory, the MNIST pipeline demo on synthetic MNIST
+files too, and that demo fails cleanly when it has no data."""
 
 import os
 import subprocess
@@ -31,6 +31,14 @@ def run_demo(script, cwd, *args):
 def test_demo_runs(script, tmp_path):
     proc = run_demo(script, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_pipeline_demo_runs(tmp_path, synthetic_mnist_dir):
+    proc = run_demo("06_the_pipeline.py", tmp_path, "--data-dir", str(synthetic_mnist_dir),
+                    "--out", str(tmp_path / "run"))
+    assert proc.returncode == 0, proc.stderr
+    assert "search kept:" in proc.stdout
+    assert (tmp_path / "run" / "report" / "summary.csv").is_file()
 
 
 def test_pipeline_demo_needs_mnist(tmp_path):

@@ -65,10 +65,7 @@ class TestFinalizePlan:
         ratios[ids[2]] = 8.5 / 32  # exactly half: rounds up to 9
         ratios[ids[3]] = 1.0 / 64  # floor of one channel
         plan = finalize_plan(model, ratios)
-        assert plan.entries[ids[0]].kept_count == 9
-        assert plan.entries[ids[1]].kept_count == 8
-        assert plan.entries[ids[2]].kept_count == 9
-        assert plan.entries[ids[3]].kept_count == 1
+        assert [len(plan.entries[i].kept_channel_ids) for i in ids] == [9, 8, 9, 1]
 
     def test_kept_ids_are_top_ranked_ascending(self):
         model = small_model()
@@ -81,13 +78,12 @@ class TestFinalizePlan:
         assert e.kept_channel_ids == sorted(int(c) for c in ranking.order[:8])
         assert all(isinstance(c, int) for c in e.kept_channel_ids)
 
-    def test_flops_ledger_is_consistent(self):
+    def test_fpr_is_the_exported_models(self):
         model = small_model()
         ratios = {i: 0.5 for i in model.prunable_ids()}
         plan = finalize_plan(model, ratios)
-        assert plan.flops_full == exact_model_flops(model)
-        assert plan.flops_pruned == exact_model_flops(model, plan.kept())
-        assert plan.fpr == pytest.approx(1.0 - plan.flops_pruned / plan.flops_full)
+        pruned = export_pruned(model, plan)
+        assert plan.fpr == 1.0 - exact_model_flops(pruned) / exact_model_flops(model)
         assert 0.0 < plan.fpr < 1.0
 
     def test_coverage_must_be_exact(self):
@@ -103,7 +99,9 @@ class TestFinalizePlan:
         model = small_model()
         plan = finalize_plan(model, {i: 0.6 for i in model.prunable_ids()})
         blob = json.dumps(plan.to_dict())
-        back = PruningPlan.from_dict(json.loads(blob))
+        assert json.loads(blob) == {"entries": [{"layer_id": i, "kept_channel_ids": e.kept_channel_ids}
+                                                for i, e in plan.entries.items()]}
+        back = PruningPlan.from_dict(json.loads(blob), model)
         assert back.entries == plan.entries
         assert back.fpr == plan.fpr
 
@@ -136,6 +134,14 @@ class TestPlanFromSearch:
         sliced = logits_of(export_pruned(model, plan), x)
         assert np.abs(dense - sliced).max() <= 1e-5
 
+    def test_search_and_plan_report_one_fpr(self):
+        model = small_model()
+        cfg = SearchConfig(alpha=50.0, epochs=2, batch_size=16, lr_w_max=0.05, lr_r_max=0.2,
+                           lr_r_min=0.01, ranking_interval=3, log_interval=1000, probe_size=16)
+        result = run_search(model, toy_problem(64, seed=0), toy_problem(32, seed=1), cfg)
+        assert result.fpr_exact > 0.0
+        assert result.fpr_exact == finalize_plan(model, result.ratios, result.rankings).fpr
+
 
 class TestExport:
     def test_widths_shrink_to_plan(self):
@@ -144,8 +150,7 @@ class TestExport:
         plan = finalize_plan(model, ratios)
         pruned = export_pruned(model, plan)
         for i, e in plan.entries.items():
-            assert pruned.layer(i).out_channels == e.kept_count
-        assert exact_model_flops(pruned) == plan.flops_pruned
+            assert pruned.layer(i).out_channels == len(e.kept_channel_ids)
 
     @pytest.mark.parametrize(
         "name, shape", [("cnn-small", (1, 8, 8)), ("resnet-tiny", (3, 16, 16))]
@@ -158,8 +163,9 @@ class TestExport:
             ratios = {i: float(rng.uniform(1.0 / model.layer(i).out_channels, 1.0)) for i in ids}
             plan = finalize_plan(model, ratios)
             pruned = export_pruned(model, plan)
-            assert exact_flops_by_layer(pruned) == exact_flops_by_layer(model, plan.kept())
-            assert exact_model_flops(pruned) == plan.flops_pruned
+            kept = {i: len(e.kept_channel_ids) for i, e in plan.entries.items()}
+            assert exact_flops_by_layer(pruned) == exact_flops_by_layer(model, kept)
+            assert plan.fpr == 1.0 - exact_model_flops(pruned) / exact_model_flops(model)
 
     def test_full_plan_reproduces_logits_bitwise(self):
         model = small_model()
@@ -203,38 +209,33 @@ class TestExport:
         sliced = logits_of(pruned, x)
         np.testing.assert_allclose(dense, sliced, rtol=1e-5, atol=1e-5)
         for i, e in plan.entries.items():
-            assert pruned.layer(i).out_channels == e.kept_count
+            assert pruned.layer(i).out_channels == len(e.kept_channel_ids)
 
     def test_malformed_plans_rejected(self):
         model = small_model()
         plan = finalize_plan(model, {i: 0.5 for i in model.prunable_ids()})
-        lid = model.prunable_ids()[0]
 
-        bad = PruningPlan.from_dict(plan.to_dict())
-        bad.entries[lid].kept_channel_ids = bad.entries[lid].kept_channel_ids[::-1]
-        with pytest.raises(ValueError, match="ascending"):
-            export_pruned(model, bad)
+        def damaged(edit):
+            d = plan.to_dict()
+            edit(d["entries"], d["entries"][0]["kept_channel_ids"])  # layer 0 keeps 8 of 16
+            return d
 
-        bad = PruningPlan.from_dict(plan.to_dict())
-        bad.entries[lid].kept_channel_ids[0] = bad.entries[lid].kept_channel_ids[1]
-        with pytest.raises(ValueError, match="ascending and unique"):
-            export_pruned(model, bad)
-
-        bad = PruningPlan.from_dict(plan.to_dict())
-        bad.entries[lid].kept_channel_ids = bad.entries[lid].kept_channel_ids[:-1]
-        with pytest.raises(ValueError, match="ids for count"):
-            export_pruned(model, bad)
-
-        bad = PruningPlan.from_dict(plan.to_dict())
-        bad.entries[lid].kept_channel_ids[-1] = 16
-        with pytest.raises(ValueError, match="out of range"):
-            export_pruned(model, bad)
-
-        bad = PruningPlan.from_dict(plan.to_dict())
-        bad.entries[lid].kept_count = 0
-        bad.entries[lid].kept_channel_ids = []
-        with pytest.raises(ValueError, match="keeps 0"):
-            export_pruned(model, bad)
+        ids_rule = "plan entry 0: layer 0 channel ids must be nonempty"
+        for edit, message in [
+            (lambda entries, ids: ids.reverse(), f"{ids_rule}, ascending"),
+            (lambda entries, ids: ids.__setitem__(0, ids[1]), f"{ids_rule}, ascending, unique"),
+            (lambda entries, ids: ids.__setitem__(-1, 16), rf"{ids_rule}, .* in \[0, 16\)"),
+            (lambda entries, ids: ids.clear(), ids_rule),
+            (lambda entries, ids: entries.pop(0), "plan names no entry for prunable conv 0"),
+            (lambda entries, ids: entries.append(entries[0]), "plan entry 4: layer 0 is named more than once"),
+            (lambda entries, ids: entries[0].update(layer_id=1), "plan entry 0: layer 1 is not a prunable conv"),
+        ]:
+            with pytest.raises(CheckpointError, match=f"plan.json: {message}"):
+                PruningPlan.from_dict(damaged(edit), model, "plan.json")
+        # with no stored count, one id fewer is a smaller plan with the FPR of its own widths
+        smaller = PruningPlan.from_dict(damaged(lambda entries, ids: ids.pop()), model)
+        assert smaller.fpr > plan.fpr
+        assert smaller.fpr == 1.0 - exact_model_flops(export_pruned(model, smaller)) / exact_model_flops(model)
 
     def test_export_does_not_alias_source_arrays(self):
         model = small_model()
@@ -357,7 +358,7 @@ class TestCheckpoints:
         pruned = export_pruned(model, plan)
         save_checkpoint(pruned, tmp_path / "ck", extra={"plan": plan.to_dict()})
         back, manifest = load_checkpoint(tmp_path / "ck")
-        assert PruningPlan.from_dict(manifest["plan"]).kept() == plan.kept()
+        assert PruningPlan.from_dict(manifest["plan"], model) == plan
         x = np.random.default_rng(2).standard_normal((3, 1, 8, 8)).astype(np.float32)
         assert np.array_equal(logits_of(pruned, x), logits_of(back, x))
 
@@ -470,6 +471,44 @@ class TestCheckpoints:
         del manifest["model"]["layers"][2]["kernel"]
         path.write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError, match="manifest.json: model table has no field 'kernel'"):
+            load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("damage, message", [
+        ("conv stride 0", "layer 0 \\(conv\\) needs a kernel and stride of at least 1"),
+        ("conv stride -1", "layer 0 \\(conv\\) needs a kernel and stride of at least 1"),
+        ("conv padding -1", "and a nonnegative padding, got kernel \\(3, 3\\), stride 1, padding -1"),
+        ("pool kernel 0", "layer 3 \\(pool\\) needs a kernel and stride of at least 1"),
+        ("mask points a list", "model table field 'mask_points' is not an object"),
+        ("preds a list", "model table field 'preds' is not an object"),
+        ("mask point a list", "must map each prunable conv to the relu after its bn"),
+        ("mask point dropped", "must map each prunable conv to the relu after its bn"),
+        ("mask point at the bn", "must map each prunable conv to the relu after its bn"),
+        ("mask point for a bn", "must map each prunable conv to the relu after its bn"),
+    ])
+    def test_bad_model_table_raises(self, tmp_path, damage, message):
+        path = save_checkpoint(small_model(), tmp_path / "ck")
+        manifest = json.loads(path.read_text())
+        table = manifest["model"]
+        layers, points = table["layers"], table["mask_points"]  # conv 0 -> bn 1 -> relu 2 -> pool 3
+        if damage.startswith("conv "):
+            key, value = damage.split()[1:]
+            layers[0][key] = int(value)
+        elif damage == "pool kernel 0":
+            layers[3]["kernel"] = [0, 0]
+        elif damage == "mask points a list":
+            table["mask_points"] = []
+        elif damage == "preds a list":
+            table["preds"] = []
+        elif damage == "mask point a list":
+            points["0"] = [2]
+        elif damage == "mask point dropped":
+            del points["0"]
+        elif damage == "mask point at the bn":
+            points["0"] = 1
+        else:
+            points["1"] = 2
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=f"manifest.json: .*{message}"):
             load_checkpoint(tmp_path / "ck")
 
     @pytest.mark.parametrize("layer, role", [(2, "weight"), (99, "weight"), (0, "bias")])

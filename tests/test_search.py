@@ -111,6 +111,9 @@ class TestConfigValidation:
             {"epochs": 0},
             {"batch_size": 0},
             {"ranking_interval": 0},
+            {"log_interval": 0},
+            {"probe_size": 0},
+            {"probe_size": -3},
             {"lr_w_max": 0.0},
             {"lr_w_min": 0.5, "lr_w_max": 0.1},
             {"cosine_period_epochs": -1.0},
