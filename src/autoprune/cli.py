@@ -33,7 +33,7 @@ from .pruner import (
     save_checkpoint,
     train_supervised,
 )
-from .report import format_table, read_csv, summary_rows, svg_line_plot, write_csv
+from .report import SUMMARY_COLUMNS, format_table, read_csv, summary_rows, svg_line_plot, write_csv
 from .search import SearchConfig, SearchDiverged, run_search
 
 
@@ -371,7 +371,7 @@ def cmd_report(cfg: dict) -> int:
         svg_line_plot(fpr_series, report_dir / "fpr.svg",
                       title="FLOPs pruned ratio", xlabel="iteration", ylabel="fraction")
 
-    table = format_table(rows, ["model", "method", "top1", "accuracy_drop", "fpr"])
+    table = format_table(rows, SUMMARY_COLUMNS)
     print(table)
     print(f"report -> {report_dir}")
     return 0

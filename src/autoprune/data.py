@@ -3,8 +3,8 @@
 MNIST arrives as the four standard IDX files, CIFAR-10 as the binary
 batch files; both are validated against their magic numbers / record
 sizes and normalized per channel with statistics computed from the
-training images (the constants travel with the Dataset so manifests can
-record them).
+training images, which the test images share (each Dataset keeps them
+as `mean` and `std`; no checkpoint records them).
 
 All randomness flows from one integer seed through named substreams, so
 two runs with the same seed shuffle, split, and initialize identically.
@@ -51,10 +51,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.images)
-
-    @property
-    def input_shape(self) -> tuple[int, int, int]:
-        return tuple(self.images.shape[1:])
 
     def take(self, n: int) -> "Dataset":
         return replace(self, images=self.images[:n], labels=self.labels[:n])

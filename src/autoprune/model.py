@@ -68,13 +68,17 @@ class ModelGraph:
     preds: dict[int, tuple[int, ...]]
     params: dict[int, dict[str, Tensor]]
     bn_stats: dict[int, RunningStats]
-    mask_points: dict[int, int]  # prunable conv id -> layer id whose output is masked
     input_shape: tuple[int, int, int]
     num_classes: int
 
     def __post_init__(self):
         # the layer list is fixed once built; specs may change in place
         self._by_id = {l.id: l for l in self.layers}
+        # each prunable conv is masked after the relu that consumes the bn
+        # that consumes it (`_Builder.conv_bn_relu`); None where there is none
+        consumer = {(self.preds[l.id], l.kind): l.id for l in self.layers}
+        self.mask_points = {c: consumer.get(((consumer.get(((c,), "bn")),), "relu"))
+                            for c in self.prunable_ids()}
 
     def layer(self, layer_id: int) -> LayerSpec:
         return self._by_id[layer_id]
@@ -132,14 +136,13 @@ def _validate_graph(model: ModelGraph) -> None:
             raise ValueError(f"layer {layer.id} ({layer.kind}) needs a kernel and stride of at least 1 "
                              f"and a nonnegative padding, got kernel {layer.kernel}, stride "
                              f"{layer.stride}, padding {layer.padding}")
+        if layer.kind == "pool" and layer.pool_kind not in ("max", "avg"):
+            raise ValueError(f"layer {layer.id} (pool) has kind {layer.pool_kind!r}, not 'max' or 'avg'")
         known.add(layer.id)
 
-    # each prunable conv is masked after the relu that follows its bn (`conv_bn_relu`)
-    consumer = {(model.preds[l.id], l.kind): l.id for l in model.layers}
-    want = {c: consumer.get(((consumer.get(((c,), "bn")),), "relu")) for c in model.prunable_ids()}
-    if model.mask_points != want or None in want.values():
-        raise ValueError(f"mask points {model.mask_points} must map each prunable conv to the relu "
-                         f"after its bn, {want}")
+    unmasked = [c for c, r in model.mask_points.items() if r is None]
+    if unmasked:
+        raise ValueError(f"prunable conv {unmasked[0]} has no bn and relu after it to mask")
 
     # each layer must take the width its sources declare; only conv and
     # linear change it
@@ -148,13 +151,21 @@ def _validate_graph(model: ModelGraph) -> None:
 
     sizes = _spatial_map(model)
     for layer in model.layers:
+        if min(sizes[layer.id]) < 1:
+            raise ValueError(f"layer {layer.id} ({layer.kind}) has an output smaller than 1x1: "
+                             f"{sizes[layer.id]}")
         src, *other = model.preds[layer.id]
         need = width(src)
         if other and width(other[0]) != need:
             raise ValueError(
                 f"add layer {layer.id} with unequal widths {need} and {width(other[0])}"
             )
+        if other and sizes[other[0]] != sizes[src]:
+            raise ValueError(f"add layer {layer.id} with unequal sizes {sizes[src]} and {sizes[other[0]]}")
         if layer.kind == "linear":
+            if layer.out_channels != model.num_classes:
+                raise ValueError(f"linear layer {layer.id} gives {layer.out_channels} outputs "
+                                 f"for {model.num_classes} classes")
             need *= sizes[src][0] * sizes[src][1]
         if layer.in_channels != need:
             raise ValueError(
@@ -215,7 +226,6 @@ class _Builder:
     def __init__(self):
         self.layers: list[LayerSpec] = []
         self.preds: dict[int, tuple[int, ...]] = {}
-        self.mask_points: dict[int, int] = {}
 
     def emit(self, kind: str, src, **kw) -> int:
         lid = len(self.layers)
@@ -256,10 +266,7 @@ class _Builder:
     def conv_bn_relu(self, src, cin, cout, stride=1, prunable=False):
         c = self.conv(src, cin, cout, stride=stride, prunable=prunable)
         b = self.bn(c, cout)
-        r = self.relu(b, cout)
-        if prunable:
-            self.mask_points[c] = r
-        return c, r
+        return c, self.relu(b, cout)
 
 
 def build_model(
@@ -327,7 +334,6 @@ def build_model(
         preds=b.preds,
         params=params,
         bn_stats=bn_stats,
-        mask_points=b.mask_points,
         input_shape=tuple(input_shape),
         num_classes=num_classes,
     )
@@ -565,7 +571,6 @@ def slice_channels(model: ModelGraph, keep: dict[int, np.ndarray]) -> ModelGraph
         preds=dict(model.preds),
         params=params,
         bn_stats=bn_stats,
-        mask_points=dict(model.mask_points),
         input_shape=model.input_shape,
         num_classes=model.num_classes,
     )
@@ -616,7 +621,6 @@ def model_to_table(model: ModelGraph) -> dict:
         "num_classes": model.num_classes,
         "layers": [{**asdict(l), "kernel": list(l.kernel)} for l in model.layers],
         "preds": {str(k): list(v) for k, v in model.preds.items()},
-        "mask_points": {str(k): v for k, v in model.mask_points.items()},
     }
 
 
@@ -624,24 +628,26 @@ def model_from_table(table: dict, dtype=None) -> ModelGraph:
     """Rebuild a graph (zeroed parameters) from `model_to_table` output.
 
     Parameters and running statistics are stored in `dtype`, by default
-    the engine's current default dtype.
+    the engine's current default dtype.  The table is checked before any
+    of them is allocated.
     """
     layers = [LayerSpec(**{f.name: e[f.name] for f in fields(LayerSpec)}) for e in table["layers"]]
     for l in layers:
         l.kernel = tuple(l.kernel)  # a list in JSON
-    for key in ("preds", "mask_points"):
-        if not isinstance(table[key], dict):
-            raise ValueError(f"model table field {key!r} is not an object")
-    params, bn_stats = _init_params(layers, _param_dtype(dtype))
+    if not isinstance(table["preds"], dict):
+        raise ValueError("model table field 'preds' is not an object")
+    preds = {int(k): tuple(v) for k, v in table["preds"].items()}
+    if set(preds) != {l.id for l in layers}:
+        raise ValueError("model table field 'preds' does not give the inputs of each layer, and only those")
     model = ModelGraph(
         name=table["name"],
         layers=layers,
-        preds={int(k): tuple(v) for k, v in table["preds"].items()},
-        params=params,
-        bn_stats=bn_stats,
-        mask_points={int(k): v for k, v in table["mask_points"].items()},
+        preds=preds,
+        params={},
+        bn_stats={},
         input_shape=tuple(table["input_shape"]),
         num_classes=table["num_classes"],
     )
     _validate_graph(model)
+    model.params, model.bn_stats = _init_params(layers, _param_dtype(dtype))
     return model

@@ -10,15 +10,15 @@ the linear head's input features.  A sliced forward pass is numerically
 identical to masking the same channels to zero in the dense model.
 
 Also here: the plain SGD trainer shared by pretraining and fine-tuning,
-and raw-file checkpoints (a JSON manifest plus one little-endian float32
-blob per parameter).
+and raw-file checkpoints: a JSON manifest holding the model's layer table,
+plus one little-endian float32 file per array (each parameter and bn
+running statistic), named by layer and role.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -142,10 +142,8 @@ class TrainResult:
     metrics: list[dict]
     best_val_accuracy: float
     best_epoch: int
-    epochs_run: int
     diverged: bool
     test_top1: float | None = None
-    seconds: float = 0.0
 
 
 def _snapshot(model: ModelGraph) -> list:
@@ -172,7 +170,6 @@ def train_supervised(
     """
     if epochs < 0:
         raise ValueError(f"epochs must be nonnegative, got {epochs}")
-    t0 = time.perf_counter()
     params = model.parameters()
     steps_per_epoch = math.ceil(len(train) / batch_size)
     total_steps = max(1, epochs * steps_per_epoch)
@@ -219,14 +216,7 @@ def train_supervised(
         model.set_array(lid, role, arr)
     if best_acc < 0:
         best_acc = evaluate(model, val.images, val.labels)
-    return TrainResult(
-        metrics=metrics,
-        best_val_accuracy=best_acc,
-        best_epoch=best_epoch,
-        epochs_run=epochs,
-        diverged=diverged,
-        seconds=time.perf_counter() - t0,
-    )
+    return TrainResult(metrics, best_acc, best_epoch, diverged)
 
 
 def finetune(
@@ -259,20 +249,21 @@ def finetune(
 # checkpoints: JSON manifest + one raw little-endian float32 file per array
 
 
+def _array_file(layer_id: int, role: str) -> str:
+    """The name of the file holding one array of a checkpoint."""
+    return f"layer{layer_id:03d}.{role}.f32"
+
+
 def save_checkpoint(model: ModelGraph, directory, extra: dict | None = None) -> Path:
     """Write the model into `directory`; returns the manifest path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    files = []
     for lid, role, arr in model.arrays():
-        name = f"layer{lid:03d}.{role}.f32"
-        arr.astype("<f4").tofile(directory / name)
-        files.append({"file": name, "layer": lid, "role": role, "shape": list(arr.shape)})
+        arr.astype("<f4").tofile(directory / _array_file(lid, role))
     manifest = {
         "format_version": 1,
         "package_version": __version__,
         "model": model_to_table(model),
-        "arrays": files,
         "flops_total": exact_model_flops(model),
     }
     if extra:
@@ -283,18 +274,18 @@ def save_checkpoint(model: ModelGraph, directory, extra: dict | None = None) -> 
 
 
 _FIELD_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a number"}
-_INT_LISTS = ("shape", "kept_channel_ids")
 
 
 def _field(path, where: str, record, key: str, kind: type):
-    """`record[key]`, which must be a `kind` (a shape or an id list a list
-    of integers); otherwise `CheckpointError` names the file `path`."""
+    """`record[key]`, which must be a `kind` (`kept_channel_ids` a list of
+    integers); otherwise `CheckpointError` names the file `path`."""
     value = record.get(key) if isinstance(record, dict) else None
     ok = isinstance(value, kind) and not isinstance(value, bool)
-    if ok and key in _INT_LISTS:
+    ids = key == "kept_channel_ids"
+    if ok and ids:
         ok = all(isinstance(d, int) and not isinstance(d, bool) for d in value)
     if not ok:
-        need = "a list of integers" if key in _INT_LISTS else _FIELD_TYPES[kind]
+        need = "a list of integers" if ids else _FIELD_TYPES[kind]
         raise CheckpointError(f"{path}: {where}field {key!r} is missing or not {need}")
     return value
 
@@ -302,10 +293,10 @@ def _field(path, where: str, record, key: str, kind: type):
 def load_checkpoint(directory) -> tuple[ModelGraph, dict]:
     """Rebuild a model and its weights from `save_checkpoint` output.
 
-    The manifest must hold a model table and list every array the table
-    implies exactly once, each with the shape the table gives it; a
-    checkpoint that does not, or whose fields are missing or of the
-    wrong type, raises `CheckpointError`.
+    The manifest's model table is the checkpoint's whole structure: each
+    array it implies must sit in its own file, holding exactly the
+    table's number of floats.  A missing file raises `FileNotFoundError`;
+    a malformed table, or a file of the wrong size, `CheckpointError`.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -322,33 +313,12 @@ def load_checkpoint(directory) -> tuple[ModelGraph, dict]:
         raise CheckpointError(f"{manifest_path}: model table has no field {e}") from e
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{manifest_path}: {e}") from e
-    expected = {(lid, role): arr.shape for lid, role, arr in model.arrays()}
-    seen = set()
-    for n, entry in enumerate(_field(manifest_path, "", manifest, "arrays", list)):
-        where = f"array entry {n}: "
-        path = directory / _field(manifest_path, where, entry, "file", str)
-        lid = _field(manifest_path, where, entry, "layer", int)
-        role = _field(manifest_path, where, entry, "role", str)
-        shape = tuple(_field(manifest_path, where, entry, "shape", list))
-        key = (lid, role)
-        where = f"{path}: layer {lid} {role}"
-        if key not in expected:
-            raise CheckpointError(f"{where} is not an array of model {model.name!r}")
-        if key in seen:
-            raise CheckpointError(f"{where} is listed more than once")
-        if shape != expected[key]:
-            raise CheckpointError(f"{where} has shape {shape}, expected shape {expected[key]}")
-        seen.add(key)
+    for lid, role, arr in model.arrays():
+        path = directory / _array_file(lid, role)
         if not path.is_file():
             raise FileNotFoundError(f"missing checkpoint array: expected {path}")
-        arr = np.fromfile(path, dtype="<f4").astype(np.float32)
-        if arr.size != int(np.prod(shape)):
-            raise CheckpointError(f"{path}: holds {arr.size} floats, expected shape {shape}")
-        model.set_array(lid, role, arr.reshape(shape))
-    missing = sorted(expected.keys() - seen)
-    if missing:
-        lid, role = missing[0]
-        raise CheckpointError(
-            f"{manifest_path}: no array for layer {lid} {role}, expected shape {expected[lid, role]}"
-        )
+        data = np.fromfile(path, dtype="<f4").astype(np.float32)
+        if data.size != arr.size:
+            raise CheckpointError(f"{path}: holds {data.size} floats, expected shape {arr.shape}")
+        model.set_array(lid, role, data.reshape(arr.shape))
     return model, manifest

@@ -412,8 +412,6 @@ def run_search(
             epoch_start = dict(ratios)
 
     if not metrics or metrics[-1]["iteration"] != it:
-        lr_w = cosine_lr(max(it - 1, 0), period, config.lr_w_max, config.lr_w_min)
-        lr_r = cosine_lr(max(it - 1, 0), period, config.lr_r_max, config.lr_r_min)
         log_row(it, lr_w, lr_r, bd)
 
     return SearchResult(

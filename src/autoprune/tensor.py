@@ -82,9 +82,7 @@ class Tensor:
         return reshape(self, shape)
 
     def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_scalar(self, float(other))
+        return add(self, other)
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
@@ -185,16 +183,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, g)
 
     return _make(out_data, (a, b), back)
-
-
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    out_data = a.data + a.data.dtype.type(c)
-
-    def back(g):
-        if a.requires_grad:
-            _accum(a, g)
-
-    return _make(out_data, (a,), back)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
