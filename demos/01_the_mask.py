@@ -42,7 +42,7 @@ weight[5] *= 10.0
 ranking = rank_channels(weight)
 print("\nchannel order, most important first:", ranking.order)
 
-mask = build_mask(0.5, 8, ranking)
+mask = build_mask(0.5, ranking)
 print("mask by channel id:", mask.by_channel)
 print("channel 5 is kept: ", mask.by_channel[5] == 1.0)
 

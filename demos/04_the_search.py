@@ -18,19 +18,19 @@ from autoprune.report import format_table
 rng = np.random.default_rng(0)
 
 
-def synthetic(n, split):
+def synthetic(n):
     """Four classes drawn as bright quadrants on an 8x8 canvas."""
     images = 0.1 * rng.standard_normal((n, 1, 8, 8)).astype(np.float32)
     labels = rng.integers(0, 4, n)
     for i, y in enumerate(labels):
         r, c = divmod(int(y), 2)
         images[i, 0, 4 * r : 4 * r + 4, 4 * c : 4 * c + 4] += 1.5
-    return Dataset(images=images, labels=labels, split=split,
+    return Dataset(images=images, labels=labels,
                    mean=np.zeros(1, np.float32), std=np.ones(1, np.float32),
                    checksums={})
 
 
-train, val = synthetic(512, "train"), synthetic(128, "val")
+train, val = synthetic(512), synthetic(128)
 
 # The search fine-tunes, it does not train from scratch: give it a model
 # that already solves the task.

@@ -15,6 +15,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -100,7 +101,8 @@ def load_config(path: str | None) -> dict:
 
 
 def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
-    """Command-line flags win over the config file."""
+    """Command-line flags win over the config file.  A leading `~` of the
+    resulting `out_dir` then expands to the home directory."""
     if args.model is not None:
         cfg["run"]["model"] = args.model
     if args.data_dir is not None:
@@ -117,6 +119,7 @@ def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
         section = {"pretrain": "pretrain", "search": "search", "prune": "finetune"}.get(args.command)
         if section:
             cfg[section]["epochs"] = args.epochs
+    cfg["run"]["out_dir"] = os.path.expanduser(cfg["run"]["out_dir"])
     return cfg
 
 
@@ -132,6 +135,12 @@ def _load_dataset(cfg: dict):
 
 def _input_shape(cfg: dict) -> tuple[int, int, int]:
     return (1, 28, 28) if cfg["run"]["dataset"] == "mnist" else (3, 32, 32)
+
+
+def _fresh_model(cfg: dict):
+    """The run's model with the seed's initial weights."""
+    return build_model(cfg["run"]["model"], num_classes=10, input_shape=_input_shape(cfg),
+                       rng=substream(cfg["run"]["seed"], "init"))
 
 
 def _splits(cfg: dict):
@@ -187,18 +196,12 @@ def _check_upstream(cfg: dict, checksums: dict, manifest: dict, path: Path) -> N
 def cmd_pretrain(cfg: dict) -> int:
     t0 = time.perf_counter()
     train, val, test = _splits(cfg)
-    seed = cfg["run"]["seed"]
-    model = build_model(
-        cfg["run"]["model"],
-        num_classes=10,
-        input_shape=_input_shape(cfg),
-        rng=substream(seed, "init"),
-    )
+    model = _fresh_model(cfg)
     p = cfg["pretrain"]
     result = train_supervised(
         model, train, val,
         epochs=p["epochs"], lr_max=p["lr_max"], lr_min=p["lr_min"],
-        batch_size=p["batch_size"], seed=seed, augment=p["augment"],
+        batch_size=p["batch_size"], seed=cfg["run"]["seed"], augment=p["augment"],
     )
     top1 = evaluate(model, test.images, test.labels)
     out = Path(cfg["run"]["out_dir"]) / "baseline"
@@ -226,8 +229,6 @@ def cmd_search(cfg: dict) -> int:
         raise ConfigError(f"bad [search] setting: {e}") from e
     out_root = Path(cfg["run"]["out_dir"])
     base_dir = out_root / "baseline"
-    if not (base_dir / "manifest.json").is_file():
-        raise FileNotFoundError(f"missing baseline checkpoint: expected {base_dir / 'manifest.json'}")
     model, base_manifest = load_checkpoint(base_dir)
     train, val, test = _splits(cfg)
     _check_upstream(cfg, train.checksums, base_manifest, base_dir / "manifest.json")
@@ -378,10 +379,7 @@ def cmd_report(cfg: dict) -> int:
 
 
 def cmd_describe(cfg: dict) -> int:
-    model = build_model(
-        cfg["run"]["model"], num_classes=10, input_shape=_input_shape(cfg),
-        rng=substream(cfg["run"]["seed"], "init"),
-    )
+    model = _fresh_model(cfg)
     flops = exact_flops_by_layer(model)
     rows = []
     for layer in model.layers:

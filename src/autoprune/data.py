@@ -44,7 +44,6 @@ class Dataset:
 
     images: np.ndarray
     labels: np.ndarray
-    split: str
     mean: np.ndarray  # per-channel normalization constants
     std: np.ndarray
     checksums: dict[str, str]
@@ -70,12 +69,11 @@ def derive_seed(seed: int, name: str) -> int:
 
 
 def resolve_data_dir(explicit: str | None = None) -> Path:
-    """Pick the dataset directory: explicit argument, else the environment."""
-    if explicit:
-        return Path(explicit)
-    env = os.environ.get(DATA_DIR_ENV)
-    if env:
-        return Path(env)
+    """Pick the dataset directory: explicit argument, else the environment.
+    A leading `~` in either expands to the home directory."""
+    chosen = explicit or os.environ.get(DATA_DIR_ENV)
+    if chosen:
+        return Path(chosen).expanduser()
     raise DataFormatError(
         f"no data directory: pass one explicitly or set {DATA_DIR_ENV}"
     )
@@ -189,8 +187,8 @@ def load_mnist(data_dir=None) -> tuple[Dataset, Dataset]:
     test_u8 = test_x[:, None, :, :]
     train_n, test_n, mean, std = _normalize(train_u8, test_u8)
     checksums = {v: _sha256(paths[k]) for k, v in MNIST_FILES.items()}
-    train = Dataset(train_n, train_y.astype(np.int64), "train", mean, std, checksums)
-    test = Dataset(test_n, test_y.astype(np.int64), "test", mean, std, checksums)
+    train = Dataset(train_n, train_y.astype(np.int64), mean, std, checksums)
+    test = Dataset(test_n, test_y.astype(np.int64), mean, std, checksums)
     return train, test
 
 
@@ -231,8 +229,8 @@ def load_cifar10(data_dir=None) -> tuple[Dataset, Dataset]:
     test_u8, test_y, checksums[CIFAR_TEST_FILE] = _read_cifar_file(root / CIFAR_TEST_FILE)
 
     train_n, test_n, mean, std = _standardize(train_x, test_u8)
-    train = Dataset(train_n, np.concatenate(ys), "train", mean, std, checksums)
-    test = Dataset(test_n, test_y, "test", mean, std, checksums)
+    train = Dataset(train_n, np.concatenate(ys), mean, std, checksums)
+    test = Dataset(test_n, test_y, mean, std, checksums)
     return train, test
 
 
@@ -247,12 +245,8 @@ def split_validation(train: Dataset, fraction: float = 0.1, seed: int = 0):
     perm = substream(seed, "split").permutation(n)
     val_idx = np.sort(perm[:n_val])
     train_idx = np.sort(perm[n_val:])
-    new_train = replace(
-        train, images=train.images[train_idx], labels=train.labels[train_idx], split="train"
-    )
-    val = replace(
-        train, images=train.images[val_idx], labels=train.labels[val_idx], split="val"
-    )
+    new_train = replace(train, images=train.images[train_idx], labels=train.labels[train_idx])
+    val = replace(train, images=train.images[val_idx], labels=train.labels[val_idx])
     return new_train, val
 
 

@@ -30,13 +30,12 @@ from .tensor import Tensor, _accum, _make
 class ChannelRanking:
     """Importance order of one layer's output channels."""
 
-    scores: np.ndarray  # [C] float64, summed |weight| per channel
     order: np.ndarray  # [C] channel ids, most important first
     ranks: np.ndarray  # [C] 1-based rank of each channel id
 
     @property
     def channels(self) -> int:
-        return len(self.scores)
+        return len(self.order)
 
 
 @dataclass
@@ -68,11 +67,11 @@ def rank_channels(weight) -> ChannelRanking:
     if w.ndim != 4:
         raise ValueError(f"expected a 4-d conv weight, got shape {w.shape}")
     scores = np.abs(w, dtype=np.float64).sum(axis=(1, 2, 3))
-    # stable sort on -scores: equal scores keep ascending channel id
+    # a stable sort on -scores, so equal scores keep ascending channel id
     order = np.argsort(-scores, kind="stable")
     ranks = np.empty(len(scores), dtype=np.int64)
     ranks[order] = np.arange(1, len(scores) + 1)
-    return ChannelRanking(scores=scores, order=order, ranks=ranks)
+    return ChannelRanking(order=order, ranks=ranks)
 
 
 def _check_ratio(ratio: float, channels: int) -> float:
@@ -99,10 +98,10 @@ def mask_by_rank(ratio: float, channels: int) -> np.ndarray:
     return 1.0 - np.maximum(1.0 - inner, 0.0)
 
 
-def build_mask(ratio: float, channels: int, ranking: ChannelRanking) -> ChannelMask:
-    """Materialize the mask for one layer under its current ranking."""
-    if ranking.channels != channels:
-        raise ValueError(f"ranking covers {ranking.channels} channels, expected {channels}")
+def build_mask(ratio: float, ranking: ChannelRanking) -> ChannelMask:
+    """Materialize the mask for one layer, of `ranking.channels` channels,
+    under its current ranking."""
+    channels = ranking.channels
     ratio = _check_ratio(ratio, channels)
     rc = ratio * channels
     return ChannelMask(
@@ -154,10 +153,10 @@ def ratio_mask_tensor(
     """
     if ratio.data.size != 1:
         raise ValueError(f"ratio must be scalar, got shape {ratio.data.shape}")
-    c = ranking.channels
-    entry = build_mask(float(ratio.data), c, ranking)
+    entry = build_mask(float(ratio.data), ranking)
     out_dtype = dtype if dtype is not None else ratio.data.dtype
     data = entry.by_channel.astype(out_dtype)
+    c = ranking.channels
     grad_by_channel = mask_grad_wrt_ratio(float(ratio.data), c, diag, layer_id)[ranking.ranks - 1]
     if ids is not None:
         data, grad_by_channel = data[ids], grad_by_channel[ids]
@@ -196,18 +195,10 @@ def ratio_step_channels(ratio: float, ranking: ChannelRanking) -> np.ndarray:
     return np.sort(ranking.order[: math.floor(rc) + 1])
 
 
-def refresh_ranking(model, rankings, iteration: int, interval: int):
-    """Recompute rankings from current weights every `interval` iterations.
+def refresh_ranking(model) -> dict[int, ChannelRanking]:
+    """Fresh rankings of every prunable conv, from its current weights.
 
-    Returns the incoming dict unchanged between refresh points, so callers
-    can detect a refresh by identity.  Iteration 0 always computes.
+    The caller picks when to re-rank; the search does so on its
+    `ranking_interval` cadence.
     """
-    if interval < 1:
-        raise ValueError(f"ranking interval must be >= 1, got {interval}")
-    if rankings is not None and iteration % interval != 0:
-        return rankings
-    fresh = {}
-    for layer in model.layers:
-        if layer.prunable:
-            fresh[layer.id] = rank_channels(model.params[layer.id]["weight"])
-    return fresh
+    return {i: rank_channels(model.params[i]["weight"]) for i in model.prunable_ids()}

@@ -54,7 +54,7 @@ class LayerSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown layer kind {self.kind!r}")
+            raise ValueError(f"layer {self.id} has unknown kind {self.kind!r}")
         if self.prunable and self.kind != "conv":
             raise ValueError(f"layer {self.id}: only conv layers are prunable")
 
@@ -162,6 +162,11 @@ def _validate_graph(model: ModelGraph) -> None:
             )
         if other and sizes[other[0]] != sizes[src]:
             raise ValueError(f"add layer {layer.id} with unequal sizes {sizes[src]} and {sizes[other[0]]}")
+        if layer.kind == "pool":
+            win, (ph, pw) = layer.kernel[0], sizes[src]
+            if layer.kernel[1] != win or ph % win or pw % win:
+                raise ValueError(f"layer {layer.id} (pool) needs a square window that divides its "
+                                 f"{ph}x{pw} input, got kernel {layer.kernel}")
         if layer.kind == "linear":
             if layer.out_channels != model.num_classes:
                 raise ValueError(f"linear layer {layer.id} gives {layer.out_channels} outputs "
@@ -369,7 +374,7 @@ def forward(
     unknown = set(masks) - set(model.mask_points)
     if unknown:
         raise ValueError(f"masks given for non-prunable layers {sorted(unknown)}")
-    mask_at = {model.mask_points[cid]: (cid, masks[cid]) for cid in masks}
+    mask_at = {model.mask_points[cid]: mvec for cid, mvec in masks.items()}
 
     # drop each output after its last consumer, so a pass without a graph
     # holds only the live activations, not every layer's
@@ -388,7 +393,7 @@ def forward(
                 model.params[layer.id]["beta"],
                 model.bn_stats[layer.id],
                 mode=mode,
-                update_running=update_running and mode == "train",
+                update_running=update_running,
             )
         elif layer.kind == "relu":
             out = relu(srcs[0])
@@ -403,7 +408,7 @@ def forward(
                 feats = reshape(feats, (n, -1))
             out = linear(feats, model.params[layer.id]["weight"], model.params[layer.id]["bias"])
         if layer.id in mask_at:
-            _, mvec = mask_at[layer.id]
+            mvec = mask_at[layer.id]
             if not isinstance(mvec, Tensor):
                 mvec = Tensor(np.asarray(mvec), dtype=out.data.dtype)
             out = channel_scale(out, mvec)
@@ -624,18 +629,58 @@ def model_to_table(model: ModelGraph) -> dict:
     }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_ints(v, n: int | None = None) -> bool:
+    return isinstance(v, list) and (n is None or len(v) == n) and all(map(_is_int, v))
+
+
+# (test, description) of a layer record's value, by its `LayerSpec` annotation
+_LAYER_TYPES = {
+    "int": (_is_int, "an integer"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "a bool"),
+    "tuple[int, int]": (lambda v: _is_ints(v, 2), "a list of two integers"),
+}
+# and of each of the model table's own fields
+_TABLE_TYPES = {
+    "name": _LAYER_TYPES["str"],
+    "input_shape": (lambda v: _is_ints(v, 3), "a list of three integers"),
+    "num_classes": _LAYER_TYPES["int"],
+    "preds": (lambda v: isinstance(v, dict), "an object"),
+    "layers": (lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v), "a list of objects"),
+}
+
+
+def _check_table_types(table: dict) -> None:
+    """`ValueError` naming the field, and the layer, of the first value of
+    `table` whose type is wrong; `KeyError` for a missing field."""
+
+    def check(where: str, record: dict, types: dict) -> None:
+        for key, (test, need) in types.items():
+            if not test(record[key]):
+                raise ValueError(f"model table {where}field {key!r} is not {need}, got {record[key]!r}")
+
+    check("", table, _TABLE_TYPES)
+    check("preds ", table["preds"], dict.fromkeys(table["preds"], (_is_ints, "a list of integers")))
+    layer_types = {f.name: _LAYER_TYPES[f.type] for f in fields(LayerSpec)}
+    for n, e in enumerate(table["layers"]):
+        check(f"layer {n} ", e, layer_types)
+
+
 def model_from_table(table: dict, dtype=None) -> ModelGraph:
     """Rebuild a graph (zeroed parameters) from `model_to_table` output.
 
     Parameters and running statistics are stored in `dtype`, by default
     the engine's current default dtype.  The table is checked before any
-    of them is allocated.
+    of them is allocated: first the type of every value, then the graph.
     """
+    _check_table_types(table)
     layers = [LayerSpec(**{f.name: e[f.name] for f in fields(LayerSpec)}) for e in table["layers"]]
     for l in layers:
         l.kernel = tuple(l.kernel)  # a list in JSON
-    if not isinstance(table["preds"], dict):
-        raise ValueError("model table field 'preds' is not an object")
     preds = {int(k): tuple(v) for k, v in table["preds"].items()}
     if set(preds) != {l.id for l in layers}:
         raise ValueError("model table field 'preds' does not give the inputs of each layer, and only those")

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .data import Dataset, batches
-from .masking import ChannelRanking, kept_count, rank_channels
+from .masking import ChannelRanking, kept_count, refresh_ranking
 from .model import (
     ModelGraph,
     evaluate,
@@ -108,16 +108,17 @@ def finalize_plan(
 ) -> PruningPlan:
     """Round ratios into kept counts and freeze the surviving channel ids.
 
-    Rankings default to fresh ones from the model's current weights; after
-    a search, pass the ones its final masks used (`SearchResult.rankings`),
-    so the plan keeps the channels the search trained.  The kept ids are
-    the top `kept_count` ranks, reported in ascending channel order.
+    Rankings default to fresh ones from the model's current weights
+    (`refresh_ranking`); after a search, pass the ones its final masks
+    used (`SearchResult.rankings`), so the plan keeps the channels the
+    search trained.  The kept ids are the top `kept_count` ranks,
+    reported in ascending channel order.
     """
     prunable = set(model.prunable_ids())
     if set(ratios) != prunable:
         raise ValueError(f"ratios cover layers {sorted(ratios)}, expected {sorted(prunable)}")
     if rankings is None:
-        rankings = {i: rank_channels(model.params[i]["weight"]) for i in prunable}
+        rankings = refresh_ranking(model)
     entries = []
     for i in sorted(ratios):
         k = kept_count(ratios[i], model.layer(i).out_channels)
@@ -141,7 +142,6 @@ def export_pruned(model: ModelGraph, plan: PruningPlan) -> ModelGraph:
 class TrainResult:
     metrics: list[dict]
     best_val_accuracy: float
-    best_epoch: int
     diverged: bool
     test_top1: float | None = None
 
@@ -175,8 +175,7 @@ def train_supervised(
     total_steps = max(1, epochs * steps_per_epoch)
     metrics: list[dict] = []
     best = _snapshot(model)
-    best_acc = evaluate(model, val.images, val.labels) if epochs == 0 else -1.0
-    best_epoch = -1
+    best_acc = -1.0
     diverged = False
     step = 0
 
@@ -209,14 +208,13 @@ def train_supervised(
         )
         if acc > best_acc:
             best_acc = acc
-            best_epoch = epoch
             best = _snapshot(model)
 
     for lid, role, arr in best:
         model.set_array(lid, role, arr)
-    if best_acc < 0:
+    if best_acc < 0:  # no epoch finished: zero epochs, or a first-epoch divergence
         best_acc = evaluate(model, val.images, val.labels)
-    return TrainResult(metrics, best_acc, best_epoch, diverged)
+    return TrainResult(metrics, best_acc, diverged)
 
 
 def finetune(

@@ -71,12 +71,11 @@ def svg_line_plot(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 640,
-    height: int = 400,
 ) -> Path:
     """Plot named (x, y) series as polylines into a standalone SVG file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    width, height = 640, 400
     ml, mr, mt, mb = 60, 16, 28, 44
     pw, ph = width - ml - mr, height - mt - mb
 

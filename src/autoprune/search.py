@@ -108,7 +108,7 @@ class SearchResult:
     iterations: int
     epochs_run: float
     converged: bool
-    fpr_exact: float
+    fpr_exact: float  # the final metrics row's
 
 
 class SearchDiverged(RuntimeError):
@@ -280,7 +280,7 @@ def outer_step(
 
 
 def _rebuild_masks(ratios, rankings) -> dict[int, ChannelMask]:
-    return {i: build_mask(ratios[i], rankings[i].channels, rankings[i]) for i in ratios}
+    return {i: build_mask(ratios[i], rankings[i]) for i in ratios}
 
 
 def _exact_fpr(model: ModelGraph, kept: dict[int, int]) -> float:
@@ -325,7 +325,7 @@ def run_search(
     period = max(1, round(config.period_epochs() * iters_per_epoch))
 
     diag = MaskDiagnostics()
-    rankings = refresh_ranking(model, None, 0, config.ranking_interval)
+    rankings = refresh_ranking(model)
     masks = _rebuild_masks(ratios, rankings)
 
     train_stream = _batch_stream(train, config.batch_size, config.seed)
@@ -341,9 +341,6 @@ def run_search(
     it = 0
     bd = None
 
-    def exact_fpr() -> float:
-        return _exact_fpr(model, {i: kept_count(ratios[i], rankings[i].channels) for i in ids})
-
     def log_row(iteration: int, lr_w: float, lr_r: float, breakdown: LossBreakdown) -> None:
         net, _, mask_vecs = _active_view(model, masks)
         acc = evaluate(net, probe_x, probe_y, batch_size=256, masks=mask_vecs)
@@ -358,7 +355,7 @@ def run_search(
             "val_accuracy": acc,
             # the FLOPs-weighted mean ratio is the cost at exponent 1
             "fpr_surrogate": 1.0 - flops_cost([ratios[i] for i in ids], [flops[i] for i in ids], 1.0),
-            "fpr_exact": exact_fpr(),
+            "fpr_exact": _exact_fpr(model, {i: kept_count(ratios[i], rankings[i].channels) for i in ids}),
         }
         for i in ids:
             row[f"ratio_{i}"] = ratios[i]
@@ -379,7 +376,7 @@ def run_search(
 
         if it % config.ranking_interval == 0:
             before = {i: set(active_channels(masks[i]).tolist()) for i in ids}
-            rankings = refresh_ranking(model, rankings, it, config.ranking_interval)
+            rankings = refresh_ranking(model)
             masks = _rebuild_masks(ratios, rankings)
             for i in ids:
                 after = set(active_channels(masks[i]).tolist())
@@ -411,6 +408,7 @@ def run_search(
                 break
             epoch_start = dict(ratios)
 
+    # the last row is the final state, so it holds the result's FPR
     if not metrics or metrics[-1]["iteration"] != it:
         log_row(it, lr_w, lr_r, bd)
 
@@ -423,5 +421,5 @@ def run_search(
         iterations=it,
         epochs_run=it / iters_per_epoch,
         converged=converged,
-        fpr_exact=exact_fpr(),
+        fpr_exact=metrics[-1]["fpr_exact"],
     )

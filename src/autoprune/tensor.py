@@ -310,7 +310,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = x[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-    return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
+    return cols.reshape(n, c * kh * kw, ho * wo)
 
 
 def _tap_span(k: int, stride: int, padding: int, size: int, osize: int):
@@ -389,26 +389,25 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     if cout < cin:
         return _output_side_conv2d(x, w, stride, padding, ho, wo)
 
+    # Only the weight gradient reads the columns: when it will, they are
+    # built for the whole batch, before the output buffer, and kept;
+    # otherwise a block of images at a time.  Each block runs the same
+    # per-image GEMM.
     wmat = w.data.reshape(cout, -1)
-    if _recording((x, w)) and w.requires_grad:
-        cols = _im2col(x.data, kh, kw, stride, padding)[0]
-        out_data = np.matmul(wmat, cols).reshape(n, cout, ho, wo)
-    else:
-        # Only the weight gradient reads the columns: build them a block
-        # of images at a time and run the same per-image GEMM on each.
-        cols = None
-        per = max(1, _COLS_BLOCK_BYTES // max(1, cin * kh * kw * ho * wo * x.data.itemsize))
-        out_data = np.empty((n, cout, ho * wo), dtype=np.result_type(wmat, x.data))
-        for s in range(0, n, per):
-            block = _im2col(x.data[s : s + per], kh, kw, stride, padding)[0]
-            np.matmul(wmat, block, out=out_data[s : s + per])
-        out_data = out_data.reshape(n, cout, ho, wo)
+    keep = _recording((x, w)) and w.requires_grad
+    cols = _im2col(x.data, kh, kw, stride, padding) if keep else None
+    per = max(1, n if keep else _COLS_BLOCK_BYTES // max(1, cin * kh * kw * ho * wo * x.data.itemsize))
+    out_data = np.empty((n, cout, ho * wo), dtype=np.result_type(wmat, x.data))
+    for s in range(0, n, per):
+        block = cols if keep else _im2col(x.data[s : s + per], kh, kw, stride, padding)
+        np.matmul(wmat, block, out=out_data[s : s + per])
+    out_data = out_data.reshape(n, cout, ho, wo)
 
     def back(g):
         gmat = g.reshape(n, cout, ho * wo)
         if w.requires_grad:
             # A weight made trainable after the forward rebuilds its columns.
-            xcols = cols if cols is not None else _im2col(x.data, kh, kw, stride, padding)[0]
+            xcols = cols if cols is not None else _im2col(x.data, kh, kw, stride, padding)
             gw = np.tensordot(gmat, xcols, axes=([0, 2], [0, 2]))
             _accum(w, gw.reshape(w.data.shape))
         if x.requires_grad:
@@ -546,6 +545,10 @@ def pool2d(x: Tensor, kind: str, window: int) -> Tensor:
 # batch norm
 
 
+_BN_EPS = 1e-5  # added to the variance before its square root
+_BN_MOMENTUM = 0.1  # weight of the batch statistics in a running update
+
+
 @dataclass
 class RunningStats:
     """Exponential running mean/variance for one batch-norm layer."""
@@ -557,9 +560,6 @@ class RunningStats:
     def zeros(cls, channels: int, dtype=np.float32) -> "RunningStats":
         return cls(mean=np.zeros(channels, dtype=dtype), var=np.ones(channels, dtype=dtype))
 
-    def copy(self) -> "RunningStats":
-        return RunningStats(self.mean.copy(), self.var.copy())
-
 
 def batch_norm2d(
     x: Tensor,
@@ -567,15 +567,15 @@ def batch_norm2d(
     beta: Tensor,
     stats: RunningStats,
     mode: str = "train",
-    eps: float = 1e-5,
-    momentum: float = 0.1,
     update_running: bool = True,
 ) -> Tensor:
     """Per-channel batch normalization over [N, C, H, W].
 
     Train mode normalizes by batch statistics (biased variance) and, when
-    `update_running` is set, folds them into `stats` with the given
-    momentum.  Eval mode normalizes by the stored running statistics.
+    `update_running` is set, folds them into `stats` with momentum 0.1
+    (`_BN_MOMENTUM`).  Eval mode normalizes by the stored running
+    statistics and ignores `update_running`.  Both add eps 1e-5
+    (`_BN_EPS`) to the variance.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"batch_norm2d mode must be 'train' or 'eval', got {mode!r}")
@@ -598,7 +598,7 @@ def batch_norm2d(
         var = np.add.reduce(np.square(xhat), axis=(0, 2, 3))
         np.true_divide(var, np.intp(n * h * w), out=var, casting="unsafe")
         if update_running:
-            m = dt.type(momentum)
+            m = dt.type(_BN_MOMENTUM)
             stats.mean = ((1 - m) * stats.mean + m * mu).astype(stats.mean.dtype)
             stats.var = ((1 - m) * stats.var + m * var).astype(stats.var.dtype)
     else:
@@ -606,7 +606,7 @@ def batch_norm2d(
         var = stats.var.astype(dt)
         xhat = x.data - mu.reshape(1, c, 1, 1)
 
-    sigma = np.sqrt(var + dt.type(eps))
+    sigma = np.sqrt(var + dt.type(_BN_EPS))
     xhat /= sigma.reshape(1, c, 1, 1)
     if not _recording((x, gamma, beta)):
         # nothing reads xhat again, so the output takes its buffer

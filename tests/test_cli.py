@@ -119,6 +119,14 @@ class TestConfig:
             cfg = apply_overrides(load_config(None), args)
             assert cfg[section]["epochs"] == 7
 
+    def test_out_dir_tilde_expands_once_after_the_overrides(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        path = write_config(tmp_path, "[run]\nout_dir = ~/runs/x\n")
+        for out, want in ((None, tmp_path / "runs" / "x"), ("~/flag", tmp_path / "flag")):
+            args = argparse.Namespace(command="describe", model=None, data_dir=None,
+                                      seed=None, out=out)
+            assert apply_overrides(load_config(path), args)["run"]["out_dir"] == str(want)
+
     def test_search_knob_overrides(self):
         args = argparse.Namespace(command="search", model=None, data_dir=None,
                                   seed=None, out=None, epochs=None, alpha=2.5, beta=0.7)
@@ -234,26 +242,42 @@ class TestForeignUpstream:
         assert "baseline" in err and "its seed is 0, this run's is 5" in err
 
 
+def _copied_run(options, tmp_path):
+    """`options` with `--out` pointing at a copy of its run under `tmp_path`."""
+    args = list(options)
+    out = args.index("--out") + 1
+    run = tmp_path / "run"
+    shutil.copytree(args[out], run)
+    args[out] = str(run)
+    return args, run
+
+
 class TestBadCheckpoint:
     def test_truncated_baseline_array_is_2(self, seed0_baseline, tmp_path, capsys):
-        args = list(seed0_baseline)
-        out = args.index("--out") + 1
-        run = tmp_path / "run"
-        shutil.copytree(args[out], run)
-        args[out] = str(run)
+        args, run = _copied_run(seed0_baseline, tmp_path)
         weight = run / "baseline" / "layer000.weight.f32"
         weight.write_bytes(weight.read_bytes()[:-8])
         assert main(["search", *args, "--seed", "0"]) == 2
         assert "holds 142 floats, expected shape (16, 1, 3, 3)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kernels, message", [
+        ({3: [2, 3]}, "layer 3 (pool) needs a square window that divides its 28x28 input, got kernel (2, 3)"),
+        ({3: [4, 4], 7: [2, 2], 14: [3, 3]}, "layer 7 (pool) needs a square window that divides its 7x7"),
+    ])
+    def test_malformed_pool_window_is_2(self, seed0_baseline, tmp_path, capsys, kernels, message):
+        args, run = _copied_run(seed0_baseline, tmp_path)
+        path = run / "baseline" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        for lid, kernel in kernels.items():
+            manifest["model"]["layers"][lid]["kernel"] = kernel
+        path.write_text(json.dumps(manifest))
+        assert main(["search", *args, "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err
 
     @pytest.mark.parametrize("field", ["model"])
     def test_manifest_without_a_field_is_2(self, seed0_baseline, tmp_path, capsys, field):
-        args = list(seed0_baseline)
-        out = args.index("--out") + 1
-        run = tmp_path / "run"
-        shutil.copytree(args[out], run)
-        args[out] = str(run)
+        args, run = _copied_run(seed0_baseline, tmp_path)
         path = run / "baseline" / "manifest.json"
         manifest = json.loads(path.read_text())
         del manifest[field]

@@ -75,7 +75,6 @@ def toy_dataset(n=20, seed=0):
     return Dataset(
         images=rng.standard_normal((n, 1, 4, 4)).astype(np.float32),
         labels=rng.integers(0, 10, n),
-        split="train",
         mean=np.zeros(1, dtype=np.float32),
         std=np.ones(1, dtype=np.float32),
         checksums={},
@@ -102,6 +101,15 @@ class TestMnistLoading:
         monkeypatch.setenv(DATA_DIR_ENV, str(d))
         train, _ = load_mnist()
         assert len(train) == 40
+
+    def test_tilde_expands_to_home(self, tmp_path, monkeypatch):
+        d = make_mnist_dir(tmp_path)
+        monkeypatch.setenv("HOME", str(d.parent))
+        train, _ = load_mnist(f"~/{d.name}")
+        assert len(train) == 40
+        monkeypatch.setenv(DATA_DIR_ENV, f"~/{d.name}")
+        assert resolve_data_dir() == d
+        assert len(load_mnist()[0]) == 40
 
     def test_no_dir_anywhere_raises(self, monkeypatch):
         monkeypatch.delenv(DATA_DIR_ENV, raising=False)
@@ -248,7 +256,6 @@ class TestSplit:
         assert len(train) == 24 and len(val) == 6
         seen = np.concatenate([train.images[:, 0, 0, 0], val.images[:, 0, 0, 0]])
         assert sorted(seen.tolist()) == list(range(30))
-        assert val.split == "val" and train.split == "train"
 
     def test_same_seed_same_split(self):
         a1, v1 = split_validation(toy_dataset(), fraction=0.25, seed=3)

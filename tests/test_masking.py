@@ -39,7 +39,6 @@ def piecewise_mask_oracle(ratio, channels):
 
 def identity_ranking(channels):
     return ChannelRanking(
-        scores=np.arange(channels, 0, -1, dtype=np.float64),
         order=np.arange(channels),
         ranks=np.arange(1, channels + 1),
     )
@@ -89,16 +88,16 @@ class TestMaskRule:
 
     def test_search_domain_enforced_where_ratios_live(self):
         with pytest.raises(ValueError, match="outside"):
-            build_mask(0.01, 8, identity_ranking(8))
+            build_mask(0.01, identity_ranking(8))
         with pytest.raises(ValueError, match="outside"):
-            build_mask(1.2, 8, identity_ranking(8))
+            build_mask(1.2, identity_ranking(8))
         with pytest.raises(ValueError, match="outside"):
             kept_count(0.01, 8)
 
     def test_boundary_value_recorded(self):
-        entry = build_mask(0.55, 16, identity_ranking(16))
+        entry = build_mask(0.55, identity_ranking(16))
         assert abs(entry.boundary_value - 0.8) < 1e-9
-        entry = build_mask(0.5, 16, identity_ranking(16))
+        entry = build_mask(0.5, identity_ranking(16))
         assert entry.boundary_value == 0.0
 
 
@@ -171,7 +170,7 @@ class TestRanking:
         w = np.zeros((4, 1, 1, 1), dtype=np.float32)
         w[:, 0, 0, 0] = [0.1, 5.0, 3.0, 0.2]  # importance: 1, 2, 3, 0
         ranking = rank_channels(w)
-        entry = build_mask(0.625, 4, ranking)  # r*C = 2.5: two on, half at rank 3
+        entry = build_mask(0.625, ranking)  # r*C = 2.5: two on, half at rank 3
         np.testing.assert_allclose(entry.by_channel, [0.0, 1.0, 1.0, 0.5], atol=1e-12)
         np.testing.assert_array_equal(active_channels(entry), [1, 2, 3])
 
@@ -183,7 +182,7 @@ class TestMaskTensor:
         r = Tensor(np.float32(0.7), requires_grad=True)
         m = ratio_mask_tensor(r, ranking)
         np.testing.assert_allclose(
-            m.data, build_mask(0.7, 8, ranking).by_channel.astype(np.float32), atol=1e-7
+            m.data, build_mask(0.7, ranking).by_channel.astype(np.float32), atol=1e-7
         )
 
     def test_backward_routes_boundary_slope_to_ratio(self):
@@ -202,7 +201,7 @@ class TestMaskTensor:
         coeff = rng.standard_normal(8)
 
         def value(r):
-            return float(np.dot(build_mask(r, 8, ranking).by_channel, coeff))
+            return float(np.dot(build_mask(r, ranking).by_channel, coeff))
 
         r0 = 0.63  # r*C = 5.04, safely off the kink
         r = Tensor(np.float64(r0), requires_grad=True)

@@ -43,7 +43,7 @@ def traced_steps(net, ratios, shape):
     yb = rng.integers(0, 10, 8)
     flops = model.prunable_flops(net)
     rankings = {i: masking.rank_channels(net.params[i]["weight"].data) for i in flops}
-    masks = {i: masking.build_mask(ratios[i], net.layer(i).out_channels, rankings[i]) for i in flops}
+    masks = {i: masking.build_mask(ratios[i], rankings[i]) for i in flops}
     config = search.SearchConfig(batch_size=8)
 
     tracer = load_tracer().Tracer()
@@ -122,7 +122,7 @@ def test_clock_stamps_each_step_iteration_and_probe(monkeypatch):
 
     def data(n):
         return Dataset(rng.standard_normal((n, 1, 8, 8)).astype(np.float32), rng.integers(0, 10, n),
-                       "train", np.zeros(1, np.float32), np.ones(1, np.float32), {})
+                       np.zeros(1, np.float32), np.ones(1, np.float32), {})
 
     train, val = data(40), data(16)
     net = model.build_model("cnn-small", 10, (1, 8, 8), rng=np.random.default_rng(0))

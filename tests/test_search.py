@@ -35,7 +35,6 @@ def tiny_dataset(n=32, seed=0, classes=10):
     return Dataset(
         images=rng.standard_normal((n, 1, 8, 8)).astype(np.float32),
         labels=rng.integers(0, classes, n),
-        split="train",
         mean=np.zeros(1, dtype=np.float32),
         std=np.ones(1, dtype=np.float32),
         checksums={},
@@ -131,7 +130,7 @@ def _setup_step_inputs(model):
     ids = sorted(flops)
     rankings = {i: rank_channels(model.params[i]["weight"].data) for i in ids}
     ratios = {i: 1.0 for i in ids}
-    masks = {i: build_mask(1.0, model.layer(i).out_channels, rankings[i]) for i in ids}
+    masks = {i: build_mask(1.0, rankings[i]) for i in ids}
     return flops, ids, rankings, ratios, masks
 
 
@@ -395,7 +394,7 @@ def step_case(name, kind, seed=0):
         c = model.layer(i).out_channels
         k = int(rng.integers(1, c))
         ratios[i] = {"mid": (k + 0.5) / c, "kink": k / c, "full": 1.0}[kind]
-    masks = {i: build_mask(ratios[i], rankings[i].channels, rankings[i]) for i in ids}
+    masks = {i: build_mask(ratios[i], rankings[i]) for i in ids}
     return model, xb, yb, flops, rankings, ratios, masks
 
 
@@ -608,6 +607,26 @@ class TestRunSearch:
         for key in ("layer", "ratio", "floor", "boundary_value", "kink_count",
                     "entered", "left"):
             assert key in ev
+
+    def test_rankings_refresh_at_zero_and_after_each_interval_only(self, monkeypatch):
+        # the search owns the cadence: `refresh_ranking` re-ranks whenever called
+        steps, refreshed = [], []
+        outer, refresh = search.outer_step, search.refresh_ranking
+
+        def counting_outer(*args, **kwargs):
+            steps.append(None)
+            return outer(*args, **kwargs)
+
+        def spying_refresh(model):
+            refreshed.append(len(steps))  # iterations finished so far
+            return refresh(model)
+
+        monkeypatch.setattr(search, "outer_step", counting_outer)
+        monkeypatch.setattr(search, "refresh_ranking", spying_refresh)
+        train, val = tiny_dataset(32), tiny_dataset(16, seed=1)
+        res = run_search(tiny_model(), train, val, tiny_config(epochs=3, ranking_interval=5))
+        assert res.iterations == 12
+        assert refreshed == [0, 5, 10]
 
     def test_refresh_events_count_kinks_per_layer(self):
         # every ratio starts at 1, a kink, so each layer has counted some

@@ -160,9 +160,11 @@ def full_buffer_conv2d(x, w, stride, padding, g):
 
     Returns the output and the w and x gradients of sum(out * g).
     """
-    n = x.shape[0]
+    n, _, h, wd = x.shape
     cout, _, kh, kw = w.shape
-    cols, ho, wo = _im2col(x, kh, kw, stride, padding)
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wd + 2 * padding - kw) // stride + 1
+    cols = _im2col(x, kh, kw, stride, padding)
     wmat = w.reshape(cout, -1)
     out = np.matmul(wmat, cols).reshape(n, cout, ho, wo)
     gmat = g.reshape(n, cout, ho * wo)
