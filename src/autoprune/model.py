@@ -2,10 +2,11 @@
 
 A model is a flat list of layers plus a predecessor map, so plain chains
 and residual blocks share one representation.  Only conv layers are
-prunable; each prunable conv has a mask point right after its bn+relu,
-where a per-channel mask multiplies the feature map.  Masking there is
-numerically equivalent to slicing the channels out (`slice_channels`),
-which the exporter and the search's steps rely on.
+prunable; each prunable conv has a mask point right after its bn+relu.
+A per-channel mask m >= 0 scales that bn's gamma and beta, which equals
+scaling the feature map after the relu: m*relu(y) = relu(m*y).  Masking
+there is numerically equivalent to slicing the channels out
+(`slice_channels`), which the exporter and the search's steps rely on.
 
 FLOPs use the multiply-add-counts-two convention: a conv costs
 2*Kh*Kw*Cin*Cout*Hout*Wout, a linear layer 2*D*K, and bn/relu/pool/add
@@ -14,6 +15,7 @@ are counted as zero.
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -27,6 +29,7 @@ from .tensor import (
     channel_scale,
     conv2d,
     linear,
+    mul,
     no_grad,
     pool2d,
     relu,
@@ -360,8 +363,14 @@ def forward(
     """Run the graph on a [N, C, H, W] batch and return [N, classes] logits.
 
     `masks` maps prunable conv ids to per-channel scale vectors (Tensor
-    or array); each is applied at that conv's mask point.  An all-ones
-    mask is bit-identical to passing no mask.
+    or array) with no negative or NaN entry.  Each scales the gamma and
+    beta of the bn before that conv's mask-point relu, which for m >= 0
+    equals scaling the relu's output: m*relu(y) = relu(m*y) and
+    m*(gamma*xhat + beta) = (m*gamma)*xhat + m*beta.  A mask that is in
+    the graph and has a zero entry scales the relu's output itself, so
+    that entry's gradient is sum(g*relu(y)), not relu's zero subgradient:
+    the ratio step reads it at a kink (`mask_grad_wrt_ratio`).  An
+    all-ones mask is bit-identical to passing no mask.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -374,7 +383,19 @@ def forward(
     unknown = set(masks) - set(model.mask_points)
     if unknown:
         raise ValueError(f"masks given for non-prunable layers {sorted(unknown)}")
-    mask_at = {model.mask_points[cid]: mvec for cid, mvec in masks.items()}
+    # bn id -> mask of its gamma and beta; relu id -> mask of its output
+    fold, scale = {}, {}
+    for cid, mvec in masks.items():
+        point = model.mask_points[cid]
+        bn = model.preds[point][0]
+        if not isinstance(mvec, Tensor):
+            mvec = Tensor(np.asarray(mvec), dtype=model.params[bn]["gamma"].data.dtype)
+        if not (mvec.data >= 0).all():
+            raise ValueError(f"mask for conv {cid} has a negative or NaN entry")
+        if mvec.requires_grad and not mvec.data.all():
+            scale[point] = mvec
+        else:
+            fold[bn] = mvec
 
     # drop each output after its last consumer, so a pass without a graph
     # holds only the live activations, not every layer's
@@ -387,10 +408,13 @@ def forward(
         if layer.kind == "conv":
             out = conv2d(srcs[0], model.params[layer.id]["weight"], layer.stride, layer.padding)
         elif layer.kind == "bn":
+            gamma, beta = model.params[layer.id]["gamma"], model.params[layer.id]["beta"]
+            if layer.id in fold:
+                gamma, beta = mul(gamma, fold[layer.id]), mul(beta, fold[layer.id])
             out = batch_norm2d(
                 srcs[0],
-                model.params[layer.id]["gamma"],
-                model.params[layer.id]["beta"],
+                gamma,
+                beta,
                 model.bn_stats[layer.id],
                 mode=mode,
                 update_running=update_running,
@@ -407,11 +431,8 @@ def forward(
                 n = feats.data.shape[0]
                 feats = reshape(feats, (n, -1))
             out = linear(feats, model.params[layer.id]["weight"], model.params[layer.id]["bias"])
-        if layer.id in mask_at:
-            mvec = mask_at[layer.id]
-            if not isinstance(mvec, Tensor):
-                mvec = Tensor(np.asarray(mvec), dtype=out.data.dtype)
-            out = channel_scale(out, mvec)
+        if layer.id in scale:
+            out = channel_scale(out, scale[layer.id])
         outputs[layer.id] = out
     return out
 
@@ -656,14 +677,19 @@ _TABLE_TYPES = {
 
 def _check_table_types(table: dict) -> None:
     """`ValueError` naming the field, and the layer, of the first value of
-    `table` whose type is wrong; `KeyError` for a missing field."""
+    `table` that is missing or whose type is wrong."""
 
     def check(where: str, record: dict, types: dict) -> None:
         for key, (test, need) in types.items():
+            if key not in record:
+                raise ValueError(f"model table {where}has no field {key!r}")
             if not test(record[key]):
                 raise ValueError(f"model table {where}field {key!r} is not {need}, got {record[key]!r}")
 
     check("", table, _TABLE_TYPES)
+    for k in table["preds"]:
+        if not re.fullmatch(r"-?[0-9]+", k):
+            raise ValueError(f"model table preds key {k!r} is not an integer layer id")
     check("preds ", table["preds"], dict.fromkeys(table["preds"], (_is_ints, "a list of integers")))
     layer_types = {f.name: _LAYER_TYPES[f.type] for f in fields(LayerSpec)}
     for n, e in enumerate(table["layers"]):

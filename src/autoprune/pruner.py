@@ -307,8 +307,6 @@ def load_checkpoint(directory) -> tuple[ModelGraph, dict]:
     table = _field(manifest_path, "", manifest, "model", dict)
     try:
         model = model_from_table(table, np.float32)  # the array files are float32
-    except KeyError as e:
-        raise CheckpointError(f"{manifest_path}: model table has no field {e}") from e
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{manifest_path}: {e}") from e
     for lid, role, arr in model.arrays():

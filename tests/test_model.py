@@ -7,7 +7,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from autoprune.masking import rank_channels, ratio_mask_tensor, ratio_step_channels
 from autoprune.model import (
+    INPUT,
     build_model,
     evaluate,
     exact_flops_by_layer,
@@ -19,7 +21,22 @@ from autoprune.model import (
     slice_channels,
     write_back,
 )
-from autoprune.tensor import Tensor, backward, no_grad, softmax_cross_entropy, use_dtype, zero_grad
+from autoprune.tensor import (
+    Tensor,
+    add,
+    backward,
+    batch_norm2d,
+    channel_scale,
+    conv2d,
+    linear,
+    no_grad,
+    pool2d,
+    relu,
+    reshape,
+    softmax_cross_entropy,
+    use_dtype,
+    zero_grad,
+)
 
 
 def small_model(seed=0, input_shape=(1, 28, 28)):
@@ -237,6 +254,114 @@ class TestForwardSemantics:
         m = small_model()
         with pytest.raises(ValueError, match="input shape"):
             forward(m, np.zeros((1, 3, 28, 28), dtype=np.float32))
+
+    @pytest.mark.parametrize("as_tensor", [False, True], ids=["array", "tensor"])
+    @pytest.mark.parametrize("bad", [-0.5, np.nan], ids=["negative", "nan"])
+    def test_negative_or_nan_mask_entry_rejected(self, bad, as_tensor):
+        # relu(m*y) = m*relu(y), which lets a mask scale bn's gamma and
+        # beta, holds only for m >= 0
+        m = small_model(input_shape=(1, 8, 8))
+        mask = np.ones(32, dtype=np.float32)
+        mask[3] = bad
+        with pytest.raises(ValueError, match="mask for conv 4 has a negative or NaN entry"):
+            forward(m, np.zeros((2, 1, 8, 8), dtype=np.float32),
+                    masks={4: Tensor(mask) if as_tensor else mask})
+
+
+def scale_after_relu(model, x, masks):
+    """Reference train-mode forward in which each mask multiplies its
+    mask-point relu's output with `channel_scale`, the definition of
+    masking that `forward`'s bn fold must reproduce."""
+    at = {model.mask_points[i]: m if isinstance(m, Tensor) else Tensor(m) for i, m in masks.items()}
+    outputs = {INPUT: Tensor(x)}
+    for layer in model.layers:
+        srcs = [outputs[p] for p in model.preds[layer.id]]
+        p = model.params.get(layer.id)
+        if layer.kind == "conv":
+            out = conv2d(srcs[0], p["weight"], layer.stride, layer.padding)
+        elif layer.kind == "bn":
+            out = batch_norm2d(srcs[0], p["gamma"], p["beta"], model.bn_stats[layer.id],
+                               update_running=False)
+        elif layer.kind == "relu":
+            out = relu(srcs[0])
+        elif layer.kind == "pool":
+            out = pool2d(srcs[0], layer.pool_kind, layer.kernel[0])
+        elif layer.kind == "add":
+            out = add(srcs[0], srcs[1])
+        else:
+            out = linear(reshape(srcs[0], (len(x), -1)), p["weight"], p["bias"])
+        outputs[layer.id] = channel_scale(out, at[layer.id]) if layer.id in at else out
+    return out
+
+
+def fold(model, x, masks):
+    return forward(model, x, masks=masks, mode="train", update_running=False)
+
+
+class TestMaskFold:
+    """`forward` against `scale_after_relu`, in float64, within 1e-12
+    relative: the logits, every parameter gradient and every ratio gradient."""
+
+    @staticmethod
+    def case(name):
+        shape = (1, 8, 8) if name == "cnn-small" else (3, 8, 8)
+        model = build_model(name, 10, shape, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        for l in model.layers:
+            if l.kind == "bn":  # away from their initial ones and zeros
+                model.params[l.id]["gamma"].data[:] = rng.uniform(0.5, 1.5, l.out_channels)
+                model.params[l.id]["beta"].data[:] = rng.normal(0.0, 0.5, l.out_channels)
+        return model, rng.standard_normal((6, *shape)), rng.integers(0, 10, 6)
+
+    @staticmethod
+    def assert_close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("name", ["cnn-small", "resnet-tiny"])
+    def test_constant_masks_of_zeros_ones_and_fractions(self, name):
+        # the weight step's masks: constants, so every one is folded
+        with use_dtype(np.float64):
+            model, x, y = self.case(name)
+            masks = {i: np.resize([0.0, 1.0, 0.3, 1.0, 0.75], model.layer(i).out_channels)
+                     for i in model.prunable_ids()}
+            runs = []
+            for fwd in (fold, scale_after_relu):
+                zero_grad(model.parameters())
+                logits = fwd(model, x, masks)
+                backward(softmax_cross_entropy(logits, y))
+                runs.append((logits.data, [p.grad for p in model.parameters()]))
+        (logits, grads), (want_logits, want_grads) = runs
+        self.assert_close(logits, want_logits)
+        for g, want in zip(grads, want_grads):
+            self.assert_close(g, want)
+
+    @pytest.mark.parametrize("kink", [False, True], ids=["fraction", "kink"])
+    @pytest.mark.parametrize("name", ["cnn-small", "resnet-tiny"])
+    def test_ratio_gradients_on_the_ratio_steps_channels(self, name, kink):
+        # the ratio step's view: off a kink each mask holds ones and one
+        # fractional entry, which are folded; at a kink the boundary entry
+        # is 0, and its gradient still reaches the ratio
+        with use_dtype(np.float64):
+            model, x, y = self.case(name)
+            ids = model.prunable_ids()
+            rankings = {i: rank_channels(model.params[i]["weight"].data) for i in ids}
+            ratios = {}
+            for i in ids:
+                c = model.layer(i).out_channels
+                ratios[i] = (c // 2 + (0.0 if kink else 0.3)) / c
+            keep = {i: ratio_step_channels(ratios[i], rankings[i]) for i in ids}
+            net = slice_channels(model, keep)
+            runs = []
+            for fwd in (fold, scale_after_relu):
+                rts = {i: Tensor(ratios[i], requires_grad=True) for i in ids}
+                masks = {i: ratio_mask_tensor(rts[i], rankings[i], ids=keep[i]) for i in ids}
+                logits = fwd(net, x, masks)
+                backward(softmax_cross_entropy(logits, y))
+                runs.append((logits.data, np.array([float(rts[i].grad) for i in ids])))
+        (logits, grads), (want_logits, want_grads) = runs
+        assert np.all(want_grads != 0)
+        self.assert_close(logits, want_logits)
+        self.assert_close(grads, want_grads)
 
 
 class TestFlops:

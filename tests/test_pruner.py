@@ -432,7 +432,7 @@ class TestCheckpoints:
         manifest = json.loads(path.read_text())
         del manifest["model"]["layers"][2]["kernel"]
         path.write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="manifest.json: model table has no field 'kernel'"):
+        with pytest.raises(CheckpointError, match="manifest.json: model table layer 2 has no field 'kernel'"):
             load_checkpoint(tmp_path / "ck")
 
     @pytest.mark.parametrize("damage, message", [
@@ -534,10 +534,23 @@ class TestOneLeafMutations:
             path.write_text(json.dumps({**manifest, "model": table}))
             try:
                 load_checkpoint(tmp_path)
-            except (CheckpointError, FileNotFoundError):
-                pass
+            except (CheckpointError, FileNotFoundError) as e:
+                # a layer record without one of its fields is refused by name
+                if mutation == "deleted" and leaf[0] == "layers":
+                    assert f"model table layer {leaf[1]} " in str(e), f"{name} table {leaf}: {e}"
             except Exception as e:  # any other escape is the failure
                 pytest.fail(f"{name} table {leaf} {mutation}: {type(e).__name__}: {e}")
+            else:
+                assert not (mutation == "deleted" and leaf[0] == "layers"), f"{name} table {leaf} loaded"
+
+    def test_model_table_preds_key_that_is_not_an_integer_is_named(self, tmp_path):
+        path = save_checkpoint(build_model("cnn-small", 10, (1, 8, 8)), tmp_path)
+        manifest = json.loads(path.read_text())
+        preds = manifest["model"]["preds"]
+        preds["x"] = preds.pop("5")
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="model table preds key 'x' is not an integer layer id"):
+            load_checkpoint(tmp_path)
 
     @pytest.mark.parametrize("mutation", ["null", "x", "[]", "a scalar for a list"])
     @pytest.mark.parametrize("name, shape", [("cnn-small", (1, 8, 8)), ("resnet-tiny", (3, 8, 8))])

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from autoprune import search
+from autoprune import model as model_module
+from autoprune import search, tensor
 from autoprune.data import Dataset
 from autoprune.masking import (
     MaskDiagnostics,
@@ -16,7 +17,7 @@ from autoprune.masking import (
     ratio_mask_tensor,
     ratio_step_channels,
 )
-from autoprune.model import build_model, forward, prunable_flops, slice_channels
+from autoprune.model import build_model, evaluate, forward, prunable_flops, slice_channels
 from autoprune.objective import combined_loss
 from autoprune.search import (
     SearchConfig,
@@ -284,7 +285,9 @@ class TestOuterStep:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_ratio_gradient_raises_instead_of_clamping(self):
         # NaN conv-8 weights: relu zeroes the NaN, the loss is finite, and
-        # the ratio gradients of layers 0 and 4 upstream of conv 8 are NaN
+        # the ratio gradients of layers 0 and 4 upstream of conv 8 are NaN;
+        # so is layer 8's own, since its mask scales bn 9's gamma and beta
+        # and so meets bn 9's NaN output before relu 10 drops it
         model = tiny_model()
         ds = tiny_dataset()
         flops, ids, rankings, ratios, _ = _setup_step_inputs(model)
@@ -294,7 +297,7 @@ class TestOuterStep:
                 model, ds.images[:8], ds.labels[:8], ratios, rankings, flops, tiny_config(), 0.05
             )
         assert math.isfinite(exc.value.state["loss"])
-        assert exc.value.state["layers"] == [0, 4]
+        assert exc.value.state["layers"] == [0, 4, 8]
         assert_trainable_and_gradless(model)
 
     def test_cost_pressure_pushes_ratios_down(self):
@@ -505,6 +508,30 @@ class TestSlicedStepsMatchMaskedDense:
         assert {i: float(t.grad) for i, t in seen.items()} == want_grads
 
 
+@pytest.mark.parametrize("kind", ("mid", "kink"))
+@pytest.mark.parametrize("name", MODELS)
+def test_masked_steps_scale_no_feature_map_off_a_kink(name, kind, monkeypatch):
+    # off a kink each mask holds ones, zeros and a fractional entry, and
+    # every step applies it through bn's gamma and beta; at a kink the ratio
+    # step's zero boundary entry scales its relu's output
+    scaled = []
+
+    def spy(x, s):
+        scaled.append(x.data.shape)
+        return real(x, s)
+
+    real = tensor.channel_scale
+    for module in (model_module, tensor):
+        monkeypatch.setattr(module, "channel_scale", spy)
+    model, xb, yb, flops, rankings, ratios, masks = step_case(name, kind)
+    cfg = tiny_config()
+    inner_step(model, xb, yb, masks, ratios, flops, cfg, 0.05)
+    evaluate(model, xb, yb, masks={i: m.by_channel for i, m in masks.items()})
+    assert scaled == []
+    outer_step(model, xb, yb, ratios, rankings, flops, cfg, 0.05)
+    assert len(scaled) == (len(ratios) if kind == "kink" else 0)
+
+
 class TestRunSearch:
     def test_single_epoch_bookkeeping(self):
         model = tiny_model()
@@ -560,13 +587,13 @@ class TestRunSearch:
         # every ratio stays inside (1/C, 1), so both the mask and the cost
         # gradient count
         golden_ratios = {
-            0: 0.8679276055125148,
-            4: 0.8712172028503338,
-            8: 0.9223755567478036,
-            11: 0.18479637731380247,
+            0: 0.8679271758439059,
+            4: 0.8712168099788715,
+            8: 0.9223754130347738,
+            11: 0.184796647693025,
         }
         self._assert_near(self._short_search(), golden_ratios, 2.3259129524230957,
-                          0.9055256551235452, 4.136964262670186, rtol=1e-6)
+                          0.9055255718601423, 4.13696409614338, rtol=1e-6)
 
     def test_short_search_stays_near_the_masked_dense_values(self):
         # the same search computed every channel and masked the dropped
