@@ -25,9 +25,7 @@ def synthetic(n):
     for i, y in enumerate(labels):
         r, c = divmod(int(y), 2)
         images[i, 0, 4 * r : 4 * r + 4, 4 * c : 4 * c + 4] += 1.5
-    return Dataset(images=images, labels=labels,
-                   mean=np.zeros(1, np.float32), std=np.ones(1, np.float32),
-                   checksums={})
+    return Dataset(images=images, labels=labels, checksums={})
 
 
 train, val = synthetic(512), synthetic(128)

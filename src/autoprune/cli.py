@@ -15,9 +15,11 @@ import argparse
 import configparser
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -169,6 +171,19 @@ def _read_json(path: Path):
         raise CheckpointError(f"{path}: {e}") from e
 
 
+def _column(path: Path, rows: list[dict], name: str) -> list[float]:
+    """Column `name` of the CSV `rows` read from `path`, as finite floats.
+    No rows, or a value that is missing or not a finite number, raises
+    `CheckpointError` naming the file and the column."""
+    try:
+        values = [float(r[name]) for r in rows]
+    except (KeyError, TypeError, ValueError):
+        values = [math.nan]
+    if not values or not all(map(math.isfinite, values)):
+        raise CheckpointError(f"{path}: column {name!r} is missing, empty or not all finite numbers")
+    return values
+
+
 def _check_upstream(cfg: dict, checksums: dict, manifest: dict, path: Path) -> None:
     """Refuse an upstream phase that another run wrote.
 
@@ -239,23 +254,17 @@ def cmd_search(cfg: dict) -> int:
     write_csv(result.metrics, out / "trajectory.csv")
     write_csv(result.refresh_events, out / "diagnostics.csv")
     plan = finalize_plan(model, result.ratios, result.rankings)
-    (out / "result.json").parent.mkdir(parents=True, exist_ok=True)
-    (out / "result.json").write_text(json.dumps({
-        "ratios": {str(k): v for k, v in result.ratios.items()},
-        "fpr_exact": result.fpr_exact,
-        "iterations": result.iterations,
-        "epochs_run": result.epochs_run,
-        "converged": result.converged,
-        "kink_count": result.diagnostics.kink_count,
-        "plan": plan.to_dict(),
-    }, indent=2, sort_keys=True))
     save_checkpoint(
         model, out,
         extra=_phase_manifest(cfg, train.checksums, time.perf_counter() - t0, {
             "phase": "search",
+            "ratios": {str(k): v for k, v in result.ratios.items()},
             "fpr_exact": result.fpr_exact,
             "iterations": result.iterations,
+            "epochs_run": result.epochs_run,
             "converged": result.converged,
+            "kink_count": result.diagnostics.kink_count,
+            "plan": plan.to_dict(),
         }),
     )
     ratio_text = ", ".join(f"{k}:{v:.3f}" for k, v in sorted(result.ratios.items()))
@@ -269,19 +278,18 @@ def cmd_prune(cfg: dict) -> int:
     out_root = Path(cfg["run"]["out_dir"])
     search_dir = out_root / "search"
     base_dir = out_root / "baseline"
-    result_path = search_dir / "result.json"
-    for need in (search_dir / "manifest.json", result_path, base_dir / "manifest.json"):
+    search_path = search_dir / "manifest.json"
+    for need in (search_path, base_dir / "manifest.json"):
         if not need.is_file():
             raise FileNotFoundError(f"missing run artifact: expected {need}")
     model, search_manifest = load_checkpoint(search_dir)
-    result = _read_json(result_path)
     baseline = _read_json(base_dir / "manifest.json")
     train, val, test = _splits(cfg)
     _check_upstream(cfg, train.checksums, baseline, base_dir / "manifest.json")
-    _check_upstream(cfg, train.checksums, search_manifest, search_dir / "manifest.json")
+    _check_upstream(cfg, train.checksums, search_manifest, search_path)
     baseline_top1 = _field(base_dir / "manifest.json", "", baseline, "top1", float)
 
-    plan = PruningPlan.from_dict(_field(result_path, "", result, "plan", dict), model, result_path)
+    plan = PruningPlan.from_dict(_field(search_path, "", search_manifest, "plan", dict), model, search_path)
     pruned = export_pruned(model, plan)
     f = cfg["finetune"]
     ft = finetune(
@@ -345,17 +353,15 @@ def cmd_report(cfg: dict) -> int:
     traj_path = out_root / "search" / "trajectory.csv"
     if traj_path.is_file():
         rows_t = read_csv(traj_path)
-        it = [float(r["iteration"]) for r in rows_t]
+        col = partial(_column, traj_path, rows_t)
+        it = col("iteration")
         svg_line_plot(
-            {"validation accuracy": (it, [float(r["val_accuracy"]) for r in rows_t])},
+            {"validation accuracy": (it, col("val_accuracy"))},
             report_dir / "accuracy.svg",
             title="Search validation accuracy", xlabel="iteration", ylabel="top-1",
         )
         svg_line_plot(
-            {
-                "cross entropy": (it, [float(r["loss_ce"]) for r in rows_t]),
-                "flops cost": (it, [float(r["cost"]) for r in rows_t]),
-            },
+            {"cross entropy": (it, col("loss_ce")), "flops cost": (it, col("cost"))},
             report_dir / "loss.svg",
             title="Search loss terms", xlabel="iteration", ylabel="loss",
         )
@@ -363,12 +369,11 @@ def cmd_report(cfg: dict) -> int:
             (c for c in rows_t[0] if c.startswith("ratio_")), key=lambda c: int(c.split("_")[1])
         )
         svg_line_plot(
-            {c.replace("_", " "): (it, [float(r[c]) for r in rows_t]) for c in ratio_cols},
+            {c.replace("_", " "): (it, col(c)) for c in ratio_cols},
             report_dir / "ratios.svg",
             title="Remaining ratios", xlabel="iteration", ylabel="ratio",
         )
-        fpr_series = {"exact": (it, [float(r["fpr_exact"]) for r in rows_t]),
-                      "surrogate": (it, [float(r["fpr_surrogate"]) for r in rows_t])}
+        fpr_series = {"exact": (it, col("fpr_exact")), "surrogate": (it, col("fpr_surrogate"))}
         svg_line_plot(fpr_series, report_dir / "fpr.svg",
                       title="FLOPs pruned ratio", xlabel="iteration", ylabel="fraction")
 

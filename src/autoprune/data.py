@@ -3,8 +3,7 @@
 MNIST arrives as the four standard IDX files, CIFAR-10 as the binary
 batch files; both are validated against their magic numbers / record
 sizes and normalized per channel with statistics computed from the
-training images, which the test images share (each Dataset keeps them
-as `mean` and `std`; no checkpoint records them).
+training images, which the test images share.
 
 All randomness flows from one integer seed through named substreams, so
 two runs with the same seed shuffle, split, and initialize identically.
@@ -44,8 +43,6 @@ class Dataset:
 
     images: np.ndarray
     labels: np.ndarray
-    mean: np.ndarray  # per-channel normalization constants
-    std: np.ndarray
     checksums: dict[str, str]
 
     def __len__(self) -> int:
@@ -167,7 +164,7 @@ def _standardize(train: np.ndarray, other_u8: np.ndarray):
     for x in (train, other):
         x -= m
         x /= s
-    return train, other, mean, std
+    return train, other
 
 
 def load_mnist(data_dir=None) -> tuple[Dataset, Dataset]:
@@ -185,10 +182,10 @@ def load_mnist(data_dir=None) -> tuple[Dataset, Dataset]:
 
     train_u8 = train_x[:, None, :, :]
     test_u8 = test_x[:, None, :, :]
-    train_n, test_n, mean, std = _normalize(train_u8, test_u8)
+    train_n, test_n = _normalize(train_u8, test_u8)
     checksums = {v: _sha256(paths[k]) for k, v in MNIST_FILES.items()}
-    train = Dataset(train_n, train_y.astype(np.int64), mean, std, checksums)
-    test = Dataset(test_n, test_y.astype(np.int64), mean, std, checksums)
+    train = Dataset(train_n, train_y.astype(np.int64), checksums)
+    test = Dataset(test_n, test_y.astype(np.int64), checksums)
     return train, test
 
 
@@ -228,9 +225,9 @@ def load_cifar10(data_dir=None) -> tuple[Dataset, Dataset]:
         start += n
     test_u8, test_y, checksums[CIFAR_TEST_FILE] = _read_cifar_file(root / CIFAR_TEST_FILE)
 
-    train_n, test_n, mean, std = _standardize(train_x, test_u8)
-    train = Dataset(train_n, np.concatenate(ys), mean, std, checksums)
-    test = Dataset(test_n, test_y, mean, std, checksums)
+    train_n, test_n = _standardize(train_x, test_u8)
+    train = Dataset(train_n, np.concatenate(ys), checksums)
+    test = Dataset(test_n, test_y, checksums)
     return train, test
 
 

@@ -16,7 +16,8 @@ import pytest
 
 from autoprune.cli import DEFAULTS, ConfigError, _bool, apply_overrides, load_config, main
 from autoprune.model import exact_model_flops
-from autoprune.pruner import load_checkpoint
+from autoprune.pruner import _array_file, load_checkpoint
+from test_pruner import _MUTATIONS, _leaves, _one_leaf_mutations
 
 SMALL_CONFIG = """
 [run]
@@ -236,6 +237,30 @@ class TestForeignUpstream:
         assert main(["search", *args, "--seed", "0"]) == 2
         assert "its dataset_checksums is" in capsys.readouterr().err
 
+    def test_prune_takes_its_plan_only_from_this_runs_search(self, seed0_baseline, tmp_path, capsys):
+        # a plan's kept ids were ranked from one search's weights, so they
+        # must never slice another run's
+        args, run = _copied_run(seed0_baseline, tmp_path)
+        seed0 = tmp_path / "seed0-search"
+        shutil.copytree(run / "search", seed0)
+        assert main(["pretrain", *args, "--seed", "1"]) == 0
+        capsys.readouterr()
+        # seed 0's search beside a seed-1 baseline is refused
+        assert main(["prune", *args, "--seed", "1"]) == 2
+        assert capsys.readouterr().err == (f"error: {run / 'search' / 'manifest.json'} is from "
+                                           "another run: its seed is 0, this run's is 1\n")
+        assert not (run / "pruned").exists()
+        # seed 1's own search, with seed 0's other search files dropped in beside
+        # it, prunes by seed 1's plan
+        assert main(["search", *args, "--seed", "1"]) == 0
+        for f in seed0.iterdir():
+            if f.name != "manifest.json" and f.suffix != ".f32":
+                shutil.copy(f, run / "search")
+        assert main(["prune", *args, "--seed", "1", "--epochs", "0"]) == 0
+        search, pruned, other = (json.loads((d / "manifest.json").read_text())["plan"]
+                                 for d in (run / "search", run / "pruned", seed0))
+        assert pruned == search != other
+
     def test_report_refuses_another_seed(self, seed0_baseline, capsys):
         assert main(["report", *seed0_baseline, "--seed", "5"]) == 2
         err = capsys.readouterr().err
@@ -320,12 +345,16 @@ class TestPipeline:
 
     def test_search_artifacts(self, pipeline_run):
         out, _, _ = pipeline_run
-        result = json.loads((out / "search" / "result.json").read_text())
+        # the search's record is its checkpoint manifest; there is no second file
+        result = json.loads((out / "search" / "manifest.json").read_text())
+        assert not (out / "search" / "result.json").exists()
+        assert result["phase"] == "search"
         # the plan is the one record of kept channels
         assert set(result["ratios"]) == {str(e["layer_id"]) for e in result["plan"]["entries"]}
         assert "kept_counts" not in result and "active_channels" not in result
-        assert result["iterations"] > 0
-        assert "plan" in result
+        assert result["iterations"] > 0 and result["epochs_run"] == 1
+        assert isinstance(result["converged"], bool) and isinstance(result["kink_count"], int)
+        assert 0.0 <= result["fpr_exact"] < 1.0
         traj = (out / "search" / "trajectory.csv").read_text().splitlines()
         assert traj[0].startswith("iteration,")
         assert len(traj) >= 2
@@ -358,6 +387,52 @@ class TestPipeline:
         for name in ("accuracy.svg", "loss.svg", "ratios.svg", "fpr.svg"):
             assert (report / name).is_file(), name
 
+    def test_each_phase_directory_holds_exactly_its_files(self, pipeline_run):
+        out, _, _ = pipeline_run
+        # the layout README's "Run directory layout" lists
+        def arrays(phase):
+            model, _ = load_checkpoint(out / phase)
+            return {_array_file(lid, role) for lid, role, _ in model.arrays()}
+
+        want = {
+            "baseline": {"manifest.json", "metrics.csv"} | arrays("baseline"),
+            "search": {"manifest.json", "trajectory.csv", "diagnostics.csv"} | arrays("search"),
+            "pruned": {"manifest.json", "metrics.csv"} | arrays("pruned"),
+            "report": {"summary.csv", "accuracy.svg", "loss.svg", "ratios.svg", "fpr.svg"},
+        }
+        assert {p.name for p in out.iterdir()} == set(want)
+        for phase, names in want.items():
+            assert {p.name for p in (out / phase).iterdir()} == names, phase
+
+    @pytest.mark.parametrize("damage, column", [
+        ("header only", "iteration"),
+        ("drop val_accuracy", "val_accuracy"),
+        ("x in val_accuracy", "val_accuracy"),
+    ])
+    def test_malformed_trajectory_is_2(self, pipeline_run, synthetic_mnist_dir, tmp_path,
+                                       capsys, damage, column):
+        out, _, cfg = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        path = run / "search" / "trajectory.csv"
+        lines = path.read_text().splitlines()
+        if damage == "header only":
+            lines = lines[:1]
+        else:
+            at = lines[0].split(",").index("val_accuracy")
+            rows = [line.split(",") for line in lines]
+            for n, row in enumerate(rows):
+                if damage == "drop val_accuracy":
+                    del row[at]
+                elif n:
+                    row[at] = "x"
+            lines = [",".join(row) for row in rows]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--config", cfg, "--data-dir", str(synthetic_mnist_dir),
+                     "--out", str(run), "--seed", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: column '{column}' ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("damage, message", [
         ("truncate", "line 1 column"),
         ("drop plan", "field 'plan' is missing or not an object"),
@@ -376,7 +451,7 @@ class TestPipeline:
         out, _, cfg = pipeline_run
         run = tmp_path / "run"
         shutil.copytree(out, run)
-        path = run / "search" / "result.json"
+        path = run / "search" / "manifest.json"
         text = path.read_text()
         result = json.loads(text)
         entries = result["plan"]["entries"]
@@ -428,6 +503,38 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert f"{path}: " in err and message in err, err
 
+    def test_one_leaf_mutations_of_the_search_record_exit_0_or_2(
+            self, pipeline_run, synthetic_mnist_dir, tmp_path, capsys):
+        """`prune` after each of `test_pruner._MUTATIONS` of one leaf of the
+        search manifest exits 0 or 2, and an exit 2 prints one `error:`
+        line.  The leaves: plan entry 0's `layer_id` and first three
+        `kept_channel_ids`, and every field (each `kernel` item) of the
+        model table's layers 0, 1 and 2, cnn-small's first conv, bn and
+        relu.  Fine-tuning runs for zero epochs."""
+        out, _, cfg = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        path = run / "search" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        layers = manifest["model"]["layers"]
+        assert [layers[n]["kind"] for n in range(3)] == ["conv", "bn", "relu"]
+        entry = ("plan", "entries", 0)
+        leaves = [(*entry, "layer_id"), *((*entry, "kept_channel_ids", n) for n in range(3))]
+        leaves += [("model", "layers", n, *leaf) for n in range(3) for leaf in _leaves(layers[n])]
+        args = ["prune", "--config", cfg, "--data-dir", str(synthetic_mnist_dir),
+                "--out", str(run), "--seed", "3", "--epochs", "0"]
+        codes = []
+        for mutation, value in _MUTATIONS.items():
+            for leaf, bad in _one_leaf_mutations(manifest, value, leaves):
+                path.write_text(json.dumps(bad))
+                code = main(args)
+                err = capsys.readouterr().err
+                assert code in (0, 2), (leaf, mutation, code, err)
+                if code == 2:
+                    assert err.startswith("error: ") and err.count("\n") == 1, (leaf, mutation, err)
+                codes.append(code)
+        assert len(codes) == len(leaves) * len(_MUTATIONS) and codes.count(2) > len(codes) // 2
+
     def test_rerun_is_byte_identical(self, pipeline_run, synthetic_mnist_dir,
                                      tmp_path_factory):
         out, _, cfg = pipeline_run
@@ -436,9 +543,19 @@ class TestPipeline:
                   "--out", str(out2), "--seed", "3"]
         assert main(["pretrain", *common]) == 0
         assert main(["search", *common]) == 0
-        for rel in ("baseline/metrics.csv", "search/trajectory.csv",
-                    "search/result.json"):
+        for rel in ("baseline/metrics.csv", "search/trajectory.csv", "search/diagnostics.csv"):
             assert (out / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+        # the search record (ratios, fpr_exact, iterations, epochs_run, converged,
+        # kink_count, plan, model table), less `seconds` and `config.run.out_dir`
+        a, b = (json.loads((d / "search" / "manifest.json").read_text()) for d in (out, out2))
+        for m in (a, b):
+            del m["seconds"], m["config"]["run"]["out_dir"]
+        assert a == b
+        weights = sorted(p.name for p in (out / "search").glob("layer*.f32"))
+        assert weights == sorted(p.name for p in (out2 / "search").glob("layer*.f32"))
+        assert weights
+        for name in weights:
+            assert (out / "search" / name).read_bytes() == (out2 / "search" / name).read_bytes(), name
 
     def test_different_seed_changes_the_run(self, pipeline_run, synthetic_mnist_dir,
                                             tmp_path_factory):

@@ -67,7 +67,7 @@ def full_copy_normalize(train_u8, other_u8):
     std = train.astype(np.float64).std(axis=(0, 2, 3)).astype(np.float32)
     m = mean.reshape(1, c, 1, 1)
     s = std.reshape(1, c, 1, 1)
-    return (train - m) / s, (other - m) / s, mean, std
+    return (train - m) / s, (other - m) / s
 
 
 def toy_dataset(n=20, seed=0):
@@ -75,8 +75,6 @@ def toy_dataset(n=20, seed=0):
     return Dataset(
         images=rng.standard_normal((n, 1, 4, 4)).astype(np.float32),
         labels=rng.integers(0, 10, n),
-        mean=np.zeros(1, dtype=np.float32),
-        std=np.ones(1, dtype=np.float32),
         checksums={},
     )
 
@@ -93,7 +91,6 @@ class TestMnistLoading:
         mu = train.images.astype(np.float64).mean()
         sd = train.images.astype(np.float64).std()
         assert abs(mu) < 1e-4 and abs(sd - 1.0) < 1e-3
-        assert np.array_equal(train.mean, test.mean)
         assert len(train.checksums) == 4
 
     def test_env_var_fallback(self, tmp_path, monkeypatch):
@@ -151,7 +148,6 @@ class TestCifarLoading:
         train, test = load_cifar10(d)
         assert train.images.shape == (50, 3, 32, 32)
         assert test.images.shape == (10, 3, 32, 32)
-        assert train.mean.shape == (3,)
         assert len(train.checksums) == 6
 
     def test_matches_the_full_copy_and_holds_one_file(self, tmp_path):
@@ -168,9 +164,8 @@ class TestCifarLoading:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        got = (train.images, test.images, train.mean, train.std)
-        for name, a, b in zip(("train", "test", "mean", "std"), got,
-                              full_copy_normalize(train_u8, test_u8)):
+        got = (train.images, test.images)
+        for name, a, b in zip(("train", "test"), got, full_copy_normalize(train_u8, test_u8)):
             np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32), err_msg=name)
         # the outputs, two float64 statistics blocks of 256 images (the
         # next is built while the last is alive), and two files' bytes
@@ -211,7 +206,7 @@ class TestNormalize:
         other = rng.integers(0, 256, (13, c, side, side), dtype=np.uint8)
         got = _normalize(train, other)
         want = full_copy_normalize(train, other)
-        for name, a, b in zip(("train", "other", "mean", "std"), got, want):
+        for name, a, b in zip(("train", "other"), got, want):
             assert a.dtype == b.dtype == np.float32 and a.shape == b.shape, name
             np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32), err_msg=name)
 

@@ -122,8 +122,7 @@ def test_clock_stamps_each_step_iteration_and_probe(monkeypatch):
     rng = np.random.default_rng(2)
 
     def data(n):
-        return Dataset(rng.standard_normal((n, 1, 8, 8)).astype(np.float32), rng.integers(0, 10, n),
-                       np.zeros(1, np.float32), np.ones(1, np.float32), {})
+        return Dataset(rng.standard_normal((n, 1, 8, 8)).astype(np.float32), rng.integers(0, 10, n), {})
 
     train, val = data(40), data(16)
     net = model.build_model("cnn-small", 10, (1, 8, 8), rng=np.random.default_rng(0))

@@ -52,7 +52,7 @@ def toy_problem(n=256, seed=0):
     labels = rng.integers(0, 2, n)
     images = rng.standard_normal((n, 1, 8, 8)).astype(np.float32) * 0.3
     images += (labels * 2.0 - 1.0).reshape(-1, 1, 1, 1).astype(np.float32)
-    return Dataset(images, labels, np.zeros(1, np.float32), np.ones(1, np.float32), {})
+    return Dataset(images, labels, {})
 
 
 class TestFinalizePlan:

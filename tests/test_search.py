@@ -36,8 +36,6 @@ def tiny_dataset(n=32, seed=0, classes=10):
     return Dataset(
         images=rng.standard_normal((n, 1, 8, 8)).astype(np.float32),
         labels=rng.integers(0, classes, n),
-        mean=np.zeros(1, dtype=np.float32),
-        std=np.ones(1, dtype=np.float32),
         checksums={},
     )
 
