@@ -113,10 +113,9 @@ def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
         cfg["run"]["seed"] = args.seed
     if args.out is not None:
         cfg["run"]["out_dir"] = args.out
-    if getattr(args, "alpha", None) is not None:
-        cfg["search"]["alpha"] = args.alpha
-    if getattr(args, "beta", None) is not None:
-        cfg["search"]["beta"] = args.beta
+    for key in ("alpha", "beta"):
+        if getattr(args, key, None) is not None:
+            cfg["search"][key] = getattr(args, key)
     if getattr(args, "epochs", None) is not None:
         section = {"pretrain": "pretrain", "search": "search", "prune": "finetune"}.get(args.command)
         if section:
@@ -182,6 +181,33 @@ def _column(path: Path, rows: list[dict], name: str) -> list[float]:
     if not values or not all(map(math.isfinite, values)):
         raise CheckpointError(f"{path}: column {name!r} is missing, empty or not all finite numbers")
     return values
+
+
+def _trajectory_plots(path: Path) -> dict:
+    """The report's plots of `search/trajectory.csv`: file name to title,
+    y label and series.  Every column is parsed and checked here, before
+    the report writes a file; a row with more fields than the header, or
+    a `ratio_` column that names no layer id, raises `CheckpointError`."""
+    rows = read_csv(path)
+    for n, row in enumerate(rows):
+        if None in row:
+            raise CheckpointError(f"{path}: line {n + 2} has more fields than the header")
+    col = partial(_column, path, rows)
+    it = col("iteration")
+    ratio_cols = [c for c in rows[0] if c.startswith("ratio_")]
+    for c in ratio_cols:
+        if not c[len("ratio_"):].isdigit():
+            raise CheckpointError(f"{path}: column {c!r} does not name a layer id")
+    plots = {
+        "accuracy.svg": ("Search validation accuracy", "top-1", {"validation accuracy": "val_accuracy"}),
+        "loss.svg": ("Search loss terms", "loss", {"cross entropy": "loss_ce", "flops cost": "cost"}),
+        "ratios.svg": ("Remaining ratios", "ratio", {
+            c.replace("_", " "): c for c in sorted(ratio_cols, key=lambda c: int(c[len("ratio_"):]))
+        }),
+        "fpr.svg": ("FLOPs pruned ratio", "fraction", {"exact": "fpr_exact", "surrogate": "fpr_surrogate"}),
+    }
+    return {name: (title, ylabel, {k: (it, col(c)) for k, c in series.items()})
+            for name, (title, ylabel, series) in plots.items()}
 
 
 def _check_upstream(cfg: dict, checksums: dict, manifest: dict, path: Path) -> None:
@@ -342,40 +368,17 @@ def cmd_report(cfg: dict) -> int:
         out = {"model": _field(path, "model: ", model, "name", str)}
         return out | {k: _field(path, "", manifest, k, float) for k in keys}
 
-    report_dir = out_root / "report"
     rows = summary_rows(
         summary(base_path, baseline, "top1"),
         None if pruned is None else
         {**summary(pruned_path, pruned, "top1", "fpr"), "method": "auto-pruned"},
     )
-    write_csv(rows, report_dir / "summary.csv")
-
     traj_path = out_root / "search" / "trajectory.csv"
-    if traj_path.is_file():
-        rows_t = read_csv(traj_path)
-        col = partial(_column, traj_path, rows_t)
-        it = col("iteration")
-        svg_line_plot(
-            {"validation accuracy": (it, col("val_accuracy"))},
-            report_dir / "accuracy.svg",
-            title="Search validation accuracy", xlabel="iteration", ylabel="top-1",
-        )
-        svg_line_plot(
-            {"cross entropy": (it, col("loss_ce")), "flops cost": (it, col("cost"))},
-            report_dir / "loss.svg",
-            title="Search loss terms", xlabel="iteration", ylabel="loss",
-        )
-        ratio_cols = sorted(
-            (c for c in rows_t[0] if c.startswith("ratio_")), key=lambda c: int(c.split("_")[1])
-        )
-        svg_line_plot(
-            {c.replace("_", " "): (it, col(c)) for c in ratio_cols},
-            report_dir / "ratios.svg",
-            title="Remaining ratios", xlabel="iteration", ylabel="ratio",
-        )
-        fpr_series = {"exact": (it, col("fpr_exact")), "surrogate": (it, col("fpr_surrogate"))}
-        svg_line_plot(fpr_series, report_dir / "fpr.svg",
-                      title="FLOPs pruned ratio", xlabel="iteration", ylabel="fraction")
+    plots = _trajectory_plots(traj_path) if traj_path.is_file() else {}
+    report_dir = out_root / "report"
+    write_csv(rows, report_dir / "summary.csv")
+    for name, (title, ylabel, series) in plots.items():
+        svg_line_plot(series, report_dir / name, title=title, xlabel="iteration", ylabel=ylabel)
 
     table = format_table(rows, SUMMARY_COLUMNS)
     print(table)

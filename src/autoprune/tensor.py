@@ -12,12 +12,12 @@ Gradients accumulate into `.grad` and are populated for every tensor
 reachable from the loss that has `requires_grad` set, intermediates
 included.  Training loops are expected to call `zero_grad` between steps.
 
-`conv2d` has two formulations and picks one from the shapes alone.  With
-at least as many output as input channels it multiplies the weight by
-im2col columns of the input and scatters the input gradient back with
-col2im.  With fewer outputs than inputs (Cout < Cin) it works from the
-output side: each image times the tap-stacked weight, then a shifted add
-per kernel tap, and no column buffer in either direction.
+`conv2d` has two formulations.  The im2col side multiplies the weight
+by im2col columns of the input and scatters the input gradient back with
+col2im.  The output side multiplies each image by the tap-stacked weight
+and adds a shifted copy per kernel tap, with no column buffer: with a
+graph it runs at Cout <= Cin, without one only at 2*Cout < Cin.
+`batch_norm2d` keeps no normalized copy of its input.
 """
 
 from __future__ import annotations
@@ -364,11 +364,13 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     must be at least 1x1. Rows and columns the stride never samples
     contribute nothing and receive zero gradient.
 
-    The GEMMs run on the narrow side.  A conv with at least as many
-    outputs as inputs multiplies the weight by im2col columns of the
-    input; one with fewer outputs than inputs (Cout < Cin) multiplies
-    each image by the tap-stacked weight and adds the shifted partial
-    outputs (`_output_side_conv2d`), so it builds no columns at all.
+    With a graph, a conv with Cout <= Cin multiplies each image by the
+    tap-stacked weight and adds the shifted partial outputs
+    (`_output_side_conv2d`).  Without a graph it does so only at
+    2*Cout < Cin: there its Kh*Kw partial maps per output cost more than
+    im2col's columns.  Other convs multiply the weight by im2col columns
+    of the input; their weight gradient is one GEMM per image with the
+    columns' transpose, summed over the batch, which copies neither.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ValueError(f"conv2d expects 4-d input and weight, got {x.data.shape} and {w.data.shape}")
@@ -386,7 +388,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
             )
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (wd + 2 * padding - kw) // stride + 1
-    if cout < cin:
+    recording = _recording((x, w))
+    if cout <= cin if recording else 2 * cout < cin:
         return _output_side_conv2d(x, w, stride, padding, ho, wo)
 
     # Only the weight gradient reads the columns: when it will, they are
@@ -394,7 +397,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     # otherwise a block of images at a time.  Each block runs the same
     # per-image GEMM.
     wmat = w.data.reshape(cout, -1)
-    keep = _recording((x, w)) and w.requires_grad
+    keep = recording and w.requires_grad
     cols = _im2col(x.data, kh, kw, stride, padding) if keep else None
     per = max(1, n if keep else _COLS_BLOCK_BYTES // max(1, cin * kh * kw * ho * wo * x.data.itemsize))
     out_data = np.empty((n, cout, ho * wo), dtype=np.result_type(wmat, x.data))
@@ -408,8 +411,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         if w.requires_grad:
             # A weight made trainable after the forward rebuilds its columns.
             xcols = cols if cols is not None else _im2col(x.data, kh, kw, stride, padding)
-            gw = np.tensordot(gmat, xcols, axes=([0, 2], [0, 2]))
-            _accum(w, gw.reshape(w.data.shape))
+            gw = np.matmul(gmat, xcols.transpose(0, 2, 1)).sum(axis=0)
+            _accum(w, gw.reshape(w.data.shape), owned=True)
         if x.requires_grad:
             gcols = np.matmul(wmat.T, gmat)
             _accum(x, _col2im(gcols, x.data.shape, kh, kw, stride, padding), owned=True)
@@ -418,7 +421,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 
 
 def _output_side_conv2d(x: Tensor, w: Tensor, stride: int, padding: int, ho: int, wo: int) -> Tensor:
-    """conv2d for Cout < Cin, with every GEMM on the Kh*Kw*Cout side.
+    """conv2d from the output side, with every GEMM on the Kh*Kw*Cout side.
 
     Row (i*Kw + j)*Cout + o of the stacked weight is tap (i, j) of output
     channel o.  The forward multiplies each image by it, which gives
@@ -561,6 +564,14 @@ class RunningStats:
         return cls(mean=np.zeros(channels, dtype=dtype), var=np.ones(channels, dtype=dtype))
 
 
+def _channel_sums(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Per-channel sums of `a` (or of `a * b`) over [N, C, H, W]: each image
+    in the arrays' dtype, then the images in float64."""
+    a3 = a.reshape(*a.shape[:2], -1)
+    parts = np.einsum("nci->nc", a3) if b is None else np.einsum("nci,nci->nc", a3, b.reshape(a3.shape))
+    return parts.sum(axis=0, dtype=np.float64)
+
+
 def batch_norm2d(
     x: Tensor,
     gamma: Tensor,
@@ -575,7 +586,12 @@ def batch_norm2d(
     `update_running` is set, folds them into `stats` with momentum 0.1
     (`_BN_MOMENTUM`).  Eval mode normalizes by the stored running
     statistics and ignores `update_running`.  Both add eps 1e-5
-    (`_BN_EPS`) to the variance.
+    (`_BN_EPS`) to the variance and write (x - mean) * a + beta, with
+    a = gamma / sigma, into one buffer, so a constant channel gives
+    exactly beta; the batch variance is the mean square of x - mean.  No
+    normalized copy is kept: the backward centres x again and writes
+    (g - (x - mean) * s) * a - a * mean(g) into that buffer, with
+    s = sum(g * xhat) / (sigma * N*H*W), or g * a in eval mode.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"batch_norm2d mode must be 'train' or 'eval', got {mode!r}")
@@ -590,48 +606,37 @@ def batch_norm2d(
         raise ValueError("batch_norm2d cannot take batch statistics of an empty batch")
 
     dt = x.data.dtype
-    if mode == "train":
-        mu = x.data.mean(axis=(0, 2, 3))
-        xhat = x.data - mu.reshape(1, c, 1, 1)
-        # np.var's own arithmetic on the centred input: sum of squares,
-        # then a true divide by an intp count, so the bits match x.var()
-        var = np.add.reduce(np.square(xhat), axis=(0, 2, 3))
-        np.true_divide(var, np.intp(n * h * w), out=var, casting="unsafe")
-        if update_running:
-            m = dt.type(_BN_MOMENTUM)
-            stats.mean = ((1 - m) * stats.mean + m * mu).astype(stats.mean.dtype)
-            stats.var = ((1 - m) * stats.var + m * var).astype(stats.var.dtype)
-    else:
-        mu = stats.mean.astype(dt)
-        var = stats.var.astype(dt)
-        xhat = x.data - mu.reshape(1, c, 1, 1)
-
-    sigma = np.sqrt(var + dt.type(_BN_EPS))
-    xhat /= sigma.reshape(1, c, 1, 1)
-    if not _recording((x, gamma, beta)):
-        # nothing reads xhat again, so the output takes its buffer
-        np.multiply(gamma.data.reshape(1, c, 1, 1), xhat, out=xhat)
-        xhat += beta.data.reshape(1, c, 1, 1)
-        return _make(xhat, (x, gamma, beta), None)
-    out_data = gamma.data.reshape(1, c, 1, 1) * xhat
+    count = n * h * w
+    mu = _channel_sums(x.data) / count if mode == "train" else stats.mean.astype(np.float64)
+    mu_col = mu.astype(dt).reshape(1, c, 1, 1)
+    out_data = np.subtract(x.data, mu_col)
+    var = _channel_sums(out_data, out_data) / count if mode == "train" else stats.var.astype(np.float64)
+    if mode == "train" and update_running:
+        m = _BN_MOMENTUM
+        stats.mean = ((1 - m) * stats.mean + m * mu).astype(stats.mean.dtype)
+        stats.var = ((1 - m) * stats.var + m * var).astype(stats.var.dtype)
+    sigma = np.sqrt(var + _BN_EPS)
+    a = gamma.data / sigma
+    a_col = a.astype(dt).reshape(1, c, 1, 1)
+    out_data *= a_col
     out_data += beta.data.reshape(1, c, 1, 1)
 
     def back(g):
-        train_x = mode == "train" and x.requires_grad
-        if gamma.requires_grad or train_x:
-            g_xhat = np.einsum("nchw,nchw->c", g, xhat, dtype=np.float64).astype(dt)
+        g_sum = _channel_sums(g)
+        gx = np.subtract(x.data, mu_col)
+        g_xhat = _channel_sums(g, gx) / sigma
         if gamma.requires_grad:
-            _accum(gamma, g_xhat)
+            _accum(gamma, g_xhat.astype(dt))
         if beta.requires_grad:
-            _accum(beta, g.sum(axis=(0, 2, 3)))
+            _accum(beta, g_sum.astype(dt))
         if x.requires_grad:
-            scale = (gamma.data / sigma).reshape(1, c, 1, 1)
-            if train_x:
-                gx = g - g.mean(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-                gx -= xhat * (g_xhat / (n * h * w)).reshape(1, c, 1, 1)
-                np.multiply(scale, gx, out=gx)
+            if mode == "train":
+                gx *= (-g_xhat / (sigma * count)).astype(dt).reshape(1, c, 1, 1)
+                gx += g
+                gx *= a_col
+                gx -= (a * g_sum / count).astype(dt).reshape(1, c, 1, 1)
             else:
-                gx = g * scale
+                np.multiply(g, a_col, out=gx)
             _accum(x, gx, owned=True)
 
     return _make(out_data, (x, gamma, beta), back)

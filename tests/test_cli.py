@@ -434,6 +434,48 @@ class TestPipeline:
         assert err.startswith(f"error: {path}: column '{column}' ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("damage, message", [
+        ("ratio_x column", "column 'ratio_x' does not name a layer id"),
+        ("extra field", "line 2 has more fields than the header"),
+    ])
+    def test_malformed_trajectory_header_or_row_is_2(self, pipeline_run, synthetic_mnist_dir,
+                                                     tmp_path, capsys, damage, message):
+        out, _, cfg = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        path = run / "search" / "trajectory.csv"
+        lines = path.read_text().splitlines()
+        if damage == "ratio_x column":
+            header = lines[0].split(",")
+            header[next(i for i, c in enumerate(header) if c.startswith("ratio_"))] = "ratio_x"
+            lines[0] = ",".join(header)
+        else:
+            lines[1] += ",0.5"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--config", cfg, "--data-dir", str(synthetic_mnist_dir),
+                     "--out", str(run), "--seed", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: {message}\n", err
+
+    def test_bad_trajectory_value_leaves_the_report_as_it_was(self, pipeline_run, synthetic_mnist_dir,
+                                                              tmp_path, capsys):
+        out, _, cfg = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        report = run / "report"
+        for f in report.iterdir():
+            f.write_text(f"previous {f.name}")
+        before = {f.name: f.read_bytes() for f in report.iterdir()}
+        path = run / "search" / "trajectory.csv"
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        at = rows[0].index("cost")
+        rows[-1][at] = "x"
+        path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        assert main(["report", "--config", cfg, "--data-dir", str(synthetic_mnist_dir),
+                     "--out", str(run), "--seed", "3"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: column 'cost' ")
+        assert {f.name: f.read_bytes() for f in report.iterdir()} == before
+
+    @pytest.mark.parametrize("damage, message", [
         ("truncate", "line 1 column"),
         ("drop plan", "field 'plan' is missing or not an object"),
         ("drop ids", "plan entry 0: field 'kept_channel_ids' is missing or not a list of integers"),

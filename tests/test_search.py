@@ -585,13 +585,13 @@ class TestRunSearch:
         # every ratio stays inside (1/C, 1), so both the mask and the cost
         # gradient count
         golden_ratios = {
-            0: 0.8679271758439059,
-            4: 0.8712168099788715,
-            8: 0.9223754130347738,
-            11: 0.184796647693025,
+            0: 0.8679272722839972,
+            4: 0.8712172735585136,
+            8: 0.9223755354448794,
+            11: 0.18479691472635093,
         }
         self._assert_near(self._short_search(), golden_ratios, 2.3259129524230957,
-                          0.9055255718601423, 4.13696409614338, rtol=1e-6)
+                          0.9055256102243898, 4.136964172871876, rtol=1e-6)
 
     def test_short_search_stays_near_the_masked_dense_values(self):
         # the same search computed every channel and masked the dropped

@@ -108,27 +108,24 @@ def argmax_max_pool(x, window, g):
 
 
 def two_pass_batch_norm(x, gamma, beta, mean, var, mode, g, eps=1e-5, momentum=0.1):
-    """Reference batch norm: mean and var of x, then (x - mu) / sigma anew.
+    """Reference batch norm in float64: mean and var of x, then (x - mu) / sigma.
 
     Returns the output, the running mean and var after the call, and the
-    x, gamma and beta gradients of sum(out * g), all in the dtypes the
-    engine gives them, so they can be compared bit for bit.
+    x, gamma and beta gradients of sum(out * g), all in float64.
     """
+    x, gamma, beta, mean, var, g = (np.asarray(a, dtype=np.float64) for a in (x, gamma, beta, mean, var, g))
     n, c, h, w = x.shape
-    dt = x.dtype
     if mode == "train":
         mu = x.mean(axis=(0, 2, 3))
-        v = x.var(axis=(0, 2, 3))
-        m = dt.type(momentum)
-        mean = ((1 - m) * mean + m * mu).astype(mean.dtype)
-        var = ((1 - m) * var + m * v).astype(var.dtype)
+        v = ((x - mu.reshape(1, c, 1, 1)) ** 2).mean(axis=(0, 2, 3))
+        mean = (1 - momentum) * mean + momentum * mu
+        var = (1 - momentum) * var + momentum * v
     else:
-        mu = mean.astype(dt)
-        v = var.astype(dt)
-    sigma = np.sqrt(v + dt.type(eps))
+        mu, v = mean, var
+    sigma = np.sqrt(v + eps)
     xhat = (x - mu.reshape(1, c, 1, 1)) / sigma.reshape(1, c, 1, 1)
     out = gamma.reshape(1, c, 1, 1) * xhat + beta.reshape(1, c, 1, 1)
-    g_gamma = np.einsum("nchw,nchw->c", g, xhat, dtype=np.float64).astype(dt)
+    g_gamma = (g * xhat).sum(axis=(0, 2, 3))
     g_beta = g.sum(axis=(0, 2, 3))
     scale = gamma.reshape(1, c, 1, 1) / sigma.reshape(1, c, 1, 1)
     if mode == "train":
@@ -155,8 +152,8 @@ def padded_col2im(cols, x_shape, kh, kw, stride, padding):
 
 def full_buffer_conv2d(x, w, stride, padding, g):
     """Reference conv: one im2col buffer for the whole batch, then the
-    per-image GEMM, the weight-gradient tensordot and the input-gradient
-    GEMM on it.
+    per-image GEMM, the per-image weight-gradient GEMMs summed over the
+    batch, and the input-gradient GEMM on it.
 
     Returns the output and the w and x gradients of sum(out * g).
     """
@@ -168,7 +165,7 @@ def full_buffer_conv2d(x, w, stride, padding, g):
     wmat = w.reshape(cout, -1)
     out = np.matmul(wmat, cols).reshape(n, cout, ho, wo)
     gmat = g.reshape(n, cout, ho * wo)
-    gw = np.tensordot(gmat, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
+    gw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     gx = _col2im(np.matmul(wmat.T, gmat), x.shape, kh, kw, stride, padding)
     return out, gw, gx
 
@@ -386,46 +383,66 @@ class TestOpSemantics:
         np.testing.assert_array_equal(bits(gx), bits(want_gx))
         assert gx[1, 2, 2, 3] == g[1, 2, 1, 1] and gx[1, 2, 3, 2] == 0.0
 
-    def test_batch_norm_is_bitwise_the_two_pass_kernel(self):
+    # Largest error of the batch norm's output, running statistics and
+    # gradients, relative to the largest magnitude of the float64
+    # reference.  A float32 input with |mean| / std = 1e3 carries only
+    # 1.2e-4 of a std in each value, so there the bound is loose; it still
+    # catches a variance taken as E[x^2] - mean^2, which loses all of it.
+    BN_TOLERANCES = {
+        (np.float32, "unit"): 2e-6,
+        (np.float32, "offset"): 1e-4,
+        (np.float64, "unit"): 1e-12,
+        (np.float64, "offset"): 1e-10,
+    }
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64), ids=("float32", "float64"))
+    def test_batch_norm_matches_a_float64_two_pass_reference(self, dtype):
         rng = np.random.default_rng(37)
         shapes = {"batch": (4, 3, 5, 6), "batch 1": (1, 3, 5, 6)}
         grads = {"all": (True, True, True), "x only": (True, False, False),
                  "params only": (False, True, True)}
-        for dtype in (np.float32, np.float64):
-            with use_dtype(dtype):
-                for shape_name, shape in shapes.items():
-                    x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
-                    x[:, 1] = 0.625  # a constant channel: zero variance
-                    x[:, 2] = -0.0  # a channel of negative zeros
-                    gamma = rng.standard_normal(3).astype(dtype)
-                    beta = rng.standard_normal(3).astype(dtype)
-                    mean = rng.standard_normal(3).astype(dtype)
-                    var = rng.random(3).astype(dtype) + dtype(0.5)
-                    g = upstream_grad(rng, shape, dtype)
-                    for mode in ("train", "eval"):
-                        want = two_pass_batch_norm(x, gamma, beta, mean, var, mode, g)
-                        where = f"{shape_name}, {mode}, {dtype.__name__}"
-                        # no graph: output and running statistics
+        with use_dtype(dtype):
+            for (shape_name, shape), spread in itertools.product(shapes.items(), ("unit", "offset")):
+                x = rng.standard_normal(shape) * 3 + 1
+                if spread == "offset":
+                    x[:, 0] = x[:, 0] / 60 + 100  # mean / std about 2e3
+                x = x.astype(dtype)
+                x[:, 1] = 0.625  # a constant channel: zero variance
+                x[:, 2] = -0.0  # a channel of negative zeros
+                gamma = rng.standard_normal(3).astype(dtype)
+                beta = rng.standard_normal(3).astype(dtype)
+                mean = rng.standard_normal(3).astype(dtype)
+                var = rng.random(3).astype(dtype) + dtype(0.5)
+                g = upstream_grad(rng, shape, dtype)
+                tol = self.BN_TOLERANCES[dtype, spread]
+                for mode in ("train", "eval"):
+                    if spread == "offset" and mode == "eval":
+                        mean[0] = x[:, 0].mean()
+                    want = two_pass_batch_norm(x, gamma, beta, mean, var, mode, g)
+                    where = f"{shape_name}, {spread}, {mode}"
+                    # no graph: output and running statistics
+                    stats = RunningStats(mean.copy(), var.copy())
+                    with no_grad():
+                        plain = batch_norm2d(Tensor(x), Tensor(gamma), Tensor(beta), stats, mode)
+                    for got, ref in zip((plain.data, stats.mean, stats.var), want[:3]):
+                        assert got.dtype == dtype, where
+                        assert rel_err(got, ref) <= tol, (where, rel_err(got, ref))
+                    if mode == "train":
+                        # x - mean is exactly zero there, so the output is beta
+                        for ch in (1, 2):
+                            assert np.all(bits(plain.data[:, ch]) == bits(beta[ch])), where
+                    # with a graph: the same output bits, plus every gradient asked for
+                    for grad_name, flags in grads.items():
+                        ts = [Tensor(a, requires_grad=f) for a, f in zip((x, gamma, beta), flags)]
                         stats = RunningStats(mean.copy(), var.copy())
-                        with no_grad():
-                            out = batch_norm2d(Tensor(x), Tensor(gamma), Tensor(beta), stats, mode)
-                        for got, ref in zip((out.data, stats.mean, stats.var), want[:3]):
-                            assert got.dtype == ref.dtype, where
-                            np.testing.assert_array_equal(bits(got), bits(ref), err_msg=where)
-                        # with a graph: the same, plus every gradient asked for
-                        for grad_name, flags in grads.items():
-                            ts = [Tensor(a, requires_grad=f) for a, f in zip((x, gamma, beta), flags)]
-                            stats = RunningStats(mean.copy(), var.copy())
-                            out = batch_norm2d(*ts, stats, mode)
-                            backward(tensor_sum(mul(out, Tensor(g))))
-                            got = (out.data, stats.mean, stats.var)
-                            got += tuple(t.grad if f else None for t, f in zip(ts, flags))
-                            for k, (a, b) in enumerate(zip(got, want)):
-                                if a is None:
-                                    continue
+                        out = batch_norm2d(*ts, stats, mode)
+                        np.testing.assert_array_equal(bits(out.data), bits(plain.data), err_msg=where)
+                        backward(tensor_sum(mul(out, Tensor(g))))
+                        for k, (t, f) in enumerate(zip(ts, flags)):
+                            if f:
                                 at = f"{where}, {grad_name} grads, item {k}"
-                                assert a.dtype == b.dtype, at
-                                np.testing.assert_array_equal(bits(a), bits(b), err_msg=at)
+                                assert t.grad.dtype == dtype, at
+                                assert rel_err(t.grad, want[3 + k]) <= tol, (at, rel_err(t.grad, want[3 + k]))
 
     def test_col2im_is_bitwise_the_padded_sum(self):
         rng = np.random.default_rng(41)
@@ -519,15 +536,15 @@ class TestOpSemantics:
 
     def test_conv_floors_and_ignores_unsampled_edge(self):
         # 7x7 input, 2x2 kernel, stride 2: output floors to 3x3 and the
-        # last row/column never enter the computation; with 3 input
-        # channels the conv runs from the output side
+        # last row/column never enter the computation; 1 -> 2 channels
+        # run on im2col columns, 3 -> 1 from the output side
         rng = np.random.default_rng(12)
-        for cin in (1, 3):
+        for cin, cout in ((1, 2), (3, 1)):
             xv = rng.standard_normal((1, cin, 7, 7)).astype(np.float32)
-            wv = rng.standard_normal((1, cin, 2, 2)).astype(np.float32)
+            wv = rng.standard_normal((cout, cin, 2, 2)).astype(np.float32)
             x = Tensor(xv, requires_grad=True)
             out = conv2d(x, Tensor(wv), stride=2)
-            assert out.data.shape == (1, 1, 3, 3)
+            assert out.data.shape == (1, cout, 3, 3)
             want = conv2d_oracle(xv, wv, stride=2)
             np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-5)
             backward(tensor_sum(out))
@@ -588,10 +605,53 @@ NARROW_CONVS = [
 
 
 class TestOutputSideConv:
-    """Convs with fewer outputs than inputs run from the output side; the
-    im2col kernel (`full_buffer_conv2d`) is the reference.  They sum each
-    output over the taps first and the input channels second, so they
-    match it to rounding, not bit for bit."""
+    """Convs run from the output side with a graph at Cout <= Cin, and
+    without one at 2*Cout < Cin; the im2col kernel (`full_buffer_conv2d`)
+    is the reference.  The output side sums each output over the taps
+    first and the input channels second, so it matches im2col to
+    rounding, not bit for bit."""
+
+    # (cin, cout, side) on each side of both boundaries
+    GRAPH_RULE = [(8, 7, "output"), (8, 8, "output"), (8, 9, "im2col"), (1, 1, "output"),
+                  (1, 2, "im2col")]
+    NO_GRAPH_RULE = [(8, 3, "output"), (9, 4, "output"), (8, 4, "im2col"), (9, 5, "im2col"),
+                     (8, 8, "im2col")]
+
+    @staticmethod
+    def _side_taken(x, w, monkeypatch):
+        """Run conv2d, counting calls into the output-side kernel."""
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        real = tensor._output_side_conv2d
+        monkeypatch.setattr(tensor, "_output_side_conv2d", spy)
+        conv2d(x, w, 1, 1)
+        monkeypatch.setattr(tensor, "_output_side_conv2d", real)
+        return "output" if calls else "im2col"
+
+    @pytest.mark.parametrize("cin, cout, side", GRAPH_RULE)
+    def test_kernel_rule_with_a_graph(self, cin, cout, side, monkeypatch):
+        rng = np.random.default_rng(73)
+        x = rng.standard_normal((2, cin, 5, 5)).astype(np.float32)
+        w = rng.standard_normal((cout, cin, 3, 3)).astype(np.float32)
+        # a live weight, a live input with a frozen weight (the ratio step's
+        # case), or both live: each records a graph
+        for x_grad, w_grad in ((False, True), (True, False), (True, True)):
+            xt, wt = Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=w_grad)
+            assert self._side_taken(xt, wt, monkeypatch) == side, (x_grad, w_grad)
+
+    @pytest.mark.parametrize("cin, cout, side", NO_GRAPH_RULE)
+    def test_kernel_rule_without_a_graph(self, cin, cout, side, monkeypatch):
+        rng = np.random.default_rng(75)
+        x = rng.standard_normal((2, cin, 5, 5)).astype(np.float32)
+        w = rng.standard_normal((cout, cin, 3, 3)).astype(np.float32)
+        assert self._side_taken(Tensor(x), Tensor(w), monkeypatch) == side
+        with no_grad():
+            live = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+            assert self._side_taken(*live, monkeypatch) == side
 
     @pytest.mark.parametrize("block_bytes", [None, 1 << 10])
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
@@ -612,7 +672,10 @@ class TestOutputSideConv:
                 got = conv_with_grads(x, w, stride, padding, g)
                 with no_grad():
                     plain = conv2d(Tensor(x), Tensor(w), stride, padding).data
-            np.testing.assert_array_equal(bits(plain), bits(got[0]), err_msg=where)
+            if 2 * cout < cin:
+                # the no-graph forward takes the output side too
+                np.testing.assert_array_equal(bits(plain), bits(got[0]), err_msg=where)
+            assert rel_err(plain, want[0]) <= tol, f"{where}: no-graph output"
             for name, a, b in zip(("output", "weight grad", "input grad"), got, want):
                 assert a.dtype == dtype and a.shape == b.shape, f"{where}: {name}"
                 assert rel_err(a, b) <= tol, f"{where}: {name} off by {rel_err(a, b):.2e}"
@@ -641,8 +704,8 @@ class TestOutputSideConv:
         np.testing.assert_array_equal(bits(wt.grad), bits(want_gw))
         np.testing.assert_array_equal(bits(xt.grad), bits(want_gx))
 
-    @pytest.mark.parametrize("cin, cout", [(3, 3), (3, 8), (1, 16), (16, 16)])
-    def test_at_least_as_many_outputs_keeps_the_im2col_bits(self, cin, cout):
+    @pytest.mark.parametrize("cin, cout", [(3, 4), (3, 8), (1, 16), (16, 17)])
+    def test_more_outputs_than_inputs_keeps_the_im2col_bits(self, cin, cout):
         rng = np.random.default_rng(83)
         for dtype, k, stride, padding in itertools.product(
             (np.float32, np.float64), (1, 3), (1, 2), (0, 1)
@@ -657,6 +720,22 @@ class TestOutputSideConv:
                 got = conv_with_grads(x, w, stride, padding, g)
             for a, b in zip(got, full_buffer_conv2d(x, w, stride, padding, g)):
                 np.testing.assert_array_equal(bits(a), bits(b), err_msg=where)
+
+    @pytest.mark.parametrize("cin, cout", [(3, 3), (16, 16), (16, 8), (9, 5)])
+    def test_no_graph_at_half_the_inputs_or_more_keeps_the_im2col_bits(self, cin, cout):
+        rng = np.random.default_rng(87)
+        for dtype, k, stride, padding in itertools.product(
+            (np.float32, np.float64), (1, 3), (1, 2), (0, 1)
+        ):
+            where = f"{cin}->{cout}, k {k}, stride {stride}, padding {padding}, {dtype.__name__}"
+            x = rng.standard_normal((4, cin, 9, 8)).astype(dtype)
+            w = rng.standard_normal((cout, cin, k, k)).astype(dtype)
+            ho = (9 + 2 * padding - k) // stride + 1
+            wo = (8 + 2 * padding - k) // stride + 1
+            want = full_buffer_conv2d(x, w, stride, padding, np.zeros((4, cout, ho, wo), dtype))[0]
+            with use_dtype(dtype), no_grad():
+                got = conv2d(Tensor(x), Tensor(w), stride, padding).data
+            np.testing.assert_array_equal(bits(got), bits(want), err_msg=where)
 
     def test_train_step_peak_memory_stays_below_the_columns(self):
         # 16 -> 1 channels, 3x3, on 16 images of 16x32x32: the im2col
@@ -677,8 +756,8 @@ class TestOutputSideConv:
     def test_no_grad_peak_memory_is_the_output_plus_a_block(self):
         rng = np.random.default_rng(97)
         x = Tensor(rng.standard_normal((256, 16, 32, 32)).astype(np.float32))
-        w = Tensor(rng.standard_normal((8, 16, 3, 3)).astype(np.float32))
-        block = max(tensor._COLS_BLOCK_BYTES, 9 * 8 * 32 * 32 * 4)
+        w = Tensor(rng.standard_normal((6, 16, 3, 3)).astype(np.float32))
+        block = max(tensor._COLS_BLOCK_BYTES, 9 * 6 * 32 * 32 * 4)
         tracemalloc.start()
         try:
             with no_grad():
@@ -860,6 +939,15 @@ def _fd_cases(dtype):
     xn2 = Tensor(bounded((2, 3, 5, 4), 0.2, 1.2, signed=False), requires_grad=True)
     wn2 = Tensor(bounded((2, 3, 3, 3), 0.1, 0.4), requires_grad=True)
     cases["conv_narrow_w"] = (lambda v: tensor_sum(wt_narrow(conv2d(xn2, v, 2, 1))), wn2, BIG)
+
+    # more outputs than inputs: the im2col conv
+    xw = Tensor(bounded((1, 2, 4, 4), 0.2, 1.2), requires_grad=True)
+    ww = Tensor(bounded((3, 2, 3, 3), 0.1, 0.4, signed=False), requires_grad=True)
+    wt_wide = weighting((1, 3, 4, 4))
+    cases["conv_wide_x"] = (lambda v: tensor_sum(wt_wide(conv2d(v, ww, padding=1))), xw, BIG)
+    xw2 = Tensor(bounded((1, 2, 4, 4), 0.2, 1.2, signed=False), requires_grad=True)
+    ww2 = Tensor(bounded((3, 2, 3, 3), 0.1, 0.4), requires_grad=True)
+    cases["conv_wide_w"] = (lambda v: tensor_sum(wt_wide(conv2d(xw2, v, padding=1))), ww2, BIG)
 
     return cases
 
