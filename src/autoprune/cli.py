@@ -113,9 +113,10 @@ def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
         cfg["run"]["seed"] = args.seed
     if args.out is not None:
         cfg["run"]["out_dir"] = args.out
-    for key in ("alpha", "beta"):
-        if getattr(args, key, None) is not None:
-            cfg["search"][key] = getattr(args, key)
+    if getattr(args, "alpha", None) is not None:
+        cfg["search"]["alpha"] = args.alpha
+    if getattr(args, "beta", None) is not None:
+        cfg["search"]["beta"] = args.beta
     if getattr(args, "epochs", None) is not None:
         section = {"pretrain": "pretrain", "search": "search", "prune": "finetune"}.get(args.command)
         if section:

@@ -366,11 +366,11 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 
     With a graph, a conv with Cout <= Cin multiplies each image by the
     tap-stacked weight and adds the shifted partial outputs
-    (`_output_side_conv2d`).  Without a graph it does so only at
-    2*Cout < Cin: there its Kh*Kw partial maps per output cost more than
-    im2col's columns.  Other convs multiply the weight by im2col columns
-    of the input; their weight gradient is one GEMM per image with the
-    columns' transpose, summed over the batch, which copies neither.
+    (`_output_side_conv2d`); without one it does so only at 2*Cout < Cin,
+    where writing Kh*Kw partial maps per output still costs less than
+    im2col's columns.  Others multiply the weight by im2col columns, and
+    take the weight gradient as one GEMM per image with the columns'
+    transpose, summed over the batch, which copies neither operand.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ValueError(f"conv2d expects 4-d input and weight, got {x.data.shape} and {w.data.shape}")
@@ -565,8 +565,7 @@ class RunningStats:
 
 
 def _channel_sums(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Per-channel sums of `a` (or of `a * b`) over [N, C, H, W]: each image
-    in the arrays' dtype, then the images in float64."""
+    """Per-channel sums of `a` (or `a * b`): each image in their dtype, the batch in float64."""
     a3 = a.reshape(*a.shape[:2], -1)
     parts = np.einsum("nci->nc", a3) if b is None else np.einsum("nci,nci->nc", a3, b.reshape(a3.shape))
     return parts.sum(axis=0, dtype=np.float64)

@@ -385,8 +385,8 @@ class TestOpSemantics:
 
     # Largest error of the batch norm's output, running statistics and
     # gradients, relative to the largest magnitude of the float64
-    # reference.  A float32 input with |mean| / std = 1e3 carries only
-    # 1.2e-4 of a std in each value, so there the bound is loose; it still
+    # reference.  A float32 input at |mean| / std = 2e3 resolves each value
+    # to only about 1e-4 of a std, so there the bound is loose; it still
     # catches a variance taken as E[x^2] - mean^2, which loses all of it.
     BN_TOLERANCES = {
         (np.float32, "unit"): 2e-6,
