@@ -565,10 +565,11 @@ class RunningStats:
 
 
 def _channel_sums(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Per-channel sums of `a` (or `a * b`): each image in their dtype, the batch in float64."""
+    """Per-channel float64 sums of `a`, or of `a * b` summed per image in their dtype first."""
     a3 = a.reshape(*a.shape[:2], -1)
-    parts = np.einsum("nci->nc", a3) if b is None else np.einsum("nci,nci->nc", a3, b.reshape(a3.shape))
-    return parts.sum(axis=0, dtype=np.float64)
+    if b is None:
+        return np.einsum("nci->c", a3, dtype=np.float64)
+    return np.einsum("nci,nci->nc", a3, b.reshape(a3.shape)).sum(axis=0, dtype=np.float64)
 
 
 def batch_norm2d(
@@ -586,11 +587,11 @@ def batch_norm2d(
     (`_BN_MOMENTUM`).  Eval mode normalizes by the stored running
     statistics and ignores `update_running`.  Both add eps 1e-5
     (`_BN_EPS`) to the variance and write (x - mean) * a + beta, with
-    a = gamma / sigma, into one buffer, so a constant channel gives
-    exactly beta; the batch variance is the mean square of x - mean.  No
-    normalized copy is kept: the backward centres x again and writes
-    (g - (x - mean) * s) * a - a * mean(g) into that buffer, with
-    s = sum(g * xhat) / (sigma * N*H*W), or g * a in eval mode.
+    a = gamma / sigma, into one buffer.  The batch mean is a float64 sum,
+    so a constant float32 channel gives exactly beta; the batch variance is the
+    mean square of x - mean.  The backward centres x again and writes
+    (g - (x - mean) * s) * a - a * mean(g), s = sum(g * xhat) / (sigma * N*H*W),
+    into that buffer, or g * a in eval mode: no normalized copy is kept.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"batch_norm2d mode must be 'train' or 'eval', got {mode!r}")

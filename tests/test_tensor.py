@@ -407,7 +407,9 @@ class TestOpSemantics:
                 if spread == "offset":
                     x[:, 0] = x[:, 0] / 60 + 100  # mean / std about 2e3
                 x = x.astype(dtype)
-                x[:, 1] = 0.625  # a constant channel: zero variance
+                # a constant channel: zero variance, and a float64 mean that is
+                # exact for any float32 constant but not for float64's 0.1
+                x[:, 1] = 0.1 if dtype == np.float32 else 0.625
                 x[:, 2] = -0.0  # a channel of negative zeros
                 gamma = rng.standard_normal(3).astype(dtype)
                 beta = rng.standard_normal(3).astype(dtype)
