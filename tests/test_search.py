@@ -651,8 +651,8 @@ class TestRunSearch:
     def test_float32_short_search_stays_near_float64(self, name):
         # Over seeds 0-7 of both models, float32 rounding moved these
         # searches by at most 1e-4 in a ratio and 6e-5 in CE, cost or total,
-        # except in the few runs where it flipped a near tie in a channel
-        # ranking, after which the two runs follow different masks.
+        # except in the few runs where the two parted (at a kink of a ratio
+        # or a near tie in a channel ranking) and then followed other masks.
         r64 = self._model_search(name, np.float64)
         r32 = self._model_search(name, np.float32)
         assert sorted(r32.ratios) == sorted(r64.ratios)

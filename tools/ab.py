@@ -108,7 +108,6 @@ def main(argv=None) -> int:
     parser.add_argument("--bench-seed", type=int, default=1)
     parser.add_argument("--out", type=Path, help="write BENCH json here")
     args = parser.parse_args(argv)
-    args.argv = argv
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
@@ -190,7 +189,7 @@ def write_bench(args, trees: dict, workloads: list[str], runs: dict, ab: dict) -
                    f"--seconds {args.seconds:g} --trace T",
         "host": host_line(env),
         **sides,
-        "ab_command": "python3 tools/ab.py " + " ".join(sys.argv[1:] if args.argv is None else args.argv),
+        "ab_command": "python3 tools/ab.py " + " ".join(sys.argv[1:]),
         "ab": ab,
     }
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
