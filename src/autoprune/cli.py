@@ -197,7 +197,7 @@ def _trajectory_plots(path: Path) -> dict:
     it = col("iteration")
     ratio_cols = [c for c in rows[0] if c.startswith("ratio_")]
     for c in ratio_cols:
-        if not c[len("ratio_"):].isdigit():
+        if not c[len("ratio_"):].isdecimal():
             raise CheckpointError(f"{path}: column {c!r} does not name a layer id")
     plots = {
         "accuracy.svg": ("Search validation accuracy", "top-1", {"validation accuracy": "val_accuracy"}),

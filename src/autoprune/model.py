@@ -411,8 +411,14 @@ def forward(
             gamma, beta = model.params[layer.id]["gamma"], model.params[layer.id]["beta"]
             if layer.id in fold:
                 gamma, beta = mul(gamma, fold[layer.id]), mul(beta, fold[layer.id])
-            out = batch_norm2d(srcs[0], gamma, beta, model.bn_stats[layer.id], mode=mode,
-                               update_running=update_running)
+            out = batch_norm2d(
+                srcs[0],
+                gamma,
+                beta,
+                model.bn_stats[layer.id],
+                mode=mode,
+                update_running=update_running,
+            )
         elif layer.kind == "relu":
             out = relu(srcs[0])
         elif layer.kind == "pool":
@@ -420,7 +426,10 @@ def forward(
         elif layer.kind == "add":
             out = add(srcs[0], srcs[1])
         elif layer.kind == "linear":
-            feats = srcs[0] if srcs[0].data.ndim == 2 else reshape(srcs[0], (len(srcs[0].data), -1))
+            feats = srcs[0]
+            if feats.data.ndim == 4:
+                n = feats.data.shape[0]
+                feats = reshape(feats, (n, -1))
             out = linear(feats, model.params[layer.id]["weight"], model.params[layer.id]["bias"])
         if layer.id in scale:
             out = channel_scale(out, scale[layer.id])

@@ -389,7 +389,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (wd + 2 * padding - kw) // stride + 1
     recording = _recording((x, w))
-    if cout <= cin if recording else 2 * cout < cin:
+    if (cout <= cin) if recording else (2 * cout < cin):
         return _output_side_conv2d(x, w, stride, padding, ho, wo)
 
     # Only the weight gradient reads the columns: when it will, they are

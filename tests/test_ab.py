@@ -1,10 +1,11 @@
 """The A/B runner (`tools/ab.py`) on a throwaway repository whose
 `perfbench/run.py` is a stand-in that prints fixed report lines, so no
-benchmark runs: the pairing, the parent worktree, the win count, the
+benchmark runs: the pairing, the unpacked parent tree, the win count, the
 digest comparison and the BENCH file."""
 
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -75,10 +76,18 @@ def fake_repo(tmp_path, parent_state, change_state):
 
 
 def run_ab(repo, *args):
+    """ab.py in `repo`, with its temporary directory under `repo/../tmp`."""
+    tmp = repo.parent / "tmp"
+    tmp.mkdir(exist_ok=True)
     return subprocess.run(
         [sys.executable, "tools/ab.py", "--parent", "HEAD~1", "--seconds", "0", *args],
-        cwd=repo, capture_output=True, text=True,
+        cwd=repo, capture_output=True, text=True, env={**os.environ, "TMPDIR": str(tmp)},
     )
+
+
+def left_behind(repo):
+    """What the run left in its temporary directory or in the repository's git state."""
+    return sorted((repo.parent / "tmp").iterdir()), git(repo, "worktree", "list").count("\n")
 
 
 def test_pairs_count_wins_and_write_the_bench_file(tmp_path):
@@ -112,8 +121,8 @@ def test_pairs_count_wins_and_write_the_bench_file(tmp_path):
             assert entry["trace0"]["metrics"]["step_ms_p50"]["value"] == p50 + 1
             assert entry["trace1"]["metrics"]["tensor.conv2d.bwd_ms"]["value"] == p50 / 2
     assert bench["ab"]["w-one"]["step_ms_p50"]["change"] == [51.0, 52.0, 51.0, 52.0]
-    # the parent's worktree is gone again
-    assert len(git(repo, "worktree", "list").splitlines()) == 1
+    # the parent's tree is gone again and git kept no trace of it
+    assert left_behind(repo) == ([], 0)
 
 
 def test_bit_identical_change_is_named(tmp_path):
@@ -135,7 +144,7 @@ def test_a_run_that_is_not_correct_fails_and_writes_nothing(tmp_path):
     assert proc.returncode == 1
     assert "is not correct" in proc.stderr
     assert not (repo / "BENCH_9.json").exists()
-    assert len(git(repo, "worktree", "list").splitlines()) == 1
+    assert left_behind(repo) == ([], 0)
 
 
 @pytest.fixture(scope="module")

@@ -434,7 +434,9 @@ class TestPipeline:
         assert err.startswith(f"error: {path}: column '{column}' ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("damage, message", [
-        ("ratio_x column", "column 'ratio_x' does not name a layer id"),
+        ("ratio_x", "column 'ratio_x' does not name a layer id"),
+        # a digit to str.isdigit, but not one int() parses
+        ("ratio_\u00b2", "column 'ratio_\u00b2' does not name a layer id"),
         ("extra field", "line 2 has more fields than the header"),
     ])
     def test_malformed_trajectory_header_or_row_is_2(self, pipeline_run, synthetic_mnist_dir,
@@ -444,9 +446,9 @@ class TestPipeline:
         shutil.copytree(out, run)
         path = run / "search" / "trajectory.csv"
         lines = path.read_text().splitlines()
-        if damage == "ratio_x column":
+        if damage.startswith("ratio_"):
             header = lines[0].split(",")
-            header[next(i for i, c in enumerate(header) if c.startswith("ratio_"))] = "ratio_x"
+            header[next(i for i, c in enumerate(header) if c.startswith("ratio_"))] = damage
             lines[0] = ",".join(header)
         else:
             lines[1] += ",0.5"

@@ -8,9 +8,10 @@ The host's speed drifts by up to 2x over minutes, so a claim rests on
 pairs: each pair runs `perfbench/run.py --trace 0` once in the parent tree
 and once in this one, back to back, parent first in even pairs and second
 in odd ones, with pair i on seed `seeds[i % len(seeds)]`.  The parent tree
-is a detached `git worktree` of `--parent` in a temporary directory,
-removed afterwards, or `--parent-tree`, a checkout made beforehand.  Each
-tree's `run.py` imports that tree's own `src/`.
+is `git archive` of the commit `--parent` names, unpacked into a temporary
+directory (under $TMPDIR) that is removed afterwards; nothing is written
+into the repository's `.git`.  Each tree's `run.py` imports that tree's
+own `src/`.
 
 For every gated metric of `BENCHMARK.json` the script prints each side's
 median and interquartile range and the pairs the change won, and whether
@@ -21,9 +22,9 @@ whether the change is bit-identical or moves floats.
 
 With `--out`, it also runs `--trace 1` once per tree and workload at
 `--bench-seed` and writes the file in the layout of `BENCH_14.json`: per
-side the commit and, per workload, the digest and the last stdout lines
-of the `--trace 0` and `--trace 1` runs at that seed, plus the paired
-figures under `ab`.  Exit status: 0, or 1 if a run failed or was not
+side the commit that ran and, per workload, the digest and the last
+stdout lines of the `--trace 0` and `--trace 1` runs at that seed, plus
+the paired figures under `ab`.  Exit status: 0, or 1 if a run failed or was not
 correct, or if digests of one tree disagree.
 """
 
@@ -91,6 +92,13 @@ def host_line(env: dict) -> str:
             f"{env.get('blas', '?')}, one BLAS thread")
 
 
+def unpack(commit: str, dest: Path) -> None:
+    """The files of `commit` in the new directory `dest`."""
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True, capture_output=True).stdout
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
 def commit_of(tree: Path) -> str:
     """HEAD of `tree`, marked when tracked files differ from it."""
     head = git(tree, "rev-parse", "HEAD")
@@ -100,7 +108,6 @@ def commit_of(tree: Path) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git ref of the parent")
-    parser.add_argument("--parent-tree", type=Path, help="a checkout of the parent, in place of a worktree")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
     parser.add_argument("--workloads", nargs="+", help="default: every workload of BENCHMARK.json")
@@ -114,23 +121,16 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     gated = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    scratch = None
-    if args.parent_tree is not None:
-        parent_tree = args.parent_tree.resolve()
-    else:
-        scratch = Path(tempfile.mkdtemp(prefix="ab-parent-"))
-        parent_tree = scratch / "tree"
-        git(ROOT, "worktree", "add", "--detach", str(parent_tree), args.parent)
-    trees = {"parent": parent_tree, "change": ROOT}
+    args.parent_commit = git(ROOT, "rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    scratch = Path(tempfile.mkdtemp(prefix="ab-parent-"))
     try:
-        return compare(args, trees, workloads, gated)
+        unpack(args.parent_commit, scratch / "tree")
+        return compare(args, {"parent": scratch / "tree", "change": ROOT}, workloads, gated)
     except RunFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if scratch is not None:
-            git(ROOT, "worktree", "remove", "--force", str(parent_tree))
-            shutil.rmtree(scratch, ignore_errors=True)
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 def compare(args, trees: dict, workloads: list[str], gated: dict) -> int:
@@ -176,7 +176,7 @@ def compare(args, trees: dict, workloads: list[str], gated: dict) -> int:
 def write_bench(args, trees: dict, workloads: list[str], runs: dict, ab: dict) -> None:
     """The BENCH file: trace 0 and trace 1 at the bench seed, per side."""
     env = {}
-    sides = {"parent": {"commit": git(ROOT, "rev-parse", args.parent)}, "change": {"commit": commit_of(ROOT)}}
+    sides = {"parent": {"commit": args.parent_commit}, "change": {"commit": commit_of(ROOT)}}
     for k, w in enumerate(workloads):
         for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
             seeded = [res for seed, res in runs[side][w] if seed == args.bench_seed]
