@@ -24,15 +24,14 @@ from pathlib import Path
 
 from . import __version__
 from .data import DataFormatError, load_cifar10, load_mnist, split_validation, substream
-from .model import build_model, evaluate, exact_flops_by_layer
+from .model import CheckpointError, _field, build_model, evaluate, exact_flops_by_layer
 from .pruner import (
-    CheckpointError,
     PruningPlan,
-    _field,
     export_pruned,
     finalize_plan,
     finetune,
     load_checkpoint,
+    read_manifest,
     save_checkpoint,
     train_supervised,
 )
@@ -157,18 +156,10 @@ def _phase_manifest(cfg: dict, checksums: dict, seconds: float, extra: dict) -> 
     out = {
         "config": cfg,
         "dataset_checksums": checksums,
-        "seed": cfg["run"]["seed"],
         "seconds": round(seconds, 3),
     }
     out.update(extra)
     return out
-
-
-def _read_json(path: Path):
-    try:
-        return json.loads(path.read_text())
-    except ValueError as e:
-        raise CheckpointError(f"{path}: {e}") from e
 
 
 def _column(path: Path, rows: list[dict], name: str) -> list[float]:
@@ -219,8 +210,8 @@ def _check_upstream(cfg: dict, checksums: dict, manifest: dict, path: Path) -> N
     foreign baseline would have trained on this run's validation images.
     A manifest, `config` or `run` that is not a JSON object is refused too.
     """
-    run = _field(path, "config: ", _field(path, "", manifest, "config", dict), "run", dict)
-    fields = [("seed", manifest.get("seed"), cfg["run"]["seed"])]
+    run = _field(f"{path}: config: ", _field(f"{path}: ", manifest, "config", "dict"), "run", "dict")
+    fields = [("seed", run.get("seed"), cfg["run"]["seed"])]
     for key in ("model", "dataset", "validation_fraction"):
         fields.append((f"run.{key}", run.get(key), cfg["run"][key]))
     fields.append(("dataset_checksums", manifest.get("dataset_checksums"), checksums))
@@ -304,19 +295,17 @@ def cmd_prune(cfg: dict) -> int:
     t0 = time.perf_counter()
     out_root = Path(cfg["run"]["out_dir"])
     search_dir = out_root / "search"
-    base_dir = out_root / "baseline"
     search_path = search_dir / "manifest.json"
-    for need in (search_path, base_dir / "manifest.json"):
-        if not need.is_file():
-            raise FileNotFoundError(f"missing run artifact: expected {need}")
+    base_path = out_root / "baseline" / "manifest.json"
     model, search_manifest = load_checkpoint(search_dir)
-    baseline = _read_json(base_dir / "manifest.json")
+    baseline = read_manifest(base_path)
     train, val, test = _splits(cfg)
-    _check_upstream(cfg, train.checksums, baseline, base_dir / "manifest.json")
+    _check_upstream(cfg, train.checksums, baseline, base_path)
     _check_upstream(cfg, train.checksums, search_manifest, search_path)
-    baseline_top1 = _field(base_dir / "manifest.json", "", baseline, "top1", float)
+    baseline_top1 = _field(f"{base_path}: ", baseline, "top1", "float")
 
-    plan = PruningPlan.from_dict(_field(search_path, "", search_manifest, "plan", dict), model, search_path)
+    plan_record = _field(f"{search_path}: ", search_manifest, "plan", "dict")
+    plan = PruningPlan.from_dict(plan_record, model, search_path)
     pruned = export_pruned(model, plan)
     f = cfg["finetune"]
     ft = finetune(
@@ -348,26 +337,24 @@ def cmd_prune(cfg: dict) -> int:
 def cmd_report(cfg: dict) -> int:
     out_root = Path(cfg["run"]["out_dir"])
     base_path = out_root / "baseline" / "manifest.json"
-    if not base_path.is_file():
-        raise FileNotFoundError(f"missing run artifact: expected {base_path}")
-    baseline = _read_json(base_path)
+    baseline = read_manifest(base_path)
     # The baseline's data checksums stand in for this run's: a report
     # loads no data, and the seed and model checks still apply to it.
-    checksums = baseline.get("dataset_checksums") if isinstance(baseline, dict) else None
+    checksums = _field(f"{base_path}: ", baseline, "dataset_checksums", "dict")
     _check_upstream(cfg, checksums, baseline, base_path)
     search_path = out_root / "search" / "manifest.json"
     if search_path.is_file():
-        _check_upstream(cfg, checksums, _read_json(search_path), search_path)
+        _check_upstream(cfg, checksums, read_manifest(search_path), search_path)
     pruned = None
     pruned_path = out_root / "pruned" / "manifest.json"
     if pruned_path.is_file():
-        pruned = _read_json(pruned_path)
+        pruned = read_manifest(pruned_path)
         _check_upstream(cfg, checksums, pruned, pruned_path)
 
     def summary(path, manifest, *keys):
-        model = _field(path, "", manifest, "model", dict)
-        out = {"model": _field(path, "model: ", model, "name", str)}
-        return out | {k: _field(path, "", manifest, k, float) for k in keys}
+        model = _field(f"{path}: ", manifest, "model", "dict")
+        out = {"model": _field(f"{path}: model: ", model, "name", "str")}
+        return out | {k: _field(f"{path}: ", manifest, k, "float") for k in keys}
 
     rows = summary_rows(
         summary(base_path, baseline, "top1"),

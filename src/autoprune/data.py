@@ -179,6 +179,8 @@ def load_mnist(data_dir=None) -> tuple[Dataset, Dataset]:
     for x, y, tag in ((train_x, train_y, "train"), (test_x, test_y, "test")):
         if len(x) != len(y):
             raise DataFormatError(f"mnist {tag}: {len(x)} images but {len(y)} labels")
+        if len(x) == 0:
+            raise DataFormatError(f"{paths[tag + '_images']}: holds no images")
 
     train_u8 = train_x[:, None, :, :]
     test_u8 = test_x[:, None, :, :]

@@ -650,50 +650,46 @@ def model_to_table(model: ModelGraph) -> dict:
     }
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+class CheckpointError(ValueError):
+    """A run record (a checkpoint, a plan, a phase manifest) that a phase
+    reads back is malformed."""
 
 
-def _is_ints(v, n: int | None = None) -> bool:
-    return isinstance(v, list) and (n is None or len(v) == n) and all(map(_is_int, v))
+# the type and the wording of each JSON value kind `_field` takes
+_KINDS = {"int": (int, "an integer"), "float": (float, "a number"), "str": (str, "a string"),
+          "bool": (bool, "a bool"), "dict": (dict, "an object"), "list": (list, "a list")}
+_COUNTS = {2: "two ", 3: "three "}
 
 
-# (test, description) of a layer record's value, by its `LayerSpec` annotation
-_LAYER_TYPES = {
-    "int": (_is_int, "an integer"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "bool": (lambda v: isinstance(v, bool), "a bool"),
-    "tuple[int, int]": (lambda v: _is_ints(v, 2), "a list of two integers"),
-}
-# and of each of the model table's own fields
-_TABLE_TYPES = {
-    "name": _LAYER_TYPES["str"],
-    "input_shape": (lambda v: _is_ints(v, 3), "a list of three integers"),
-    "num_classes": _LAYER_TYPES["int"],
-    "preds": (lambda v: isinstance(v, dict), "an object"),
-    "layers": (lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v), "a list of objects"),
-}
+def _is(value, kind: str) -> bool:
+    """Whether the JSON `value` is a `kind`: a key of `_KINDS` (a bool is
+    no number), `list[k]`, or a `tuple[k, k, ...]` of that length."""
+    outer, _, inner = kind.partition("[")
+    if not inner:
+        t = _KINDS[kind][0]
+        return isinstance(value, t) and (t is bool) == isinstance(value, bool)
+    items = inner[:-1].split(", ")
+    return (isinstance(value, list) and (outer == "list" or len(value) == len(items))
+            and all(_is(v, items[0]) for v in value))
 
 
-def _check_table_types(table: dict) -> None:
-    """`ValueError` naming the field, and the layer, of the first value of
-    `table` that is missing or whose type is wrong."""
+def _need(kind: str) -> str:
+    """A `kind` in words: "an integer", "a list of objects", "a list of two integers"."""
+    outer, _, inner = kind.partition("[")
+    if not inner:
+        return _KINDS[kind][1]
+    items = inner[:-1].split(", ")
+    count = "" if outer == "list" else _COUNTS[len(items)]
+    return f"a list of {count}{_KINDS[items[0]][1].split()[1]}s"
 
-    def check(where: str, record: dict, types: dict) -> None:
-        for key, (test, need) in types.items():
-            if key not in record:
-                raise ValueError(f"model table {where}has no field {key!r}")
-            if not test(record[key]):
-                raise ValueError(f"model table {where}field {key!r} is not {need}, got {record[key]!r}")
 
-    check("", table, _TABLE_TYPES)
-    for k in table["preds"]:
-        if not re.fullmatch(r"-?[0-9]+", k):
-            raise ValueError(f"model table preds key {k!r} is not an integer layer id")
-    check("preds ", table["preds"], dict.fromkeys(table["preds"], (_is_ints, "a list of integers")))
-    layer_types = {f.name: _LAYER_TYPES[f.type] for f in fields(LayerSpec)}
-    for n, e in enumerate(table["layers"]):
-        check(f"layer {n} ", e, layer_types)
+def _field(where: str, record, key: str, kind: str):
+    """`record[key]`, which must be a `kind` (see `_is`); otherwise
+    `CheckpointError` "<where>field '<key>' is missing or not <kind>"."""
+    value = record.get(key) if isinstance(record, dict) else None
+    if not _is(value, kind):
+        raise CheckpointError(f"{where}field {key!r} is missing or not {_need(kind)}")
+    return value
 
 
 def model_from_table(table: dict, dtype=None) -> ModelGraph:
@@ -702,9 +698,18 @@ def model_from_table(table: dict, dtype=None) -> ModelGraph:
     Parameters and running statistics are stored in `dtype`, by default
     the engine's current default dtype.  The table is checked before any
     of them is allocated: first the type of every value, then the graph.
+    A layer record's fields take their kinds from `LayerSpec`'s annotations.
     """
-    _check_table_types(table)
-    layers = [LayerSpec(**{f.name: e[f.name] for f in fields(LayerSpec)}) for e in table["layers"]]
+    kinds = {"name": "str", "input_shape": "tuple[int, int, int]", "num_classes": "int",
+             "preds": "dict", "layers": "list[dict]"}
+    for key, kind in kinds.items():
+        _field("model table ", table, key, kind)
+    for k in table["preds"]:
+        if not re.fullmatch(r"-?[0-9]+", k):
+            raise ValueError(f"model table preds key {k!r} is not an integer layer id")
+        _field("model table preds ", table["preds"], k, "list[int]")
+    layers = [LayerSpec(**{f.name: _field(f"model table layer {n} ", e, f.name, f.type)
+                           for f in fields(LayerSpec)}) for n, e in enumerate(table["layers"])]
     for l in layers:
         l.kernel = tuple(l.kernel)  # a list in JSON
     preds = {int(k): tuple(v) for k, v in table["preds"].items()}

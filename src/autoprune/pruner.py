@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,9 @@ from . import __version__
 from .data import Dataset, batches
 from .masking import ChannelRanking, kept_count, refresh_ranking
 from .model import (
+    CheckpointError,
     ModelGraph,
+    _field,
     evaluate,
     exact_flops_by_layer,  # unused here; perfbench's tracer times it on this module too
     exact_model_flops,
@@ -39,10 +41,6 @@ from .model import (
 )
 from .search import _exact_fpr, cosine_lr, nonfinite_grads, sgd_step
 from .tensor import backward, softmax_cross_entropy, zero_grad
-
-
-class CheckpointError(ValueError):
-    """A checkpoint's manifest or arrays do not describe a loadable model."""
 
 
 @dataclass
@@ -67,11 +65,9 @@ class PruningPlan:
         """Read back `to_dict` output as a plan for `model`; a missing or
         mistyped field, or a plan `_checked_plan` refuses, raises
         `CheckpointError` naming `path`, the file `d` came from."""
-        kinds = {"layer_id": int, "kept_channel_ids": list}
-        entries = [
-            PlanEntry(**{k: _field(path, f"plan entry {n}: ", e, k, t) for k, t in kinds.items()})
-            for n, e in enumerate(_field(path, "plan: ", d, "entries", list))
-        ]
+        entries = [PlanEntry(**{f.name: _field(f"{path}: plan entry {n}: ", e, f.name, f.type)
+                                for f in fields(PlanEntry)})
+                   for n, e in enumerate(_field(f"{path}: plan: ", d, "entries", "list"))]
         try:
             return _checked_plan(model, entries)
         except ValueError as e:
@@ -271,21 +267,16 @@ def save_checkpoint(model: ModelGraph, directory, extra: dict | None = None) -> 
     return path
 
 
-_FIELD_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a number"}
-
-
-def _field(path, where: str, record, key: str, kind: type):
-    """`record[key]`, which must be a `kind` (`kept_channel_ids` a list of
-    integers); otherwise `CheckpointError` names the file `path`."""
-    value = record.get(key) if isinstance(record, dict) else None
-    ok = isinstance(value, kind) and not isinstance(value, bool)
-    ids = key == "kept_channel_ids"
-    if ok and ids:
-        ok = all(isinstance(d, int) and not isinstance(d, bool) for d in value)
-    if not ok:
-        need = "a list of integers" if ids else _FIELD_TYPES[kind]
-        raise CheckpointError(f"{path}: {where}field {key!r} is missing or not {need}")
-    return value
+def read_manifest(path):
+    """The JSON record at `path`, which a phase wrote.  A missing file
+    raises `FileNotFoundError`; one that does not parse, `CheckpointError`."""
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"missing run artifact: expected {path}")
+    try:
+        return json.loads(path.read_text())
+    except ValueError as e:
+        raise CheckpointError(f"{path}: {e}") from e
 
 
 def load_checkpoint(directory) -> tuple[ModelGraph, dict]:
@@ -294,17 +285,12 @@ def load_checkpoint(directory) -> tuple[ModelGraph, dict]:
     The manifest's model table is the checkpoint's whole structure: each
     array it implies must sit in its own file, holding exactly the
     table's number of floats.  A missing file raises `FileNotFoundError`;
-    a malformed table, or a file of the wrong size, `CheckpointError`.
+    a malformed manifest or table, or a file of the wrong size, `CheckpointError`.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
-    if not manifest_path.is_file():
-        raise FileNotFoundError(f"missing checkpoint manifest: expected {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except ValueError as e:
-        raise CheckpointError(f"{manifest_path}: {e}") from e
-    table = _field(manifest_path, "", manifest, "model", dict)
+    manifest = read_manifest(manifest_path)
+    table = _field(f"{manifest_path}: ", manifest, "model", "dict")
     try:
         model = model_from_table(table, np.float32)  # the array files are float32
     except (TypeError, ValueError) as e:

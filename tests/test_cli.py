@@ -17,6 +17,7 @@ import pytest
 from autoprune.cli import DEFAULTS, ConfigError, _bool, apply_overrides, load_config, main
 from autoprune.model import exact_model_flops
 from autoprune.pruner import _array_file, load_checkpoint
+from test_data import make_mnist_dir
 from test_pruner import _MUTATIONS, _leaves, _one_leaf_mutations
 
 SMALL_CONFIG = """
@@ -155,6 +156,15 @@ class TestExitCodes:
         path = write_config(tmp_path, f"[search]\n{line}\n")
         assert run_cli("search", "--config", path, "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err == f"error: bad [search] setting: {message}\n"
+
+    @pytest.mark.parametrize("split, name", [("train", "train-images-idx3-ubyte"),
+                                             ("test", "t10k-images-idx3-ubyte")])
+    def test_empty_mnist_split_is_2_before_training(self, tmp_path, capsys, split, name):
+        data = make_mnist_dir(tmp_path, **{f"n_{split}": 0})
+        out = tmp_path / "out"
+        assert run_cli("pretrain", "--data-dir", str(data), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {data / name}: holds no images\n"
+        assert not (out / "baseline").exists()
 
     def test_missing_data_dir_is_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("AUTOPRUNE_DATA_DIR", raising=False)
@@ -339,7 +349,8 @@ class TestPipeline:
         manifest = json.loads((out / "baseline" / "manifest.json").read_text())
         assert manifest["phase"] == "pretrain"
         assert 0.0 <= manifest["top1"] <= 1.0
-        assert manifest["seed"] == 3
+        # the seed is stored once, in the run's settings
+        assert manifest["config"]["run"]["seed"] == 3 and "seed" not in manifest
         assert (out / "baseline" / "metrics.csv").is_file()
         assert list((out / "baseline").glob("layer*.f32"))
 
@@ -546,6 +557,88 @@ class TestPipeline:
                      "--out", str(run), "--seed", "3"]) == 2
         err = capsys.readouterr().err
         assert f"{path}: " in err and message in err, err
+
+    def test_report_checks_the_baseline_checksums_itself(self, pipeline_run, synthetic_mnist_dir,
+                                                         tmp_path, capsys):
+        # the baseline's checksums stand in for the run's, so the baseline
+        # is blamed for their loss, with or without the later phases beside it
+        out, _, cfg = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        path = run / "baseline" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["dataset_checksums"]
+        path.write_text(json.dumps(manifest))
+        for phase in (None, "pruned", "search"):
+            if phase:
+                shutil.rmtree(run / phase)
+            assert main(["report", "--config", cfg, "--data-dir", str(synthetic_mnist_dir),
+                         "--out", str(run), "--seed", "3"]) == 2
+            assert capsys.readouterr().err == \
+                f"error: {path}: field 'dataset_checksums' is missing or not an object\n", phase
+
+    def test_one_leaf_mutations_of_the_run_fields_name_their_file(
+            self, pipeline_run, synthetic_mnist_dir, tmp_path, capsys):
+        """Each of `test_pruner._MUTATIONS` of a field that `_check_upstream`
+        or `report` reads exits 0 or 2, and an exit 2 prints one `error:`
+        line that names the damaged manifest: the baseline's through
+        `search` and `report`, the pruned model's through `report`."""
+        out, _, cfg = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        args = ["--config", cfg, "--data-dir", str(synthetic_mnist_dir), "--out", str(run), "--seed", "3"]
+        upstream = [("config", "run", key) for key in ("seed", "model", "dataset", "validation_fraction")]
+        upstream += [("dataset_checksums",), ("model", "name")]
+        # search runs last: a baseline it accepts is searched, and the search rewritten
+        sweeps = [("pruned", "report", [*upstream, ("top1",), ("fpr",)]),
+                  ("baseline", "report", [*upstream, ("top1",)]),
+                  ("baseline", "search", upstream)]
+        codes = []
+        for phase, command, leaves in sweeps:
+            path = run / phase / "manifest.json"
+            text = path.read_text()
+            for mutation, value in _MUTATIONS.items():
+                for leaf, bad in _one_leaf_mutations(json.loads(text), value, leaves):
+                    path.write_text(json.dumps(bad))
+                    code = main([command, *args])
+                    err = capsys.readouterr().err
+                    assert code in (0, 2), (command, phase, leaf, mutation, code, err)
+                    if code == 2:
+                        assert err.startswith(f"error: {path}") and err.count("\n") == 1, \
+                            (command, phase, leaf, mutation, err)
+                    codes.append(code)
+            path.write_text(text)
+        # only a model named "x", a string like any other, is accepted, once per sweep
+        assert len(codes) == 6 * (8 + 7 + 6) and codes.count(0) == 3
+
+    def test_a_run_with_the_seed_stored_twice_still_runs(self, pipeline_run, synthetic_mnist_dir,
+                                                         tmp_path, capsys):
+        # manifests written before the seed was stored once, in `config.run`,
+        # also hold it at the top level; `config.run.seed` is the one checked
+        out, _, cfg = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        args = ["--config", cfg, "--data-dir", str(synthetic_mnist_dir), "--out", str(run), "--seed", "3"]
+
+        def store_the_seed_twice(phase, run_seed=3):
+            path = run / phase / "manifest.json"
+            manifest = json.loads(path.read_text())
+            manifest["seed"] = 3
+            manifest["config"]["run"]["seed"] = run_seed
+            path.write_text(json.dumps(manifest))
+            return path
+
+        for phase in ("baseline", "search", "pruned"):
+            store_the_seed_twice(phase)
+        # report reads all three manifests, prune the first two, search the first
+        for command in ("report", "prune", "search"):
+            assert main([command, *args, *(["--epochs", "0"] if command == "prune" else [])]) == 0
+        capsys.readouterr()
+        path = store_the_seed_twice("baseline", run_seed=4)
+        for command in ("search", "prune", "report"):
+            assert main([command, *args]) == 2
+            assert capsys.readouterr().err == \
+                f"error: {path} is from another run: its seed is 4, this run's is 3\n", command
 
     def test_one_leaf_mutations_of_the_search_record_exit_0_or_2(
             self, pipeline_run, synthetic_mnist_dir, tmp_path, capsys):

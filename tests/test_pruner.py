@@ -432,7 +432,8 @@ class TestCheckpoints:
         manifest = json.loads(path.read_text())
         del manifest["model"]["layers"][2]["kernel"]
         path.write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="manifest.json: model table layer 2 has no field 'kernel'"):
+        with pytest.raises(CheckpointError, match="manifest.json: model table layer 2 field 'kernel' "
+                                                 "is missing or not a list of two integers"):
             load_checkpoint(tmp_path / "ck")
 
     @pytest.mark.parametrize("damage, message", [
@@ -441,7 +442,7 @@ class TestCheckpoints:
         ("conv padding -1", "and a nonnegative padding, got kernel \\(3, 3\\), stride 1, padding -1"),
         ("pool kernel 0", "layer 3 \\(pool\\) needs a kernel and stride of at least 1"),
         ("pool kind x", "layer 3 \\(pool\\) has kind 'x', not 'max' or 'avg'"),
-        ("preds a list", "model table field 'preds' is not an object"),
+        ("preds a list", "model table field 'preds' is missing or not an object"),
         ("layer id 99", "model table field 'preds' does not give the inputs of each layer"),
         ("conv kernel 10**9", "layer 0 \\(conv\\) has an output smaller than 1x1"),
         ("head of 11 classes", "linear layer 15 gives 11 outputs for 10 classes"),
@@ -576,7 +577,7 @@ class TestOneLeafMutations:
             if mutation == "x" and field in ("name", "kind", "pool_kind"):
                 continue  # "x" is a string, the type these fields take
             path.write_text(json.dumps({**manifest, "model": bad}))
-            with pytest.raises(CheckpointError, match=f"model table {where}field '{field}' is not"):
+            with pytest.raises(CheckpointError, match=f"model table {where}field '{field}' is missing or not"):
                 load_checkpoint(tmp_path)
             named += 1
         assert named > 2 * len(table["layers"])
