@@ -202,23 +202,29 @@ def _trajectory_plots(path: Path) -> dict:
             for name, (title, ylabel, series) in plots.items()}
 
 
-def _check_upstream(cfg: dict, checksums: dict, manifest: dict, path: Path) -> None:
+def _check_upstream(cfg: dict, checksums: dict, manifest: dict, path: Path,
+                    checksums_of: str = "this run") -> None:
     """Refuse an upstream phase that another run wrote.
 
-    Its seed, model, dataset, validation fraction and dataset files must
-    be this run's: the validation split is a function of the seed, so a
-    foreign baseline would have trained on this run's validation images.
-    A manifest, `config` or `run` that is not a JSON object is refused too.
+    Its seed, model name and input shape, dataset, validation fraction and
+    data checksums (`checksums_of`'s) must be this run's: the validation
+    split is a function of the seed, so a foreign baseline would have
+    trained on this run's validation images.  A manifest, `config`, `run`
+    or `model` that is not a JSON object is refused too.
     """
     run = _field(f"{path}: config: ", _field(f"{path}: ", manifest, "config", "dict"), "run", "dict")
     fields = [("seed", run.get("seed"), cfg["run"]["seed"])]
     for key in ("model", "dataset", "validation_fraction"):
         fields.append((f"run.{key}", run.get(key), cfg["run"][key]))
+    model = _field(f"{path}: ", manifest, "model", "dict")
+    fields.append(("model.name", _field(f"{path}: model: ", model, "name", "str"), cfg["run"]["model"]))
+    fields.append(("model.input_shape", model.get("input_shape"), list(_input_shape(cfg))))
     fields.append(("dataset_checksums", manifest.get("dataset_checksums"), checksums))
     for name, theirs, ours in fields:
         if theirs != ours:
+            whose = checksums_of if name == "dataset_checksums" else "this run"
             raise ConfigError(
-                f"{path} is from another run: its {name} is {theirs!r}, this run's is {ours!r}"
+                f"{path} is from another run: its {name} is {theirs!r}, {whose}'s is {ours!r}"
             )
 
 
@@ -341,20 +347,20 @@ def cmd_report(cfg: dict) -> int:
     # The baseline's data checksums stand in for this run's: a report
     # loads no data, and the seed and model checks still apply to it.
     checksums = _field(f"{base_path}: ", baseline, "dataset_checksums", "dict")
-    _check_upstream(cfg, checksums, baseline, base_path)
+    check = partial(_check_upstream, cfg, checksums, checksums_of=str(base_path))
+    check(baseline, base_path)
     search_path = out_root / "search" / "manifest.json"
     if search_path.is_file():
-        _check_upstream(cfg, checksums, read_manifest(search_path), search_path)
+        check(read_manifest(search_path), search_path)
     pruned = None
     pruned_path = out_root / "pruned" / "manifest.json"
     if pruned_path.is_file():
         pruned = read_manifest(pruned_path)
-        _check_upstream(cfg, checksums, pruned, pruned_path)
+        check(pruned, pruned_path)
 
+    # `_check_upstream` has matched each manifest's model name to the run's
     def summary(path, manifest, *keys):
-        model = _field(f"{path}: ", manifest, "model", "dict")
-        out = {"model": _field(f"{path}: model: ", model, "name", "str")}
-        return out | {k: _field(f"{path}: ", manifest, k, "float") for k in keys}
+        return {"model": cfg["run"]["model"]} | {k: _field(f"{path}: ", manifest, k, "float") for k in keys}
 
     rows = summary_rows(
         summary(base_path, baseline, "top1"),

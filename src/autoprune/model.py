@@ -15,8 +15,8 @@ are counted as zero.
 
 from __future__ import annotations
 
-import re
-from dataclasses import asdict, dataclass, fields, replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,8 +38,6 @@ from .tensor import (
 
 INPUT = -1  # predecessor id meaning "the network input"
 
-KINDS = ("conv", "bn", "relu", "pool", "linear", "add")
-
 
 @dataclass
 class LayerSpec:
@@ -55,12 +53,6 @@ class LayerSpec:
     prunable: bool = False
     pool_kind: str = ""
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"layer {self.id} has unknown kind {self.kind!r}")
-        if self.prunable and self.kind != "conv":
-            raise ValueError(f"layer {self.id}: only conv layers are prunable")
-
 
 @dataclass
 class ModelGraph:
@@ -75,7 +67,7 @@ class ModelGraph:
     num_classes: int
 
     def __post_init__(self):
-        # the layer list is fixed once built; specs may change in place
+        # the layer list is fixed once built
         self._by_id = {l.id: l for l in self.layers}
         # each prunable conv is masked after the relu that consumes the bn
         # that consumes it (`_Builder.conv_bn_relu`); None where there is none
@@ -121,71 +113,6 @@ class ModelGraph:
             self.params[layer_id][role].data = array
 
 
-def _validate_graph(model: ModelGraph) -> None:
-    ids = [l.id for l in model.layers]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate layer ids")
-    known = {INPUT}
-    for layer in model.layers:
-        pin = model.preds[layer.id]
-        for p in pin:
-            if p not in known:
-                raise ValueError(f"layer {layer.id} consumes {p} before it is produced")
-        if layer.kind == "add" and len(pin) != 2:
-            raise ValueError(f"add layer {layer.id} needs exactly two inputs")
-        if layer.kind != "add" and len(pin) != 1:
-            raise ValueError(f"layer {layer.id} ({layer.kind}) needs exactly one input")
-        if layer.kind in ("conv", "pool") and (min(*layer.kernel, layer.stride) < 1 or layer.padding < 0):
-            raise ValueError(f"layer {layer.id} ({layer.kind}) needs a kernel and stride of at least 1 "
-                             f"and a nonnegative padding, got kernel {layer.kernel}, stride "
-                             f"{layer.stride}, padding {layer.padding}")
-        if layer.kind == "pool" and layer.pool_kind not in ("max", "avg"):
-            raise ValueError(f"layer {layer.id} (pool) has kind {layer.pool_kind!r}, not 'max' or 'avg'")
-        known.add(layer.id)
-
-    unmasked = [c for c, r in model.mask_points.items() if r is None]
-    if unmasked:
-        raise ValueError(f"prunable conv {unmasked[0]} has no bn and relu after it to mask")
-
-    # each layer must take the width its sources declare; only conv and
-    # linear change it
-    def width(lid):
-        return model.input_shape[0] if lid == INPUT else model.layer(lid).out_channels
-
-    sizes = _spatial_map(model)
-    for layer in model.layers:
-        if min(sizes[layer.id]) < 1:
-            raise ValueError(f"layer {layer.id} ({layer.kind}) has an output smaller than 1x1: "
-                             f"{sizes[layer.id]}")
-        src, *other = model.preds[layer.id]
-        need = width(src)
-        if other and width(other[0]) != need:
-            raise ValueError(
-                f"add layer {layer.id} with unequal widths {need} and {width(other[0])}"
-            )
-        if other and sizes[other[0]] != sizes[src]:
-            raise ValueError(f"add layer {layer.id} with unequal sizes {sizes[src]} and {sizes[other[0]]}")
-        if layer.kind == "pool":
-            win, (ph, pw) = layer.kernel[0], sizes[src]
-            if layer.kernel[1] != win or ph % win or pw % win:
-                raise ValueError(f"layer {layer.id} (pool) needs a square window that divides its "
-                                 f"{ph}x{pw} input, got kernel {layer.kernel}")
-        if layer.kind == "linear":
-            if layer.out_channels != model.num_classes:
-                raise ValueError(f"linear layer {layer.id} gives {layer.out_channels} outputs "
-                                 f"for {model.num_classes} classes")
-            need *= sizes[src][0] * sizes[src][1]
-        if layer.in_channels != need:
-            raise ValueError(
-                f"layer {layer.id} ({layer.kind}) takes {layer.in_channels} input channels, "
-                f"but layer {src} gives it {need}"
-            )
-        if layer.kind not in ("conv", "linear") and layer.out_channels != need:
-            raise ValueError(
-                f"layer {layer.id} ({layer.kind}) cannot turn {need} channels into {layer.out_channels}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # builders
 
@@ -199,35 +126,47 @@ def _param(data, dtype) -> Tensor:
     return Tensor(data, requires_grad=True, dtype=dtype)
 
 
-def _init_params(layers: list[LayerSpec], dtype, rng: np.random.Generator | None = None):
+def _shapes(layer: LayerSpec) -> dict[str, tuple[int, ...]]:
+    """The shape of each array of `layer`, by role (see `ModelGraph.arrays`)."""
+    c = layer.out_channels
+    if layer.kind == "conv":
+        return {"weight": (c, layer.in_channels, *layer.kernel)}
+    if layer.kind == "bn":
+        return dict.fromkeys(("gamma", "beta", "running_mean", "running_var"), (c,))
+    if layer.kind == "linear":
+        return {"weight": (layer.in_channels, c), "bias": (c,)}
+    return {}
+
+
+def _init_params(layers: list[LayerSpec], dtype, make):
     """Parameters and bn running statistics for `layers`, stored in `dtype`.
 
-    With `rng`, conv and linear weights are He-normal draws taken in layer
-    order; without one they are zeros.  Biases and bn betas start at 0,
-    bn gammas at 1.
+    `make(layer, role, shape)` gives each array of `_shapes(layer)`, layer
+    by layer in table order.
     """
-
-    def weight(shape, fan_in):
-        if rng is None:
-            return np.zeros(shape, dtype=dtype)
-        return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
-
-    arrays: dict[int, dict[str, np.ndarray]] = {}
+    params: dict[int, dict[str, Tensor]] = {}
     bn_stats: dict[int, RunningStats] = {}
     for l in layers:
-        if l.kind == "conv":
-            kh, kw = l.kernel
-            fan_in = l.in_channels * kh * kw
-            arrays[l.id] = {"weight": weight((l.out_channels, l.in_channels, kh, kw), fan_in)}
-        elif l.kind == "bn":
-            arrays[l.id] = {"gamma": np.ones(l.out_channels, dtype=dtype),
-                            "beta": np.zeros(l.out_channels, dtype=dtype)}
-            bn_stats[l.id] = RunningStats.zeros(l.out_channels, dtype=dtype)
-        elif l.kind == "linear":
-            arrays[l.id] = {"weight": weight((l.in_channels, l.out_channels), l.in_channels),
-                            "bias": np.zeros(l.out_channels, dtype=dtype)}
-    params = {lid: {role: _param(a, dtype) for role, a in d.items()} for lid, d in arrays.items()}
+        arrays = {role: make(l, role, shape).astype(dtype, copy=False) for role, shape in _shapes(l).items()}
+        if l.kind == "bn":
+            bn_stats[l.id] = RunningStats(arrays.pop("running_mean"), arrays.pop("running_var"))
+        if arrays:
+            params[l.id] = {role: _param(a, dtype) for role, a in arrays.items()}
     return params, bn_stats
+
+
+def _he_normal(rng: np.random.Generator):
+    """`_init_params`' `make` for fresh weights: conv and linear weights are
+    He-normal draws taken in layer order, bn gammas and running variances
+    start at 1, biases, bn betas and running means at 0."""
+
+    def make(layer, role, shape):
+        if role == "weight":
+            fan_in = math.prod(shape) // layer.out_channels
+            return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
+        return np.ones(shape) if role in ("gamma", "running_var") else np.zeros(shape)
+
+    return make
 
 
 class _Builder:
@@ -277,27 +216,12 @@ class _Builder:
         return c, self.relu(b, cout)
 
 
-def build_model(
-    name: str,
-    num_classes: int = 10,
-    input_shape: tuple[int, int, int] = (1, 28, 28),
-    rng: np.random.Generator | None = None,
-    dtype=None,
-) -> ModelGraph:
-    """Construct one of the stock architectures with fresh parameters.
-
-    Every parameter and running statistic is stored in `dtype`, by
-    default the engine's current default dtype (see `use_dtype`).
-
-    `cnn-small` is a plain four-conv chain (widths 16, 32, 32, 64) with
-    two max pools and a global average pool.  `resnet-tiny` has a stem
-    plus three residual stages (widths 16, 32, 64); only the first conv
-    inside each block is prunable, so residual additions always see
-    full-width operands.  Spatial dims must be divisible by 4.
-    """
+def _architecture(name: str, input_shape: tuple[int, int, int], num_classes: int) -> ModelGraph:
+    """The layer table of the stock architecture `name`, with no arrays."""
     cin, h, w = input_shape
-    if h % 4 or w % 4:
-        raise ValueError(f"input spatial dims must be divisible by 4, got {input_shape}")
+    if cin < 1 or h != w or h < 4 or h % 4:
+        raise ValueError(f"input must have at least one channel and square spatial dims "
+                         f"divisible by 4, got {input_shape}")
     if num_classes < 2:
         raise ValueError(f"need at least two classes, got {num_classes}")
     b = _Builder()
@@ -333,19 +257,33 @@ def build_model(
     else:
         raise ValueError(f"unknown model {name!r}; expected 'cnn-small' or 'resnet-tiny'")
 
-    params, bn_stats = _init_params(
-        b.layers, _param_dtype(dtype), rng if rng is not None else np.random.default_rng(0)
+    return ModelGraph(name=name, layers=b.layers, preds=b.preds, params={}, bn_stats={},
+                      input_shape=tuple(input_shape), num_classes=num_classes)
+
+
+def build_model(
+    name: str,
+    num_classes: int = 10,
+    input_shape: tuple[int, int, int] = (1, 28, 28),
+    rng: np.random.Generator | None = None,
+    dtype=None,
+) -> ModelGraph:
+    """Construct one of the stock architectures with fresh parameters.
+
+    Every parameter and running statistic is stored in `dtype`, by
+    default the engine's current default dtype (see `use_dtype`).
+
+    `cnn-small` is a plain four-conv chain (widths 16, 32, 32, 64) with
+    two max pools and a global average pool.  `resnet-tiny` has a stem
+    plus three residual stages (widths 16, 32, 64); only the first conv
+    inside each block is prunable, so residual additions always see
+    full-width operands.  The input needs at least one channel and square
+    spatial dims divisible by 4, and the head at least two classes.
+    """
+    model = _architecture(name, input_shape, num_classes)
+    model.params, model.bn_stats = _init_params(
+        model.layers, _param_dtype(dtype), _he_normal(rng if rng is not None else np.random.default_rng(0))
     )
-    model = ModelGraph(
-        name=name,
-        layers=b.layers,
-        preds=b.preds,
-        params=params,
-        bn_stats=bn_stats,
-        input_shape=tuple(input_shape),
-        num_classes=num_classes,
-    )
-    _validate_graph(model)
     return model
 
 
@@ -487,20 +425,13 @@ def exact_flops_by_layer(model: ModelGraph, kept: dict[int, int] | None = None) 
     flow, _ = _kept_index(model, {i: np.arange(k) for i, k in kept.items()})
     sizes = _spatial_map(model)
     out: dict[int, int] = {}
-    for layer in model.layers:
-        src = flow[model.preds[layer.id][0]]
-        cin = layer.in_channels if src is None else len(src)
+    for layer in _narrowed(model, flow):
         if layer.kind == "conv":
-            cout = layer.out_channels if flow[layer.id] is None else len(flow[layer.id])
             oh, ow = sizes[layer.id]
             kh, kw = layer.kernel
-            out[layer.id] = 2 * kh * kw * cin * cout * oh * ow
+            out[layer.id] = 2 * kh * kw * layer.in_channels * layer.out_channels * oh * ow
         elif layer.kind == "linear":
-            # the head's input features are its source's channels times their pixels
-            if src is not None:
-                h, w = sizes[model.preds[layer.id][0]]
-                cin *= h * w
-            out[layer.id] = 2 * cin * layer.out_channels
+            out[layer.id] = 2 * layer.in_channels * layer.out_channels
         else:
             out[layer.id] = 0
     return out
@@ -561,6 +492,23 @@ def _kept_index(model: ModelGraph, keep: dict[int, np.ndarray]):
     return flow, index
 
 
+def _narrowed(model: ModelGraph, flow) -> list[LayerSpec]:
+    """`model`'s layer table with the widths of the channel `flow` of
+    `_kept_index`: each layer takes its source's channels, a conv gives
+    its own, and the linear head takes one feature per pixel of each of
+    its source's channels."""
+    layers = []
+    for layer in model.layers:
+        src = model.preds[layer.id][0]
+        cin = layer.in_channels
+        if flow[src] is not None:
+            per_channel = layer.in_channels // model.layer(src).out_channels if layer.kind == "linear" else 1
+            cin = len(flow[src]) * per_channel
+        cout = layer.out_channels if flow[layer.id] is None else len(flow[layer.id])
+        layers.append(replace(layer, in_channels=cin, out_channels=cout))
+    return layers
+
+
 def slice_channels(model: ModelGraph, keep: dict[int, np.ndarray]) -> ModelGraph:
     """A copy of `model` holding only the channels `keep` names.
 
@@ -581,25 +529,8 @@ def slice_channels(model: ModelGraph, keep: dict[int, np.ndarray]) -> ModelGraph
     for lid, s in model.bn_stats.items():
         idx = index[lid]["running_mean"]
         bn_stats[lid] = RunningStats(s.mean[idx].copy(), s.var[idx].copy())
-    layers = []
-    for layer in model.layers:
-        if layer.kind == "conv":
-            cout, cin = params[layer.id]["weight"].data.shape[:2]
-        elif layer.kind == "linear":
-            cin, cout = params[layer.id]["weight"].data.shape
-        else:
-            ids = flow[layer.id]
-            cin = cout = layer.out_channels if ids is None else len(ids)
-        layers.append(replace(layer, in_channels=cin, out_channels=cout))
-    return ModelGraph(
-        name=model.name,
-        layers=layers,
-        preds=dict(model.preds),
-        params=params,
-        bn_stats=bn_stats,
-        input_shape=model.input_shape,
-        num_classes=model.num_classes,
-    )
+    return replace(model, layers=_narrowed(model, flow), preds=dict(model.preds),
+                   params=params, bn_stats=bn_stats)
 
 
 def write_back(dense: ModelGraph, small: ModelGraph, keep: dict[int, np.ndarray]) -> None:
@@ -640,13 +571,13 @@ def evaluate(
 
 
 def model_to_table(model: ModelGraph) -> dict:
-    """JSON-ready structural description, sufficient to rebuild the graph."""
+    """JSON-ready record of `model`'s structure: its architecture, input
+    shape and classes, and each prunable conv's width, by layer id."""
     return {
         "name": model.name,
         "input_shape": list(model.input_shape),
         "num_classes": model.num_classes,
-        "layers": [{**asdict(l), "kernel": list(l.kernel)} for l in model.layers],
-        "preds": {str(k): list(v) for k, v in model.preds.items()},
+        "widths": {str(i): model.layer(i).out_channels for i in model.prunable_ids()},
     }
 
 
@@ -658,7 +589,7 @@ class CheckpointError(ValueError):
 # the type and the wording of each JSON value kind `_field` takes
 _KINDS = {"int": (int, "an integer"), "float": (float, "a number"), "str": (str, "a string"),
           "bool": (bool, "a bool"), "dict": (dict, "an object"), "list": (list, "a list")}
-_COUNTS = {2: "two ", 3: "three "}
+_COUNTS = {3: "three "}
 
 
 def _is(value, kind: str) -> bool:
@@ -674,7 +605,7 @@ def _is(value, kind: str) -> bool:
 
 
 def _need(kind: str) -> str:
-    """A `kind` in words: "an integer", "a list of objects", "a list of two integers"."""
+    """A `kind` in words: "an integer", "a list of objects", "a list of three integers"."""
     outer, _, inner = kind.partition("[")
     if not inner:
         return _KINDS[kind][1]
@@ -692,38 +623,28 @@ def _field(where: str, record, key: str, kind: str):
     return value
 
 
-def model_from_table(table: dict, dtype=None) -> ModelGraph:
-    """Rebuild a graph (zeroed parameters) from `model_to_table` output.
+def model_from_table(table: dict) -> ModelGraph:
+    """The layer table that `model_to_table` recorded, with no arrays: the
+    stock architecture, each prunable conv narrowed to its width.
 
-    Parameters and running statistics are stored in `dtype`, by default
-    the engine's current default dtype.  The table is checked before any
-    of them is allocated: first the type of every value, then the graph.
-    A layer record's fields take their kinds from `LayerSpec`'s annotations.
+    A field of the wrong type raises `CheckpointError`, and widths that
+    do not name each prunable conv once, each in [1, its full width],
+    `ValueError`; so does anything `build_model` refuses.
     """
-    kinds = {"name": "str", "input_shape": "tuple[int, int, int]", "num_classes": "int",
-             "preds": "dict", "layers": "list[dict]"}
+    kinds = {"name": "str", "input_shape": "tuple[int, int, int]", "num_classes": "int", "widths": "dict"}
     for key, kind in kinds.items():
         _field("model table ", table, key, kind)
-    for k in table["preds"]:
-        if not re.fullmatch(r"-?[0-9]+", k):
-            raise ValueError(f"model table preds key {k!r} is not an integer layer id")
-        _field("model table preds ", table["preds"], k, "list[int]")
-    layers = [LayerSpec(**{f.name: _field(f"model table layer {n} ", e, f.name, f.type)
-                           for f in fields(LayerSpec)}) for n, e in enumerate(table["layers"])]
-    for l in layers:
-        l.kernel = tuple(l.kernel)  # a list in JSON
-    preds = {int(k): tuple(v) for k, v in table["preds"].items()}
-    if set(preds) != {l.id for l in layers}:
-        raise ValueError("model table field 'preds' does not give the inputs of each layer, and only those")
-    model = ModelGraph(
-        name=table["name"],
-        layers=layers,
-        preds=preds,
-        params={},
-        bn_stats={},
-        input_shape=tuple(table["input_shape"]),
-        num_classes=table["num_classes"],
-    )
-    _validate_graph(model)
-    model.params, model.bn_stats = _init_params(layers, _param_dtype(dtype))
-    return model
+    model = _architecture(table["name"], tuple(table["input_shape"]), table["num_classes"])
+    widths = table["widths"]
+    names = [str(i) for i in model.prunable_ids()]
+    if set(widths) != set(names):
+        raise ValueError(f"model table field 'widths' names {list(widths)}, "
+                         f"not the prunable convs {names} of {model.name!r}")
+    keep = {}
+    for i in model.prunable_ids():
+        w, full = _field("model table widths ", widths, str(i), "int"), model.layer(i).out_channels
+        if not 1 <= w <= full:
+            raise ValueError(f"model table widths field '{i}' is {w}, not in [1, {full}]")
+        keep[i] = np.arange(w)
+    flow, _ = _kept_index(model, keep)
+    return replace(model, layers=_narrowed(model, flow))

@@ -10,9 +10,10 @@ the linear head's input features.  A sliced forward pass is numerically
 identical to masking the same channels to zero in the dense model.
 
 Also here: the plain SGD trainer shared by pretraining and fine-tuning,
-and raw-file checkpoints: a JSON manifest holding the model's layer table,
-plus one little-endian float32 file per array (each parameter and bn
-running statistic), named by layer and role.
+and raw-file checkpoints: a JSON manifest holding the model's
+architecture and each prunable conv's width, plus one little-endian
+float32 file per array (each parameter and bn running statistic), named
+by layer and role.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from .model import (
     CheckpointError,
     ModelGraph,
     _field,
+    _init_params,
     evaluate,
     exact_flops_by_layer,  # unused here; perfbench's tracer times it on this module too
-    exact_model_flops,
     forward,
     model_from_table,
     model_to_table,
@@ -242,6 +243,9 @@ def finetune(
 # ---------------------------------------------------------------------------
 # checkpoints: JSON manifest + one raw little-endian float32 file per array
 
+# the manifest layout `load_checkpoint` reads; 1 stored the whole layer table
+_FORMAT_VERSION = 2
+
 
 def _array_file(layer_id: int, role: str) -> str:
     """The name of the file holding one array of a checkpoint."""
@@ -255,10 +259,9 @@ def save_checkpoint(model: ModelGraph, directory, extra: dict | None = None) -> 
     for lid, role, arr in model.arrays():
         arr.astype("<f4").tofile(directory / _array_file(lid, role))
     manifest = {
-        "format_version": 1,
+        "format_version": _FORMAT_VERSION,
         "package_version": __version__,
         "model": model_to_table(model),
-        "flops_total": exact_model_flops(model),
     }
     if extra:
         manifest.update(extra)
@@ -282,25 +285,34 @@ def read_manifest(path):
 def load_checkpoint(directory) -> tuple[ModelGraph, dict]:
     """Rebuild a model and its weights from `save_checkpoint` output.
 
-    The manifest's model table is the checkpoint's whole structure: each
-    array it implies must sit in its own file, holding exactly the
-    table's number of floats.  A missing file raises `FileNotFoundError`;
-    a malformed manifest or table, or a file of the wrong size, `CheckpointError`.
+    The manifest's model record names the checkpoint's whole structure
+    (`model_from_table`): each array it implies must sit in its own file,
+    holding exactly that array's number of floats, which is checked
+    before the file is read.  A missing file raises `FileNotFoundError`;
+    a manifest of another `format_version`, a malformed one, or a file of
+    the wrong size, `CheckpointError`.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     manifest = read_manifest(manifest_path)
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
+    if version != _FORMAT_VERSION:
+        raise CheckpointError(f"{manifest_path}: format_version is {version!r}, not {_FORMAT_VERSION}; "
+                              "rerun the phase that wrote it")
     table = _field(f"{manifest_path}: ", manifest, "model", "dict")
     try:
-        model = model_from_table(table, np.float32)  # the array files are float32
-    except (TypeError, ValueError) as e:
+        model = model_from_table(table)
+    except ValueError as e:
         raise CheckpointError(f"{manifest_path}: {e}") from e
-    for lid, role, arr in model.arrays():
-        path = directory / _array_file(lid, role)
+
+    def read(layer, role, shape):
+        path = directory / _array_file(layer.id, role)
         if not path.is_file():
             raise FileNotFoundError(f"missing checkpoint array: expected {path}")
-        data = np.fromfile(path, dtype="<f4").astype(np.float32)
-        if data.size != arr.size:
-            raise CheckpointError(f"{path}: holds {data.size} floats, expected shape {arr.shape}")
-        model.set_array(lid, role, data.reshape(arr.shape))
+        size = path.stat().st_size
+        if size != 4 * math.prod(shape):
+            raise CheckpointError(f"{path}: holds {size // 4} floats, expected shape {shape}")
+        return np.fromfile(path, dtype="<f4").reshape(shape)
+
+    model.params, model.bn_stats = _init_params(model.layers, np.float32, read)  # the files are float32
     return model, manifest

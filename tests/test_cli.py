@@ -229,6 +229,17 @@ class TestForeignUpstream:
         assert main(["search", *seed0_baseline, "--seed", "0", "--model", "resnet-tiny"]) == 2
         assert "its run.model is 'cnn-small', this run's is 'resnet-tiny'" in capsys.readouterr().err
 
+    def test_search_refuses_another_input_shape(self, seed0_baseline, tmp_path, capsys):
+        # the array files fit any square side divisible by 4, the run's data only 28x28
+        args, run = _copied_run(seed0_baseline, tmp_path)
+        path = run / "baseline" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["model"]["input_shape"] = [1, 32, 32]
+        path.write_text(json.dumps(manifest))
+        assert main(["search", *args, "--seed", "0"]) == 2
+        assert capsys.readouterr().err == (f"error: {path} is from another run: its model.input_shape "
+                                           "is [1, 32, 32], this run's is [1, 28, 28]\n")
+
     def test_prune_refuses_another_seed(self, seed0_baseline, capsys):
         assert main(["prune", *seed0_baseline, "--seed", "1"]) == 2
         assert "its seed is 0, this run's is 1" in capsys.readouterr().err
@@ -295,20 +306,18 @@ class TestBadCheckpoint:
         assert main(["search", *args, "--seed", "0"]) == 2
         assert "holds 142 floats, expected shape (16, 1, 3, 3)" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kernels, message", [
-        ({3: [2, 3]}, "layer 3 (pool) needs a square window that divides its 28x28 input, got kernel (2, 3)"),
-        ({3: [4, 4], 7: [2, 2], 14: [3, 3]}, "layer 7 (pool) needs a square window that divides its 7x7"),
-    ])
-    def test_malformed_pool_window_is_2(self, seed0_baseline, tmp_path, capsys, kernels, message):
+    def test_checkpoint_of_another_format_version_is_2(self, seed0_baseline, tmp_path, capsys):
+        # a baseline written before the model record held `widths` is refused
+        # by its version, not by the field it lacks
         args, run = _copied_run(seed0_baseline, tmp_path)
         path = run / "baseline" / "manifest.json"
         manifest = json.loads(path.read_text())
-        for lid, kernel in kernels.items():
-            manifest["model"]["layers"][lid]["kernel"] = kernel
+        manifest["format_version"] = 1
+        del manifest["model"]["widths"]
         path.write_text(json.dumps(manifest))
         assert main(["search", *args, "--seed", "0"]) == 2
-        err = capsys.readouterr().err
-        assert err.count("error:") == 1 and message in err
+        assert capsys.readouterr().err == (f"error: {path}: format_version is 1, not 2; "
+                                           "rerun the phase that wrote it\n")
 
     @pytest.mark.parametrize("field", ["model"])
     def test_manifest_without_a_field_is_2(self, seed0_baseline, tmp_path, capsys, field):
@@ -577,12 +586,30 @@ class TestPipeline:
             assert capsys.readouterr().err == \
                 f"error: {path}: field 'dataset_checksums' is missing or not an object\n", phase
 
+    def test_report_names_both_files_when_checksums_disagree(self, pipeline_run, synthetic_mnist_dir,
+                                                             tmp_path, capsys):
+        # the baseline's checksums stand in for the run's, so a later
+        # manifest that disagrees with them is named beside the baseline
+        out, _, cfg = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        path = run / "baseline" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["dataset_checksums"]["t10k-images-idx3-ubyte"] = "0" * 64
+        path.write_text(json.dumps(manifest))
+        assert main(["report", "--config", cfg, "--data-dir", str(synthetic_mnist_dir),
+                     "--out", str(run), "--seed", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run / 'search' / 'manifest.json'} is from another run: "
+                              "its dataset_checksums is ")
+        assert err.count("error:") == 1 and err.count("\n") == 1 and f", {path}'s is " in err, err
+
     def test_one_leaf_mutations_of_the_run_fields_name_their_file(
             self, pipeline_run, synthetic_mnist_dir, tmp_path, capsys):
         """Each of `test_pruner._MUTATIONS` of a field that `_check_upstream`
-        or `report` reads exits 0 or 2, and an exit 2 prints one `error:`
-        line that names the damaged manifest: the baseline's through
-        `search` and `report`, the pruned model's through `report`."""
+        or `report` reads exits 2 and prints one `error:` line that names
+        the damaged manifest: the baseline's through `search` and
+        `report`, the pruned model's through `report`."""
         out, _, cfg = pipeline_run
         run = tmp_path / "run"
         shutil.copytree(out, run)
@@ -608,8 +635,7 @@ class TestPipeline:
                             (command, phase, leaf, mutation, err)
                     codes.append(code)
             path.write_text(text)
-        # only a model named "x", a string like any other, is accepted, once per sweep
-        assert len(codes) == 6 * (8 + 7 + 6) and codes.count(0) == 3
+        assert codes == [2] * 6 * (8 + 7 + 6)
 
     def test_a_run_with_the_seed_stored_twice_still_runs(self, pipeline_run, synthetic_mnist_dir,
                                                          tmp_path, capsys):
@@ -645,19 +671,17 @@ class TestPipeline:
         """`prune` after each of `test_pruner._MUTATIONS` of one leaf of the
         search manifest exits 0 or 2, and an exit 2 prints one `error:`
         line.  The leaves: plan entry 0's `layer_id` and first three
-        `kept_channel_ids`, and every field (each `kernel` item) of the
-        model table's layers 0, 1 and 2, cnn-small's first conv, bn and
-        relu.  Fine-tuning runs for zero epochs."""
+        `kept_channel_ids`, `format_version`, and every leaf of the model
+        record.  Fine-tuning runs for zero epochs."""
         out, _, cfg = pipeline_run
         run = tmp_path / "run"
         shutil.copytree(out, run)
         path = run / "search" / "manifest.json"
         manifest = json.loads(path.read_text())
-        layers = manifest["model"]["layers"]
-        assert [layers[n]["kind"] for n in range(3)] == ["conv", "bn", "relu"]
         entry = ("plan", "entries", 0)
         leaves = [(*entry, "layer_id"), *((*entry, "kept_channel_ids", n) for n in range(3))]
-        leaves += [("model", "layers", n, *leaf) for n in range(3) for leaf in _leaves(layers[n])]
+        leaves += [("format_version",), *(("model", *leaf) for leaf in _leaves(manifest["model"]))]
+        assert len(leaves) == 14
         args = ["prune", "--config", cfg, "--data-dir", str(synthetic_mnist_dir),
                 "--out", str(run), "--seed", "3", "--epochs", "0"]
         codes = []

@@ -2,7 +2,9 @@
 and FLOPs accounting against hand-computed values."""
 
 import copy
+import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -75,8 +77,9 @@ class TestArchitectures:
             build_model("vgg-99", 10, (1, 28, 28))
 
     def test_indivisible_input_rejected(self):
-        with pytest.raises(ValueError, match="divisible"):
-            build_model("cnn-small", 10, (1, 30, 30))
+        for shape in ((1, 30, 30), (0, 28, 28)):
+            with pytest.raises(ValueError, match="divisible"):
+                build_model("cnn-small", 10, shape)
 
     def test_seeded_builds_are_identical(self):
         a, b = small_model(7), small_model(7)
@@ -96,47 +99,32 @@ class TestArchitectures:
             h.update(a.tobytes())
         assert h.hexdigest() == digest
 
+    @pytest.mark.parametrize("name, shape, digest", [
+        ("cnn-small", (1, 28, 28), "332305536f706aff6f97a02a105faaa677291b6e0cf1e04604a97857496cf3c3"),
+        ("cnn-small", (3, 32, 32), "2b6d9c524c674fd3e7d1d1d7ff1e0c044dcd1f3c766151ee6b7549f8992ba2f9"),
+        ("resnet-tiny", (1, 28, 28), "9d7deffdddecd9b013f13844d1fb6887d85f851d1f4508d38c23c6ba6614016e"),
+        ("resnet-tiny", (3, 32, 32), "7eb90e1f6cae5198344e33d14b0e40fe5b81eb62887425c5fe25f95167925c20"),
+    ])
+    def test_layer_table_golden_digest(self, name, shape, digest):
+        # pins every layer's kind, widths, kernel, stride, padding and pool
+        # kind, and each layer's inputs, as the builder makes them
+        m = build_model(name, 10, shape)
+        text = json.dumps([[dataclasses.asdict(l) for l in m.layers], sorted(m.preds.items())])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_table_roundtrip_preserves_structure(self):
         for m in (small_model(), build_model("resnet-tiny", 10, (3, 32, 32))):
-            m2 = model_from_table(model_to_table(m))
-            assert m2.layers == m.layers
-            assert m2.preds == m.preds
-            assert m2.mask_points == m.mask_points
-            assert exact_flops_by_layer(m2) == exact_flops_by_layer(m)
-
-
-def _set(table, layer_id, **fields):
-    next(l for l in table["layers"] if l["id"] == layer_id).update(fields)
-
-
-def _narrow_first_block_conv(table):
-    # resnet-tiny: conv 6 -> bn 7 -> add 8, whose other operand is the
-    # 16-channel stem
-    _set(table, 6, out_channels=8)
-    _set(table, 7, in_channels=8, out_channels=8)
-
-
-WIDTH_MISMATCHES = {
-    "conv off the input": ("cnn-small", lambda t: _set(t, 0, in_channels=3),
-                           r"layer 0 \(conv\) takes 3 input channels, but layer -1 gives it 1"),
-    "conv off a pool": ("cnn-small", lambda t: _set(t, 4, in_channels=8),
-                        r"layer 4 \(conv\) takes 8 input channels, but layer 3 gives it 16"),
-    "bn changes width": ("cnn-small", lambda t: _set(t, 1, out_channels=8),
-                         r"layer 1 \(bn\) cannot turn 16 channels into 8"),
-    "linear head": ("cnn-small", lambda t: _set(t, 15, in_channels=32),
-                    r"layer 15 \(linear\) takes 32 input channels, but layer 14 gives it 64"),
-    "add operands": ("resnet-tiny", _narrow_first_block_conv,
-                     r"add layer 8 with unequal widths 8 and 16"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(WIDTH_MISMATCHES))
-def test_table_with_mismatched_widths_rejected(case):
-    name, edit, message = WIDTH_MISMATCHES[case]
-    table = model_to_table(build_model(name, 10, (1, 8, 8)))
-    edit(table)
-    with pytest.raises(ValueError, match=message):
-        model_from_table(table)
+            # the full model, and slices keeping every channel and every third
+            for step in (None, 1, 3):
+                if step is not None:
+                    m = slice_channels(m, {i: np.arange(0, m.layer(i).out_channels, step)
+                                           for i in m.prunable_ids()})
+                m2 = model_from_table(json.loads(json.dumps(model_to_table(m))))
+                assert not m2.params and not m2.bn_stats
+                assert m2.layers == m.layers
+                assert m2.preds == m.preds
+                assert m2.mask_points == m.mask_points
+                assert exact_flops_by_layer(m2) == exact_flops_by_layer(m)
 
 
 class TestForwardSemantics:
@@ -463,13 +451,11 @@ class TestDtypes:
         want = np.dtype(asked if asked is not None else default)
         with use_dtype(default):
             built = build_model(name, 10, shape, rng=np.random.default_rng(0), dtype=asked)
-            rebuilt = model_from_table(model_to_table(built), dtype=asked)
             keep = {i: np.arange(0, built.layer(i).out_channels, 2) for i in built.prunable_ids()}
             sliced = slice_channels(built, keep)
         # the slice keeps its model's dtype whatever the default is then
         sliced_later = slice_channels(built, keep)
-        for what, m in (("built", built), ("rebuilt", rebuilt), ("sliced", sliced),
-                        ("sliced later", sliced_later)):
+        for what, m in (("built", built), ("sliced", sliced), ("sliced later", sliced_later)):
             assert {a.dtype for a in self.arrays(m)} == {want}, what
 
     def test_float64_weights_are_not_float32_rounded(self):
