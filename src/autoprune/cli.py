@@ -17,8 +17,10 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import sys
 import time
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -29,7 +31,6 @@ from .pruner import (
     PruningPlan,
     export_pruned,
     finalize_plan,
-    finetune,
     load_checkpoint,
     read_manifest,
     save_checkpoint,
@@ -64,6 +65,7 @@ DEFAULTS = {
         "seed": 0,
         "validation_fraction": 0.1,
     },
+    # [pretrain] and [finetune] keys are `train_supervised` parameters
     "pretrain": {"epochs": 3, "batch_size": 64, "lr_max": 0.1, "lr_min": 0.001, "augment": False},
     "search": {f.name: f.default for f in _SEARCH_FIELDS},
     "finetune": {"epochs": 10, "batch_size": 64, "lr_max": 0.01, "lr_min": 0.0001},
@@ -152,14 +154,42 @@ def _splits(cfg: dict):
     return train, val, test
 
 
-def _phase_manifest(cfg: dict, checksums: dict, seconds: float, extra: dict) -> dict:
-    out = {
-        "config": cfg,
-        "dataset_checksums": checksums,
-        "seconds": round(seconds, 3),
-    }
-    out.update(extra)
-    return out
+def _train(cfg: dict, section: str, model, train, val, test):
+    """Train `model` by `train_supervised` with the `[section]` settings and
+    the run's seed; returns the result and the test split's top-1."""
+    result = train_supervised(model, train, val, seed=cfg["run"]["seed"], **cfg[section])
+    return result, evaluate(model, test.images, test.labels)
+
+
+@contextmanager
+def _replacing(final: Path):
+    """Yield an empty hidden sibling of `final`, `.<name>.partial`, to fill.
+    When the block ends it takes `final`'s place; the old `final` is renamed
+    `.<name>.old` and then removed.  A block that raises or is killed
+    leaves `final` as it was, and the next write clears its leftovers."""
+    partial, old = (final.with_name(f".{final.name}.{tag}") for tag in ("partial", "old"))
+    for leftover in (partial, old):
+        shutil.rmtree(leftover, ignore_errors=True)
+    partial.mkdir(parents=True)
+    yield partial
+    if final.exists():
+        final.rename(old)
+    partial.rename(final)
+    shutil.rmtree(old, ignore_errors=True)
+
+
+def _write_phase(cfg: dict, name: str, t0: float, checksums: dict, model, tables: dict, fields: dict) -> Path:
+    """Write the run's `<name>/` directory in one swap (`_replacing`): each
+    CSV of `tables` (file name to rows), then the checkpoint of `model`,
+    whose manifest holds the run's settings, its data checksums, the
+    seconds since `t0` and the phase's `fields`.  Returns the directory."""
+    final = Path(cfg["run"]["out_dir"]) / name
+    with _replacing(final) as out:
+        for file, rows in tables.items():
+            write_csv(rows, out / file)
+        save_checkpoint(model, out, extra={"config": cfg, "dataset_checksums": checksums,
+                                           "seconds": round(time.perf_counter() - t0, 3), **fields})
+    return final
 
 
 def _column(path: Path, rows: list[dict], name: str) -> list[float]:
@@ -236,24 +266,13 @@ def cmd_pretrain(cfg: dict) -> int:
     t0 = time.perf_counter()
     train, val, test = _splits(cfg)
     model = _fresh_model(cfg)
-    p = cfg["pretrain"]
-    result = train_supervised(
-        model, train, val,
-        epochs=p["epochs"], lr_max=p["lr_max"], lr_min=p["lr_min"],
-        batch_size=p["batch_size"], seed=cfg["run"]["seed"], augment=p["augment"],
-    )
-    top1 = evaluate(model, test.images, test.labels)
-    out = Path(cfg["run"]["out_dir"]) / "baseline"
-    write_csv(result.metrics, out / "metrics.csv")
-    save_checkpoint(
-        model, out,
-        extra=_phase_manifest(cfg, train.checksums, time.perf_counter() - t0, {
-            "phase": "pretrain",
-            "top1": top1,
-            "best_val_accuracy": result.best_val_accuracy,
-            "diverged": result.diverged,
-        }),
-    )
+    result, top1 = _train(cfg, "pretrain", model, train, val, test)
+    out = _write_phase(cfg, "baseline", t0, train.checksums, model, {"metrics.csv": result.metrics}, {
+        "phase": "pretrain",
+        "top1": top1,
+        "best_val_accuracy": result.best_val_accuracy,
+        "diverged": result.diverged,
+    })
     print(f"pretrain: model={cfg['run']['model']} top1={top1:.4f} "
           f"val={result.best_val_accuracy:.4f} -> {out}")
     return 1 if result.diverged else 0
@@ -266,31 +285,24 @@ def cmd_search(cfg: dict) -> int:
         sc.validate()
     except ValueError as e:
         raise ConfigError(f"bad [search] setting: {e}") from e
-    out_root = Path(cfg["run"]["out_dir"])
-    base_dir = out_root / "baseline"
+    base_dir = Path(cfg["run"]["out_dir"]) / "baseline"
     model, base_manifest = load_checkpoint(base_dir)
     train, val, test = _splits(cfg)
     _check_upstream(cfg, train.checksums, base_manifest, base_dir / "manifest.json")
 
     result = run_search(model, train, val, sc)
-
-    out = out_root / "search"
-    write_csv(result.metrics, out / "trajectory.csv")
-    write_csv(result.refresh_events, out / "diagnostics.csv")
     plan = finalize_plan(model, result.ratios, result.rankings)
-    save_checkpoint(
-        model, out,
-        extra=_phase_manifest(cfg, train.checksums, time.perf_counter() - t0, {
-            "phase": "search",
-            "ratios": {str(k): v for k, v in result.ratios.items()},
-            "fpr_exact": result.fpr_exact,
-            "iterations": result.iterations,
-            "epochs_run": result.epochs_run,
-            "converged": result.converged,
-            "kink_count": result.diagnostics.kink_count,
-            "plan": plan.to_dict(),
-        }),
-    )
+    tables = {"trajectory.csv": result.metrics, "diagnostics.csv": result.refresh_events}
+    out = _write_phase(cfg, "search", t0, train.checksums, model, tables, {
+        "phase": "search",
+        "ratios": {str(k): v for k, v in result.ratios.items()},
+        "fpr_exact": result.fpr_exact,
+        "iterations": result.iterations,
+        "epochs_run": result.epochs_run,
+        "converged": result.converged,
+        "kink_count": result.diagnostics.kink_count,
+        "plan": plan.to_dict(),
+    })
     ratio_text = ", ".join(f"{k}:{v:.3f}" for k, v in sorted(result.ratios.items()))
     print(f"search: iterations={result.iterations} fpr_exact={result.fpr_exact:.4f} "
           f"ratios=[{ratio_text}] -> {out}")
@@ -313,29 +325,19 @@ def cmd_prune(cfg: dict) -> int:
     plan_record = _field(f"{search_path}: ", search_manifest, "plan", "dict")
     plan = PruningPlan.from_dict(plan_record, model, search_path)
     pruned = export_pruned(model, plan)
-    f = cfg["finetune"]
-    ft = finetune(
-        pruned, train, val,
-        epochs=f["epochs"], lr_max=f["lr_max"], lr_min=f["lr_min"],
-        batch_size=f["batch_size"], seed=cfg["run"]["seed"], test=test,
-    )
-    out = out_root / "pruned"
-    write_csv(ft.metrics, out / "metrics.csv")
-    drop = baseline_top1 - (ft.test_top1 or 0.0)
-    save_checkpoint(
-        pruned, out,
-        extra=_phase_manifest(cfg, train.checksums, time.perf_counter() - t0, {
-            "phase": "prune",
-            "plan": plan.to_dict(),
-            "top1": ft.test_top1,
-            "baseline_top1": baseline_top1,
-            "accuracy_drop": drop,
-            "fpr": plan.fpr,
-            "best_val_accuracy": ft.best_val_accuracy,
-            "diverged": ft.diverged,
-        }),
-    )
-    print(f"prune: fpr={plan.fpr:.4f} top1={ft.test_top1:.4f} "
+    ft, top1 = _train(cfg, "finetune", pruned, train, val, test)
+    drop = baseline_top1 - top1
+    out = _write_phase(cfg, "pruned", t0, train.checksums, pruned, {"metrics.csv": ft.metrics}, {
+        "phase": "prune",
+        "plan": plan.to_dict(),
+        "top1": top1,
+        "baseline_top1": baseline_top1,
+        "accuracy_drop": drop,
+        "fpr": plan.fpr,
+        "best_val_accuracy": ft.best_val_accuracy,
+        "diverged": ft.diverged,
+    })
+    print(f"prune: fpr={plan.fpr:.4f} top1={top1:.4f} "
           f"drop={drop:.4f} -> {out}")
     return 1 if ft.diverged else 0
 
@@ -370,9 +372,10 @@ def cmd_report(cfg: dict) -> int:
     traj_path = out_root / "search" / "trajectory.csv"
     plots = _trajectory_plots(traj_path) if traj_path.is_file() else {}
     report_dir = out_root / "report"
-    write_csv(rows, report_dir / "summary.csv")
-    for name, (title, ylabel, series) in plots.items():
-        svg_line_plot(series, report_dir / name, title=title, xlabel="iteration", ylabel=ylabel)
+    with _replacing(report_dir) as out:
+        write_csv(rows, out / "summary.csv")
+        for name, (title, ylabel, series) in plots.items():
+            svg_line_plot(series, out / name, title=title, xlabel="iteration", ylabel=ylabel)
 
     table = format_table(rows, SUMMARY_COLUMNS)
     print(table)

@@ -76,21 +76,14 @@ def resolve_data_dir(explicit: str | None = None) -> Path:
     )
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _require(path: Path) -> Path:
     if not path.is_file():
         raise DataFormatError(f"missing dataset file: expected {path}")
     return path
 
 
-def _read_idx(path: Path, magic: int) -> np.ndarray:
+def _read_idx(path: Path, magic: int):
+    """The array in one IDX file and the sha256 of its bytes, read once."""
     raw = _require(path).read_bytes()
     if len(raw) < 4:
         raise DataFormatError(f"{path}: truncated header")
@@ -106,7 +99,7 @@ def _read_idx(path: Path, magic: int) -> np.ndarray:
     body = np.frombuffer(raw, dtype=np.uint8, offset=header)
     if len(body) != count:
         raise DataFormatError(f"{path}: expected {count} bytes of payload, found {len(body)}")
-    return body.reshape(dims)
+    return body.reshape(dims), hashlib.sha256(raw).hexdigest()
 
 
 _STATS_BLOCK = 256  # images per float64 block in `_channel_stats`
@@ -171,11 +164,9 @@ def load_mnist(data_dir=None) -> tuple[Dataset, Dataset]:
     """Load the four canonical IDX files into (train, test) datasets."""
     root = resolve_data_dir(data_dir)
     paths = {k: _require(root / v) for k, v in MNIST_FILES.items()}
-
-    train_x = _read_idx(paths["train_images"], 0x00000803)
-    train_y = _read_idx(paths["train_labels"], 0x00000801)
-    test_x = _read_idx(paths["test_images"], 0x00000803)
-    test_y = _read_idx(paths["test_labels"], 0x00000801)
+    read = {k: _read_idx(path, 0x00000803 if k.endswith("images") else 0x00000801)
+            for k, path in paths.items()}
+    train_x, train_y, test_x, test_y = (read[k][0] for k in MNIST_FILES)
     for x, y, tag in ((train_x, train_y, "train"), (test_x, test_y, "test")):
         if len(x) != len(y):
             raise DataFormatError(f"mnist {tag}: {len(x)} images but {len(y)} labels")
@@ -185,7 +176,7 @@ def load_mnist(data_dir=None) -> tuple[Dataset, Dataset]:
     train_u8 = train_x[:, None, :, :]
     test_u8 = test_x[:, None, :, :]
     train_n, test_n = _normalize(train_u8, test_u8)
-    checksums = {v: _sha256(paths[k]) for k, v in MNIST_FILES.items()}
+    checksums = {v: read[k][1] for k, v in MNIST_FILES.items()}
     train = Dataset(train_n, train_y.astype(np.int64), checksums)
     test = Dataset(test_n, test_y.astype(np.int64), checksums)
     return train, test

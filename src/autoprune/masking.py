@@ -10,7 +10,7 @@ ranks is
 which keeps the top floor(r*C) channels fully on, gives the single
 boundary rank the fractional value r*C - floor(r*C), and zeroes the
 rest.  The mask is linear in r except where r*C is an integer; at those
-kinks the right-sided derivative is used and the event is counted.
+kinks, where the boundary value is 0, the right-sided derivative is used.
 
 Masked-out channels keep their stored weights, so a later re-ranking can
 bring them back.
@@ -110,26 +110,17 @@ def build_mask(ratio: float, ranking: ChannelRanking) -> ChannelMask:
     )
 
 
-def mask_grad_wrt_ratio(
-    ratio: float,
-    channels: int,
-    diag: MaskDiagnostics | None = None,
-    layer_id: int = -1,
-) -> np.ndarray:
+def mask_grad_wrt_ratio(ratio: float, channels: int) -> np.ndarray:
     """Derivative of the rank-indexed mask with respect to the ratio.
 
     Only the boundary rank floor(r*C)+1 moves with r, with slope C.  When
     r*C lands exactly on an integer the mask has a kink; the right-sided
-    derivative is used and the event is recorded.  At r = 1 the boundary
-    rank falls outside the layer, so the gradient is all zero.
+    derivative is used.  At r = 1 the boundary rank falls outside the
+    layer, so the gradient is all zero.
     """
     ratio = _check_ratio(ratio, channels)
     grad = np.zeros(channels, dtype=np.float64)
-    rc = ratio * channels
-    floor = math.floor(rc)
-    if rc == floor and diag is not None:
-        diag.record_kink(layer_id)
-    boundary = floor  # 0-based index of rank floor+1
+    boundary = math.floor(ratio * channels)  # 0-based index of rank floor+1
     if boundary < channels:
         grad[boundary] = float(channels)
     return grad
@@ -138,8 +129,6 @@ def mask_grad_wrt_ratio(
 def ratio_mask_tensor(
     ratio: Tensor,
     ranking: ChannelRanking,
-    diag: MaskDiagnostics | None = None,
-    layer_id: int = -1,
     dtype=None,
     ids: np.ndarray | None = None,
 ) -> Tensor:
@@ -157,7 +146,7 @@ def ratio_mask_tensor(
     out_dtype = dtype if dtype is not None else ratio.data.dtype
     data = entry.by_channel.astype(out_dtype)
     c = ranking.channels
-    grad_by_channel = mask_grad_wrt_ratio(float(ratio.data), c, diag, layer_id)[ranking.ranks - 1]
+    grad_by_channel = mask_grad_wrt_ratio(float(ratio.data), c)[ranking.ranks - 1]
     if ids is not None:
         data, grad_by_channel = data[ids], grad_by_channel[ids]
 

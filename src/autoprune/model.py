@@ -422,10 +422,10 @@ def exact_flops_by_layer(model: ModelGraph, kept: dict[int, int] | None = None) 
         c = model.layer(i).out_channels
         if not (1 <= k <= c):
             raise ValueError(f"kept count {k} out of range [1, {c}] for layer {i}")
-    flow, _ = _kept_index(model, {i: np.arange(k) for i, k in kept.items()})
+    layers, _ = _kept_index(model, {i: np.arange(k) for i, k in kept.items()})
     sizes = _spatial_map(model)
     out: dict[int, int] = {}
-    for layer in _narrowed(model, flow):
+    for layer in layers:
         if layer.kind == "conv":
             oh, ow = sizes[layer.id]
             kh, kw = layer.kernel
@@ -447,22 +447,24 @@ def exact_model_flops(model: ModelGraph, kept: dict[int, int] | None = None) -> 
 
 
 def _kept_index(model: ModelGraph, keep: dict[int, np.ndarray]):
-    """The channel ids flowing out of each layer under `keep` (None for
-    all of them), and per parameterised layer and role the index that
-    picks the entries `keep` leaves.
+    """`model`'s layer table narrowed to the channels `keep` leaves, and per
+    parameterised layer and role the index that picks those entries.
 
     `keep` maps conv ids to ascending output channel ids; every other
     layer passes its input's channels through, so a bn takes its conv's
     ids, a conv takes its input's ids on axis 1, and the linear head the
-    rows of its input's kept channels.  A full-width index is `slice(None)`;
-    a bn's running statistics take the index of its gamma and beta.
+    rows of its input's kept channels, one per pixel of each.  A
+    full-width index is `slice(None)`; a bn's running statistics take the
+    index of its gamma and beta.
     """
     flow: dict[int, np.ndarray | None] = {INPUT: None}  # channel ids out of each layer, None = all
     index: dict[int, dict[str, object]] = {}
+    layers = []
     spatial = None
     for layer in model.layers:
         pin = model.preds[layer.id]
         src = flow[pin[0]]
+        cin = layer.in_channels if src is None else len(src)
         if layer.kind == "conv":
             out = keep.get(layer.id)
             if out is None:
@@ -485,28 +487,14 @@ def _kept_index(model: ModelGraph, keep: dict[int, np.ndarray]):
                 spatial = spatial or _spatial_map(model)
                 hw = spatial[pin[0]][0] * spatial[pin[0]][1]
                 rows = (src[:, None] * hw + np.arange(hw)[None, :]).ravel()
+                cin = len(rows)
             index[layer.id] = {"weight": rows, "bias": slice(None)}
             flow[layer.id] = None
         else:
             flow[layer.id] = src
-    return flow, index
-
-
-def _narrowed(model: ModelGraph, flow) -> list[LayerSpec]:
-    """`model`'s layer table with the widths of the channel `flow` of
-    `_kept_index`: each layer takes its source's channels, a conv gives
-    its own, and the linear head takes one feature per pixel of each of
-    its source's channels."""
-    layers = []
-    for layer in model.layers:
-        src = model.preds[layer.id][0]
-        cin = layer.in_channels
-        if flow[src] is not None:
-            per_channel = layer.in_channels // model.layer(src).out_channels if layer.kind == "linear" else 1
-            cin = len(flow[src]) * per_channel
         cout = layer.out_channels if flow[layer.id] is None else len(flow[layer.id])
         layers.append(replace(layer, in_channels=cin, out_channels=cout))
-    return layers
+    return layers, index
 
 
 def slice_channels(model: ModelGraph, keep: dict[int, np.ndarray]) -> ModelGraph:
@@ -520,7 +508,7 @@ def slice_channels(model: ModelGraph, keep: dict[int, np.ndarray]) -> ModelGraph
     it was until `write_back`.  Keeping every channel reproduces the
     original logits bit for bit.
     """
-    flow, index = _kept_index(model, keep)
+    layers, index = _kept_index(model, keep)
     params = {
         lid: {role: _param(t.data[index[lid][role]].copy(), t.data.dtype) for role, t in d.items()}
         for lid, d in model.params.items()
@@ -529,7 +517,7 @@ def slice_channels(model: ModelGraph, keep: dict[int, np.ndarray]) -> ModelGraph
     for lid, s in model.bn_stats.items():
         idx = index[lid]["running_mean"]
         bn_stats[lid] = RunningStats(s.mean[idx].copy(), s.var[idx].copy())
-    return replace(model, layers=_narrowed(model, flow), preds=dict(model.preds),
+    return replace(model, layers=layers, preds=dict(model.preds),
                    params=params, bn_stats=bn_stats)
 
 
@@ -646,5 +634,4 @@ def model_from_table(table: dict) -> ModelGraph:
         if not 1 <= w <= full:
             raise ValueError(f"model table widths field '{i}' is {w}, not in [1, {full}]")
         keep[i] = np.arange(w)
-    flow, _ = _kept_index(model, keep)
-    return replace(model, layers=_narrowed(model, flow))
+    return replace(model, layers=_kept_index(model, keep)[0])

@@ -140,7 +140,6 @@ class TrainResult:
     metrics: list[dict]
     best_val_accuracy: float
     diverged: bool
-    test_top1: float | None = None
 
 
 def _snapshot(model: ModelGraph) -> list:
@@ -214,30 +213,8 @@ def train_supervised(
     return TrainResult(metrics, best_acc, diverged)
 
 
-def finetune(
-    model: ModelGraph,
-    train: Dataset,
-    val: Dataset,
-    epochs: int = 10,
-    lr_max: float = 0.01,
-    lr_min: float = 0.0001,
-    batch_size: int = 64,
-    seed: int = 0,
-    test: Dataset | None = None,
-) -> TrainResult:
-    """Recover accuracy of an exported model; plan and widths stay frozen.
-
-    Runs the shared SGD trainer (cosine decay from lr_max to lr_min over
-    the whole budget), restores the best-validation snapshot, and
-    optionally reports Top-1 on a test split.  Zero epochs means
-    evaluate-only.
-    """
-    result = train_supervised(
-        model, train, val, epochs, lr_max, lr_min, batch_size=batch_size, seed=seed
-    )
-    if test is not None:
-        result.test_top1 = evaluate(model, test.images, test.labels)
-    return result
+# recovering an exported model's accuracy is the same training; widths stay frozen
+finetune = train_supervised
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,6 @@ def outer_step(
     flops: dict[int, int],
     config: SearchConfig,
     lr_r: float,
-    diag: MaskDiagnostics | None = None,
 ) -> tuple[dict[int, float], LossBreakdown]:
     """One ratio update from a validation batch.
 
@@ -247,10 +246,7 @@ def outer_step(
     dtype = model.params[ids[0]]["weight"].data.dtype
     net, keep = _narrow(model, {i: ratio_step_channels(ratios[i], rankings[i]) for i in ids})
     rts = {i: Tensor(np.float64(ratios[i]), requires_grad=True, dtype=np.float64) for i in ids}
-    mask_ts = {
-        i: ratio_mask_tensor(rts[i], rankings[i], diag=diag, layer_id=i, dtype=dtype, ids=keep.get(i))
-        for i in ids
-    }
+    mask_ts = {i: ratio_mask_tensor(rts[i], rankings[i], dtype=dtype, ids=keep.get(i)) for i in ids}
     net.set_requires_grad(False)
     try:
         logits = forward(net, xb, masks=mask_ts, mode="train", update_running=False)
@@ -369,7 +365,10 @@ def run_search(
         bd = inner_step(model, xb, yb, masks, ratios, flops, config, lr_w)
 
         xb, yb = next(val_stream)
-        ratios, _ = outer_step(model, xb, yb, ratios, rankings, flops, config, lr_r, diag)
+        for i in ids:  # the ratio step takes the right-sided slope at each kink
+            if masks[i].boundary_value == 0.0:
+                diag.record_kink(i)
+        ratios, _ = outer_step(model, xb, yb, ratios, rankings, flops, config, lr_r)
         masks = _rebuild_masks(ratios, rankings)
 
         it += 1

@@ -7,6 +7,7 @@ exercise wiring and determinism rather than accuracy.
 
 import argparse
 import configparser
+import inspect
 import json
 import re
 import shutil
@@ -14,9 +15,11 @@ from pathlib import Path
 
 import pytest
 
+from autoprune import cli
 from autoprune.cli import DEFAULTS, ConfigError, _bool, apply_overrides, load_config, main
-from autoprune.model import exact_model_flops
-from autoprune.pruner import _array_file, load_checkpoint
+from autoprune.data import load_mnist
+from autoprune.model import evaluate, exact_model_flops
+from autoprune.pruner import _array_file, load_checkpoint, train_supervised
 from test_data import make_mnist_dir
 from test_pruner import _MUTATIONS, _leaves, _one_leaf_mutations
 
@@ -105,6 +108,12 @@ class TestConfig:
         # [run]'s data_dir and out_dir are paths, set by flag
         for section in ("pretrain", "search", "finetune"):
             assert set(parser[section]) == set(DEFAULTS[section]), section
+
+    def test_training_keys_are_train_supervised_parameters(self):
+        # both training phases pass their section as keywords; [run] sets the seed
+        params = set(inspect.signature(train_supervised).parameters) - {"model", "train", "val", "seed"}
+        for section in ("pretrain", "finetune"):
+            assert set(DEFAULTS[section]) <= params, section
 
     def test_bool_values(self):
         for text, want in (("yes", True), ("ON", True), ("1", True),
@@ -353,11 +362,13 @@ class TestPipeline:
         _, codes, _ = pipeline_run
         assert codes == [0, 0, 0, 0]
 
-    def test_baseline_artifacts(self, pipeline_run):
+    def test_baseline_artifacts(self, pipeline_run, synthetic_mnist_dir):
         out, _, _ = pipeline_run
         manifest = json.loads((out / "baseline" / "manifest.json").read_text())
         assert manifest["phase"] == "pretrain"
-        assert 0.0 <= manifest["top1"] <= 1.0
+        # top-1 is the saved model's on the test split
+        _, test = load_mnist(synthetic_mnist_dir)
+        assert manifest["top1"] == evaluate(load_checkpoint(out / "baseline")[0], test.images, test.labels)
         # the seed is stored once, in the run's settings
         assert manifest["config"]["run"]["seed"] == 3 and "seed" not in manifest
         assert (out / "baseline" / "metrics.csv").is_file()
@@ -380,17 +391,20 @@ class TestPipeline:
         assert len(traj) >= 2
         assert (out / "search" / "diagnostics.csv").is_file()
 
-    def test_prune_artifacts(self, pipeline_run):
+    def test_prune_artifacts(self, pipeline_run, synthetic_mnist_dir):
         out, _, _ = pipeline_run
         manifest = json.loads((out / "pruned" / "manifest.json").read_text())
         assert manifest["phase"] == "prune"
         assert 0.0 <= manifest["fpr"] < 1.0
-        assert manifest["accuracy_drop"] == pytest.approx(
-            manifest["baseline_top1"] - manifest["top1"]
-        )
-        # the plan is the kept ids, one entry per prunable conv; FPR comes from the models
+        # top-1 is the saved fine-tuned model's on the test split
         dense, _ = load_checkpoint(out / "search")
         pruned, _ = load_checkpoint(out / "pruned")
+        _, test = load_mnist(synthetic_mnist_dir)
+        assert manifest["top1"] == evaluate(pruned, test.images, test.labels)
+        baseline = json.loads((out / "baseline" / "manifest.json").read_text())
+        assert manifest["baseline_top1"] == baseline["top1"]
+        assert manifest["accuracy_drop"] == manifest["baseline_top1"] - manifest["top1"]
+        # the plan is the kept ids, one entry per prunable conv; FPR comes from the models
         entries = manifest["plan"]["entries"]
         assert list(manifest["plan"]) == ["entries"]
         assert [sorted(e) for e in entries] == [["kept_channel_ids", "layer_id"]] * len(entries)
@@ -423,6 +437,58 @@ class TestPipeline:
         assert {p.name for p in out.iterdir()} == set(want)
         for phase, names in want.items():
             assert {p.name for p in (out / phase).iterdir()} == names, phase
+
+    @pytest.mark.parametrize("phase, command", [
+        ("baseline", "pretrain"), ("search", "search"), ("pruned", "prune"), ("report", "report"),
+    ])
+    def test_a_write_that_stops_part_way_leaves_the_phase_as_it_was(
+            self, pipeline_run, synthetic_mnist_dir, tmp_path, monkeypatch, phase, command):
+        out, _, cfg = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        # mark the previous files, so a rerun's bytes cannot pass for them; the
+        # arrays keep their sizes, so the checkpoint still loads
+        for f in (run / phase).iterdir():
+            if f.name != "manifest.json":
+                f.write_bytes(bytes(f.stat().st_size) if f.suffix == ".f32" else b"previous")
+        (run / phase / "layer099.weight.f32").write_bytes(bytes(8))  # another model's array
+        before = {f.name: f.read_bytes() for f in (run / phase).iterdir()}
+
+        class Stop(Exception):
+            pass
+
+        def save_part_way(model, directory, extra=None):
+            for lid, role, arr in list(model.arrays())[:5]:
+                arr.astype("<f4").tofile(Path(directory) / _array_file(lid, role))
+            raise Stop
+
+        plots = []
+
+        def plot_part_way(series, path, **kwargs):
+            plots.append(path)
+            if len(plots) == 2:
+                raise Stop
+            real_plot(series, path, **kwargs)
+
+        real_plot = cli.svg_line_plot
+        if phase == "report":
+            monkeypatch.setattr(cli, "svg_line_plot", plot_part_way)
+        else:
+            monkeypatch.setattr(cli, "save_checkpoint", save_part_way)
+        common = ["--config", cfg, "--data-dir", str(synthetic_mnist_dir), "--out", str(run), "--seed", "3"]
+        with pytest.raises(Stop):
+            main([command, *common])
+        assert {f.name: f.read_bytes() for f in (run / phase).iterdir()} == before
+        if phase != "report":
+            load_checkpoint(run / phase)
+        monkeypatch.undo()
+        assert main([command, *common]) == 0
+        assert sorted(p.name for p in run.iterdir()) == ["baseline", "pruned", "report", "search"]
+
+        def files(d):  # a manifest holds its run's `seconds` and `out_dir`
+            return {f.name: None if f.name == "manifest.json" else f.read_bytes() for f in d.iterdir()}
+
+        assert files(run / phase) == files(out / phase)
 
     @pytest.mark.parametrize("damage, column", [
         ("header only", "iteration"),

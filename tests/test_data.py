@@ -1,6 +1,7 @@
 """Dataset loading tests against synthetic fixture files written on the
 fly, plus determinism properties of splitting and batching."""
 
+import hashlib
 import struct
 import tracemalloc
 
@@ -11,6 +12,7 @@ from autoprune.data import (
     CIFAR_TEST_FILE,
     CIFAR_TRAIN_FILES,
     DATA_DIR_ENV,
+    MNIST_FILES,
     DataFormatError,
     Dataset,
     _channel_stats,
@@ -91,7 +93,9 @@ class TestMnistLoading:
         mu = train.images.astype(np.float64).mean()
         sd = train.images.astype(np.float64).std()
         assert abs(mu) < 1e-4 and abs(sd - 1.0) < 1e-3
-        assert len(train.checksums) == 4
+        assert train.checksums == test.checksums == {
+            name: hashlib.sha256((d / name).read_bytes()).hexdigest() for name in MNIST_FILES.values()
+        }
 
     def test_env_var_fallback(self, tmp_path, monkeypatch):
         d = make_mnist_dir(tmp_path)
@@ -148,7 +152,10 @@ class TestCifarLoading:
         train, test = load_cifar10(d)
         assert train.images.shape == (50, 3, 32, 32)
         assert test.images.shape == (10, 3, 32, 32)
-        assert len(train.checksums) == 6
+        assert train.checksums == {
+            name: hashlib.sha256((d / name).read_bytes()).hexdigest()
+            for name in CIFAR_TRAIN_FILES + [CIFAR_TEST_FILE]
+        }
 
     def test_matches_the_full_copy_and_holds_one_file(self, tmp_path):
         per_file = 500

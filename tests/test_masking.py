@@ -8,7 +8,6 @@ import pytest
 
 from autoprune.masking import (
     ChannelRanking,
-    MaskDiagnostics,
     active_channels,
     build_mask,
     kept_count,
@@ -121,27 +120,20 @@ class TestMaskGradient:
             np.testing.assert_allclose(got, num, atol=1e-3)
 
     def test_kink_uses_right_sided_slope_and_is_counted(self):
-        diag = MaskDiagnostics()
-        g = mask_grad_wrt_ratio(0.5, 16, diag=diag, layer_id=4)
+        # the search counts a kink where the mask's boundary value is 0
+        g = mask_grad_wrt_ratio(0.5, 16)
         want = np.zeros(16)
         want[8] = 16.0
         np.testing.assert_array_equal(g, want)
-        assert diag.kink_count == 1
-        assert diag.kinks_by_layer == {4: 1}
+        assert build_mask(0.5, identity_ranking(16)).boundary_value == 0.0
         h = 1e-7
         num_right = (mask_by_rank(0.5 + h, 16) - mask_by_rank(0.5, 16)) / h
         np.testing.assert_allclose(g, num_right, atol=1e-3)
 
     def test_full_ratio_has_zero_gradient(self):
-        diag = MaskDiagnostics()
-        g = mask_grad_wrt_ratio(1.0, 8, diag=diag)
+        g = mask_grad_wrt_ratio(1.0, 8)
         np.testing.assert_array_equal(g, np.zeros(8))
-        assert diag.kink_count == 1
-
-    def test_smooth_points_do_not_count_kinks(self):
-        diag = MaskDiagnostics()
-        mask_grad_wrt_ratio(0.55, 16, diag=diag)
-        assert diag.kink_count == 0
+        assert build_mask(1.0, identity_ranking(8)).boundary_value == 0.0
 
 
 class TestRanking:

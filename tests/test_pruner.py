@@ -18,7 +18,6 @@ from autoprune.pruner import (
     PruningPlan,
     export_pruned,
     finalize_plan,
-    finetune,
     load_checkpoint,
     save_checkpoint,
     train_supervised,
@@ -318,14 +317,6 @@ class TestTrainer:
         assert res.metrics == []
         for p, b in zip(model.parameters(), before):
             assert np.array_equal(p.data, b)
-
-    def test_finetune_reports_test_top1(self):
-        model = small_model(seed=1)
-        test = toy_problem(32, seed=2)
-        res = finetune(model, toy_problem(64), toy_problem(32, seed=1),
-                       epochs=1, batch_size=32, test=test)
-        assert res.test_top1 is not None
-        assert 0.0 <= res.test_top1 <= 1.0
 
 
 class TestCheckpoints:

@@ -11,7 +11,6 @@ from autoprune import model as model_module
 from autoprune import search, tensor
 from autoprune.data import Dataset
 from autoprune.masking import (
-    MaskDiagnostics,
     build_mask,
     rank_channels,
     ratio_mask_tensor,
@@ -403,13 +402,14 @@ def bn_after(model, conv_id):
     return next(l.id for l in model.layers if model.preds[l.id] == (conv_id,))
 
 
-def spy_ratio_tensors(monkeypatch):
-    """Record the ratio tensors outer_step builds, so their gradients can be read."""
+def spy_ratio_tensors(monkeypatch, rankings):
+    """Record the ratio tensors outer_step builds, by the layer id of their
+    ranking in `rankings`, so their gradients can be read."""
     seen = {}
 
-    def spy(ratio, ranking, *args, layer_id=-1, **kwargs):
-        seen[layer_id] = ratio
-        return ratio_mask_tensor(ratio, ranking, *args, layer_id=layer_id, **kwargs)
+    def spy(ratio, ranking, *args, **kwargs):
+        seen[next(i for i, r in rankings.items() if r is ranking)] = ratio
+        return ratio_mask_tensor(ratio, ranking, *args, **kwargs)
 
     monkeypatch.setattr(search, "ratio_mask_tensor", spy)
     return seen
@@ -474,10 +474,8 @@ class TestSlicedStepsMatchMaskedDense:
         want, want_grads = masked_dense_outer_step(
             copy.deepcopy(model), xb, yb, ratios, rankings, flops, cfg
         )
-        seen = spy_ratio_tensors(monkeypatch)
-        diag = MaskDiagnostics()
-        _, got = outer_step(model, xb, yb, ratios, rankings, flops, cfg, 0.05, diag)
-        assert diag.kink_count == (len(ratios) if kind == "kink" else 0)
+        seen = spy_ratio_tensors(monkeypatch, rankings)
+        _, got = outer_step(model, xb, yb, ratios, rankings, flops, cfg, 0.05)
         np.testing.assert_allclose(got.ce, want.ce, rtol=1e-6)
         np.testing.assert_allclose(got.total, want.total, rtol=1e-6)
         rtol = 5e-5 if dtype == np.float32 else 1e-5
@@ -500,7 +498,7 @@ class TestSlicedStepsMatchMaskedDense:
             assert bits_of(s.mean) == bits_of(ref.bn_stats[lid].mean)
             assert bits_of(s.var) == bits_of(ref.bn_stats[lid].var)
         want, want_grads = masked_dense_outer_step(ref, xb, yb, ratios, rankings, flops, cfg)
-        seen = spy_ratio_tensors(monkeypatch)
+        seen = spy_ratio_tensors(monkeypatch, rankings)
         _, got = outer_step(model, xb, yb, ratios, rankings, flops, cfg, 0.05)
         assert got == want
         assert {i: float(t.grad) for i, t in seen.items()} == want_grads
@@ -719,6 +717,27 @@ class TestRunSearch:
         assert last == res.diagnostics.kinks_by_layer
         assert len(last) > 1 and all(c > 0 for c in last.values())
         assert sum(last.values()) == res.diagnostics.kink_count
+
+    def test_kinks_are_counted_once_per_iteration_at_a_whole_r_c(self, monkeypatch):
+        # each ratio step sees the ratios entering it, and every ratio starts
+        # at 1, a kink; the scripted steps alternate r*C = C/2 and C/2 + 1/2
+        model = tiny_model()
+        ids = model.prunable_ids()
+        whole = {i: 0.5 for i in ids}
+        off = {i: 0.5 + 0.5 / model.layer(i).out_channels for i in ids}
+        returned = [{i: (whole if (n + j) % 2 == 0 else off)[i] for j, i in enumerate(ids)}
+                    for n in range(4)]
+        calls = []
+
+        def scripted_outer(model, xb, yb, ratios, *args):
+            calls.append(dict(ratios))
+            return returned[len(calls) - 1], None
+
+        monkeypatch.setattr(search, "outer_step", scripted_outer)
+        res = run_search(model, tiny_dataset(32), tiny_dataset(16, seed=1), tiny_config())
+        assert res.iterations == len(calls) == 4
+        assert calls[1:] == returned[:3]
+        assert res.diagnostics.kinks_by_layer == {ids[0]: 3, ids[1]: 2, ids[2]: 3, ids[3]: 2}
 
     def test_model_without_prunable_layers_rejected(self):
         model = tiny_model()
