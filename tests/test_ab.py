@@ -16,7 +16,7 @@ import pytest
 AB_PATH = Path(__file__).resolve().parents[1] / "tools" / "ab.py"
 
 FAKE_RUN = '''
-import argparse, json
+import argparse, json, os
 from pathlib import Path
 p = argparse.ArgumentParser()
 for flag in ("--workload", "--seed", "--seconds", "--trace"):
@@ -24,8 +24,15 @@ for flag in ("--workload", "--seed", "--seconds", "--trace"):
 a = p.parse_args()
 state = json.loads((Path(__file__).resolve().parents[1] / "state.json").read_text())
 seed = int(a.seed)
+# every call appends "<digest> <workload> <trace>" to the log; the n-th
+# traced run of a tree and workload adds (3, 0, 1)[n % 3] to its figure
+log = Path(os.environ["AB_LOG"])
+call = f"{state['digest']} {a.workload} {a.trace}"
+n = log.read_text().splitlines().count(call) if log.exists() else 0
+with log.open("a") as f:
+    f.write(call + "\\n")
 if a.trace == "1":
-    metrics = {"tensor.conv2d.bwd_ms": {"value": state["p50"] / 2, "unit": "ms/step"}}
+    metrics = {"tensor.conv2d.bwd_ms": {"value": state["p50"] / 2 + (3, 0, 1)[n % 3], "unit": "ms/step"}}
 else:
     metrics = {
         "setup_s": {"value": 0.03, "unit": "s"},
@@ -81,8 +88,15 @@ def run_ab(repo, *args):
     tmp.mkdir(exist_ok=True)
     return subprocess.run(
         [sys.executable, "tools/ab.py", "--parent", "HEAD~1", "--seconds", "0", *args],
-        cwd=repo, capture_output=True, text=True, env={**os.environ, "TMPDIR": str(tmp)},
+        cwd=repo, capture_output=True, text=True,
+        env={**os.environ, "TMPDIR": str(tmp), "AB_LOG": str(repo.parent / "runs.log")},
     )
+
+
+def traced_calls(repo):
+    """The stand-in's `--trace 1` calls, in order, as (digest, workload)."""
+    calls = [ln.split() for ln in (repo.parent / "runs.log").read_text().splitlines()]
+    return [(digest, w) for digest, w, trace in calls if trace == "1"]
 
 
 def left_behind(repo):
@@ -119,7 +133,15 @@ def test_pairs_count_wins_and_write_the_bench_file(tmp_path):
             entry = bench[side][w]
             assert entry["digest"] == f"sha256:{digest}-1"
             assert entry["trace0"]["metrics"]["step_ms_p50"]["value"] == p50 + 1
-            assert entry["trace1"]["metrics"]["tensor.conv2d.bwd_ms"]["value"] == p50 / 2
+            # the median of three traced runs, which read +3, +0 and +1
+            traced = entry["trace1"]["metrics"]["tensor.conv2d.bwd_ms"]
+            assert traced == {"value": p50 / 2 + 1, "unit": "ms/step",
+                              "runs": [p50 / 2 + 3, p50 / 2, p50 / 2 + 1]}
+            assert entry["trace1"]["correct"] is True
+    # three traced pairs per workload, alternating which tree runs first
+    # across pairs and on from one workload to the next
+    order = ["aaa", "bbb", "bbb", "aaa", "aaa", "bbb"]
+    assert traced_calls(repo) == ([(d, "w-one") for d in order] + [(d, "w-two") for d in order[::-1]])
     assert bench["ab"]["w-one"]["step_ms_p50"]["change"] == [51.0, 52.0, 51.0, 52.0]
     # the parent's tree is gone again and git kept no trace of it
     assert left_behind(repo) == ([], 0)

@@ -20,11 +20,15 @@ the median.  Every run must print `correct: true`; each workload's digests
 at one seed must agree within a tree, and between the trees they say
 whether the change is bit-identical or moves floats.
 
-With `--out`, it also runs `--trace 1` once per tree and workload at
-`--bench-seed` and writes the file in the layout of `BENCH_14.json`: per
-side the commit that ran and, per workload, the digest and the last
-stdout lines of the `--trace 0` and `--trace 1` runs at that seed, plus
-the paired figures under `ab`.  Exit status: 0, or 1 if a run failed or was not
+With `--out`, it also runs `--trace 1` at `--bench-seed` in three pairs
+per workload, alternating which tree runs first as the timed pairs do,
+since one traced pair drifts by up to 30% on ops that did not change.
+It writes the file in the layout of `BENCH_14.json`: per side the commit
+that ran and, per workload, the digest and the last stdout line of the
+`--trace 0` run at that seed, and under `trace1` the last line of the
+first traced run with each metric's value replaced by the median of the
+three and its three values, in pair order, under `runs`; plus the paired
+figures under `ab`.  Exit status: 0, or 1 if a run failed or was not
 correct, or if digests of one tree disagree.
 """
 
@@ -173,17 +177,37 @@ def compare(args, trees: dict, workloads: list[str], gated: dict) -> int:
     return status
 
 
+TRACED_PAIRS = 3
+
+
+def median_trace(lasts: list[dict]) -> dict:
+    """The first traced run's last line, each metric's value the median of
+    `lasts` and its values, in run order, under `runs`."""
+    metrics = {}
+    for name, m in lasts[0]["metrics"].items():
+        values = [last["metrics"][name]["value"] for last in lasts]
+        metrics[name] = {**m, "value": statistics.median(values), "runs": values}
+    return {**lasts[0], "metrics": metrics}
+
+
 def write_bench(args, trees: dict, workloads: list[str], runs: dict, ab: dict) -> None:
-    """The BENCH file: trace 0 and trace 1 at the bench seed, per side."""
+    """The BENCH file: trace 0 at the bench seed and the median of three
+    trace 1 runs there, per side."""
     env = {}
     sides = {"parent": {"commit": args.parent_commit}, "change": {"commit": commit_of(ROOT)}}
     for k, w in enumerate(workloads):
-        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+        traced = {side: [] for side in trees}
+        for j in range(TRACED_PAIRS):
+            for side in ("parent", "change") if (k * TRACED_PAIRS + j) % 2 == 0 else ("change", "parent"):
+                res = run_bench(trees[side], w, args.bench_seed, args.seconds, 1)
+                env = res["environment"] or env
+                traced[side].append(res["last"])
+                print(f"traced pair {j + 1}/{TRACED_PAIRS} {w} {side}", file=sys.stderr, flush=True)
+        for side in trees:
             seeded = [res for seed, res in runs[side][w] if seed == args.bench_seed]
             trace0 = seeded[0] if seeded else run_bench(trees[side], w, args.bench_seed, args.seconds, 0)
-            trace1 = run_bench(trees[side], w, args.bench_seed, args.seconds, 1)
-            env = trace1["environment"] or env
-            sides[side][w] = {"digest": trace0["digest"], "trace0": trace0["last"], "trace1": trace1["last"]}
+            sides[side][w] = {"digest": trace0["digest"], "trace0": trace0["last"],
+                              "trace1": median_trace(traced[side])}
     bench = {
         "command": f"python3 perfbench/run.py --workload W --seed {args.bench_seed} "
                    f"--seconds {args.seconds:g} --trace T",
