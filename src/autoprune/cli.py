@@ -26,9 +26,10 @@ from pathlib import Path
 
 from . import __version__
 from .data import DataFormatError, load_cifar10, load_mnist, split_validation, substream
-from .model import CheckpointError, _field, build_model, evaluate, exact_flops_by_layer
+from .model import CheckpointError, _architecture, _field, build_model, evaluate, exact_flops_by_layer
 from .pruner import (
     PruningPlan,
+    _check_training,
     export_pruned,
     finalize_plan,
     load_checkpoint,
@@ -126,14 +127,25 @@ def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _load_dataset(cfg: dict):
-    name = cfg["run"]["dataset"]
-    data_dir = cfg["run"]["data_dir"] or None
-    if name == "mnist":
-        return load_mnist(data_dir)
-    if name == "cifar10":
-        return load_cifar10(data_dir)
-    raise ConfigError(f"unknown dataset {cfg['run']['dataset']!r}; expected mnist or cifar10")
+_LOADERS = {"mnist": load_mnist, "cifar10": load_cifar10}
+
+
+def _check_config(cfg: dict) -> None:
+    """Refuse a setting that is wrong on its face, before any file is read:
+    `ConfigError` "bad [<section>] setting: ..." naming its key."""
+    run, section = cfg["run"], "run"
+    try:
+        if run["dataset"] not in _LOADERS:
+            raise ValueError(f"unknown dataset {run['dataset']!r}; expected mnist or cifar10")
+        _architecture(run["model"], _input_shape(cfg), 10)
+        if not 0 < run["validation_fraction"] < 1:
+            raise ValueError(f"validation_fraction must be in (0, 1), got {run['validation_fraction']}")
+        for section in ("pretrain", "finetune"):
+            _check_training(**{k: cfg[section][k] for k in ("epochs", "batch_size", "lr_max", "lr_min")})
+        section = "search"
+        SearchConfig(**cfg["search"], seed=run["seed"]).validate()
+    except ValueError as e:
+        raise ConfigError(f"bad [{section}] setting: {e}") from e
 
 
 def _input_shape(cfg: dict) -> tuple[int, int, int]:
@@ -147,7 +159,7 @@ def _fresh_model(cfg: dict):
 
 
 def _splits(cfg: dict):
-    train_full, test = _load_dataset(cfg)
+    train_full, test = _LOADERS[cfg["run"]["dataset"]](cfg["run"]["data_dir"] or None)
     train, val = split_validation(
         train_full, cfg["run"]["validation_fraction"], seed=cfg["run"]["seed"]
     )
@@ -280,17 +292,12 @@ def cmd_pretrain(cfg: dict) -> int:
 
 def cmd_search(cfg: dict) -> int:
     t0 = time.perf_counter()
-    sc = SearchConfig(**cfg["search"], seed=cfg["run"]["seed"])
-    try:
-        sc.validate()
-    except ValueError as e:
-        raise ConfigError(f"bad [search] setting: {e}") from e
     base_dir = Path(cfg["run"]["out_dir"]) / "baseline"
     model, base_manifest = load_checkpoint(base_dir)
     train, val, test = _splits(cfg)
     _check_upstream(cfg, train.checksums, base_manifest, base_dir / "manifest.json")
 
-    result = run_search(model, train, val, sc)
+    result = run_search(model, train, val, SearchConfig(**cfg["search"], seed=cfg["run"]["seed"]))
     plan = finalize_plan(model, result.ratios, result.rankings)
     tables = {"trajectory.csv": result.metrics, "diagnostics.csv": result.refresh_events}
     out = _write_phase(cfg, "search", t0, train.checksums, model, tables, {
@@ -451,6 +458,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = apply_overrides(load_config(args.config), args)
+        _check_config(cfg)
         return COMMANDS[args.command](cfg)
     except (ConfigError, DataFormatError, CheckpointError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)

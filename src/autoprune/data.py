@@ -172,6 +172,8 @@ def load_mnist(data_dir=None) -> tuple[Dataset, Dataset]:
             raise DataFormatError(f"mnist {tag}: {len(x)} images but {len(y)} labels")
         if len(x) == 0:
             raise DataFormatError(f"{paths[tag + '_images']}: holds no images")
+        if y.max() > 9:
+            raise DataFormatError(f"{paths[tag + '_labels']}: label {y.max()} out of range for 10 classes")
 
     train_u8 = train_x[:, None, :, :]
     test_u8 = test_x[:, None, :, :]

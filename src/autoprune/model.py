@@ -1,7 +1,9 @@
 """Small CNN graphs: layer tables, forward passes, and FLOPs accounting.
 
 A model is a flat list of layers plus a predecessor map, so plain chains
-and residual blocks share one representation.  Only conv layers are
+and residual blocks share one representation.  The builder emits each
+conv with its bn, and `forward` runs the pair as one step; evaluating
+without a graph folds every bn into its conv.  Only conv layers are
 prunable; each prunable conv has a mask point right after its bn+relu.
 A per-channel mask m >= 0 scales that bn's gamma and beta, which equals
 scaling the feature map after the relu: m*relu(y) = relu(m*y).  Masking
@@ -16,7 +18,6 @@ are counted as zero.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,7 +58,9 @@ class LayerSpec:
 
 @dataclass
 class ModelGraph:
-    """A small CNN as a layer table plus predecessor map."""
+    """A small CNN as a layer table plus predecessor map.  Each conv's only
+    reader is a bn that reads only it (`_Builder.conv_bn`); `forward` runs
+    the two as one step."""
 
     name: str
     layers: list[LayerSpec]
@@ -171,6 +174,8 @@ def _he_normal(rng: np.random.Generator):
 
 
 class _Builder:
+    """Appends layers in id order; `conv_bn` emits each conv with its bn."""
+
     def __init__(self):
         self.layers: list[LayerSpec] = []
         self.preds: dict[int, tuple[int, ...]] = {}
@@ -181,8 +186,8 @@ class _Builder:
         self.preds[lid] = tuple(src) if isinstance(src, (tuple, list)) else (src,)
         return lid
 
-    def conv(self, src, cin, cout, k=3, stride=1, padding=1, prunable=False) -> int:
-        return self.emit(
+    def conv_bn(self, src, cin, cout, k=3, stride=1, padding=1, prunable=False) -> int:
+        c = self.emit(
             "conv",
             src,
             in_channels=cin,
@@ -192,9 +197,7 @@ class _Builder:
             padding=padding,
             prunable=prunable,
         )
-
-    def bn(self, src, channels) -> int:
-        return self.emit("bn", src, in_channels=channels, out_channels=channels)
+        return self.emit("bn", c, in_channels=cout, out_channels=cout)
 
     def relu(self, src, channels) -> int:
         return self.emit("relu", src, in_channels=channels, out_channels=channels)
@@ -211,10 +214,8 @@ class _Builder:
     def head(self, src, d, classes) -> int:
         return self.emit("linear", src, in_channels=d, out_channels=classes)
 
-    def conv_bn_relu(self, src, cin, cout, stride=1, prunable=False):
-        c = self.conv(src, cin, cout, stride=stride, prunable=prunable)
-        b = self.bn(c, cout)
-        return c, self.relu(b, cout)
+    def conv_bn_relu(self, src, cin, cout, stride=1, prunable=False) -> int:
+        return self.relu(self.conv_bn(src, cin, cout, stride=stride, prunable=prunable), cout)
 
 
 def _architecture(name: str, input_shape: tuple[int, int, int], num_classes: int) -> ModelGraph:
@@ -228,28 +229,26 @@ def _architecture(name: str, input_shape: tuple[int, int, int], num_classes: int
     b = _Builder()
 
     if name == "cnn-small":
-        _, r1 = b.conv_bn_relu(INPUT, cin, 16, prunable=True)
+        r1 = b.conv_bn_relu(INPUT, cin, 16, prunable=True)
         p1 = b.pool(r1, 16, "max", 2)
-        _, r2 = b.conv_bn_relu(p1, 16, 32, prunable=True)
+        r2 = b.conv_bn_relu(p1, 16, 32, prunable=True)
         p2 = b.pool(r2, 32, "max", 2)
-        _, r3 = b.conv_bn_relu(p2, 32, 32, prunable=True)
-        _, r4 = b.conv_bn_relu(r3, 32, 64, prunable=True)
+        r3 = b.conv_bn_relu(p2, 32, 32, prunable=True)
+        r4 = b.conv_bn_relu(r3, 32, 64, prunable=True)
         g = b.pool(r4, 64, "avg", h // 4)
         b.head(g, 64, num_classes)
     elif name == "resnet-tiny":
-        _, trunk = b.conv_bn_relu(INPUT, cin, 16)
+        trunk = b.conv_bn_relu(INPUT, cin, 16)
         widths = (16, 32, 64)
         prev_c = 16
         for stage, cout in enumerate(widths):
             stride = 1 if stage == 0 else 2
-            _, r_in = b.conv_bn_relu(trunk, prev_c, cout, stride=stride, prunable=True)
-            c2 = b.conv(r_in, cout, cout)
-            bn2 = b.bn(c2, cout)
+            r_in = b.conv_bn_relu(trunk, prev_c, cout, stride=stride, prunable=True)
+            bn2 = b.conv_bn(r_in, cout, cout)
             if stride == 1 and prev_c == cout:
                 short = trunk
             else:
-                sc = b.conv(trunk, prev_c, cout, k=1, stride=stride, padding=0)
-                short = b.bn(sc, cout)
+                short = b.conv_bn(trunk, prev_c, cout, k=1, stride=stride, padding=0)
             s = b.add(bn2, short, cout)
             trunk = b.relu(s, cout)
             prev_c = cout
@@ -300,10 +299,11 @@ def forward(
     update_running: bool = True,
 ) -> Tensor:
     """Run the graph on a [N, C, H, W] batch and return [N, classes] logits.
+    Each conv runs with its bn in one step; the bn layer passes it on.
 
     `masks` maps prunable conv ids to per-channel scale vectors (Tensor
     or array) with no negative or NaN entry.  Each scales the gamma and
-    beta of the bn before that conv's mask-point relu, which for m >= 0
+    beta of the conv's bn, before its mask-point relu, which for m >= 0
     equals scaling the relu's output: m*relu(y) = relu(m*y) and
     m*(gamma*xhat + beta) = (m*gamma)*xhat + m*beta.  A mask that is in
     the graph and has a zero entry scales the relu's output itself, so
@@ -312,12 +312,11 @@ def forward(
     all-ones mask is bit-identical to passing no mask.
 
     Evaluating without a graph (under `no_grad`, or with nothing that
-    requires a gradient) folds each bn that reads only a conv feeding
-    nothing else, every bn of the stock models, into that conv: the conv
-    runs on a scaled copy of its weight and its output is shifted in
-    place (`_conv_bn`).  The logits then differ from the unfolded ones by
+    requires a gradient) folds every bn into its conv: the conv runs on a
+    scaled copy of its weight and its output is shifted in place
+    (`_conv_bn`).  The logits then differ from the unfolded ones by
     rounding, about 5e-7 relative in float32; no array of `model` is
-    written.  Train mode and eval with a graph run every bn as its own op.
+    written.  Train mode and eval with a graph run each bn as its own op.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -330,31 +329,19 @@ def forward(
     unknown = set(masks) - set(model.mask_points)
     if unknown:
         raise ValueError(f"masks given for non-prunable layers {sorted(unknown)}")
-    # bn id -> mask of its gamma and beta; relu id -> mask of its output
+    # conv id -> mask of its bn's gamma and beta; relu id -> mask of its output
     fold, scale = {}, {}
     for cid, mvec in masks.items():
-        point = model.mask_points[cid]
-        bn = model.preds[point][0]
         if not isinstance(mvec, Tensor):
-            mvec = Tensor(np.asarray(mvec), dtype=model.params[bn]["gamma"].data.dtype)
+            mvec = Tensor(np.asarray(mvec), dtype=model.params[cid]["weight"].data.dtype)
         if not (mvec.data >= 0).all():
             raise ValueError(f"mask for conv {cid} has a negative or NaN entry")
         if mvec.requires_grad and not mvec.data.all():
-            scale[point] = mvec
+            scale[model.mask_points[cid]] = mvec
         else:
-            fold[bn] = mvec
-
-    # conv id -> the bn folded into it, when evaluating without a graph:
-    # each bn that is its conv's only reader and reads nothing else
-    folds = {}
-    if mode == "eval" and not engine._recording((x, *model.parameters(), *fold.values(), *scale.values())):
-        readers = Counter(p for pin in model.preds.values() for p in pin)
-        for layer in model.layers:
-            src, *more = model.preds[layer.id]
-            if (layer.kind == "bn" and not more and src != INPUT and readers[src] == 1
-                    and model.layer(src).kind == "conv"):
-                folds[src] = layer.id
-    folded = set(folds.values())
+            fold[cid] = mvec
+    folding = mode == "eval" and not engine._recording((x, *model.parameters(), *fold.values(), *scale.values()))
+    bns = {model.preds[l.id][0]: l.id for l in model.layers if l.kind == "bn"}  # conv id -> its bn
 
     # drop each output after its last consumer, so a pass without a graph
     # holds only the live activations, not every layer's
@@ -364,24 +351,19 @@ def forward(
     for layer in model.layers:
         pin = model.preds[layer.id]
         srcs = [outputs.pop(p) if last_use[p] == layer.id else outputs[p] for p in pin]
-        if layer.id in folds:
-            out = _conv_bn(model, layer, folds[layer.id], fold.get(folds[layer.id]), srcs[0])
-        elif layer.kind == "conv":
-            out = conv2d(srcs[0], model.params[layer.id]["weight"], layer.stride, layer.padding)
-        elif layer.id in folded:
-            out = srcs[0]  # applied by its conv
+        if layer.kind == "conv":  # its input is popped, so it is freed before the bn runs
+            bn = bns[layer.id]
+            if folding:
+                out = _conv_bn(model, layer, bn, fold.get(layer.id), srcs.pop())
+            else:
+                out = conv2d(srcs.pop(), model.params[layer.id]["weight"], layer.stride, layer.padding)
+                gamma, beta = model.params[bn]["gamma"], model.params[bn]["beta"]
+                if layer.id in fold:
+                    gamma, beta = mul(gamma, fold[layer.id]), mul(beta, fold[layer.id])
+                out = batch_norm2d(out, gamma, beta, model.bn_stats[bn], mode=mode,
+                                   update_running=update_running)
         elif layer.kind == "bn":
-            gamma, beta = model.params[layer.id]["gamma"], model.params[layer.id]["beta"]
-            if layer.id in fold:
-                gamma, beta = mul(gamma, fold[layer.id]), mul(beta, fold[layer.id])
-            out = batch_norm2d(
-                srcs[0],
-                gamma,
-                beta,
-                model.bn_stats[layer.id],
-                mode=mode,
-                update_running=update_running,
-            )
+            out = srcs[0]  # applied by its conv
         elif layer.kind == "relu":
             out = relu(srcs[0])
         elif layer.kind == "pool":
@@ -389,10 +371,7 @@ def forward(
         elif layer.kind == "add":
             out = add(srcs[0], srcs[1])
         elif layer.kind == "linear":
-            feats = srcs[0]
-            if feats.data.ndim == 4:
-                n = feats.data.shape[0]
-                feats = reshape(feats, (n, -1))
+            feats = reshape(srcs[0], (len(srcs[0].data), -1))
             out = linear(feats, model.params[layer.id]["weight"], model.params[layer.id]["bias"])
         if layer.id in scale:
             out = channel_scale(out, scale[layer.id])
@@ -629,40 +608,31 @@ class CheckpointError(ValueError):
     reads back is malformed."""
 
 
-# the type and the wording of each JSON value kind `_field` takes
-_KINDS = {"int": (int, "an integer"), "float": (float, "a number"), "str": (str, "a string"),
-          "bool": (bool, "a bool"), "dict": (dict, "an object"), "list": (list, "a list")}
-_COUNTS = {3: "three "}
+def _int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is(value, kind: str) -> bool:
-    """Whether the JSON `value` is a `kind`: a key of `_KINDS` (a bool is
-    no number), `list[k]`, or a `tuple[k, k, ...]` of that length."""
-    outer, _, inner = kind.partition("[")
-    if not inner:
-        t = _KINDS[kind][0]
-        return isinstance(value, t) and (t is bool) == isinstance(value, bool)
-    items = inner[:-1].split(", ")
-    return (isinstance(value, list) and (outer == "list" or len(value) == len(items))
-            and all(_is(v, items[0]) for v in value))
-
-
-def _need(kind: str) -> str:
-    """A `kind` in words: "an integer", "a list of objects", "a list of three integers"."""
-    outer, _, inner = kind.partition("[")
-    if not inner:
-        return _KINDS[kind][1]
-    items = inner[:-1].split(", ")
-    count = "" if outer == "list" else _COUNTS[len(items)]
-    return f"a list of {count}{_KINDS[items[0]][1].split()[1]}s"
+# the test and the wording of each JSON value kind `_field` takes
+_KINDS = {
+    "int": (_int, "an integer"),
+    "float": (lambda v: isinstance(v, float), "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "dict": (lambda v: isinstance(v, dict), "an object"),
+    "list": (lambda v: isinstance(v, list), "a list"),
+    "list[int]": (lambda v: isinstance(v, list) and all(map(_int, v)), "a list of integers"),
+    "tuple[int, int, int]": (lambda v: isinstance(v, list) and len(v) == 3 and all(map(_int, v)),
+                             "a list of three integers"),
+}
 
 
 def _field(where: str, record, key: str, kind: str):
-    """`record[key]`, which must be a `kind` (see `_is`); otherwise
-    `CheckpointError` "<where>field '<key>' is missing or not <kind>"."""
+    """`record[key]`, which must be a `kind`, a key of `_KINDS` (a bool is
+    no integer); otherwise `CheckpointError` "<where>field '<key>' is
+    missing or not <kind in words>"."""
     value = record.get(key) if isinstance(record, dict) else None
-    if not _is(value, kind):
-        raise CheckpointError(f"{where}field {key!r} is missing or not {_need(kind)}")
+    test, words = _KINDS[kind]
+    if not test(value):
+        raise CheckpointError(f"{where}field {key!r} is missing or not {words}")
     return value
 
 

@@ -40,7 +40,7 @@ from .model import (
     model_to_table,
     slice_channels,
 )
-from .search import _exact_fpr, cosine_lr, nonfinite_grads, sgd_step
+from .search import _check_lr_range, _exact_fpr, cosine_lr, nonfinite_grads, sgd_step
 from .tensor import backward, softmax_cross_entropy, zero_grad
 
 
@@ -146,6 +146,16 @@ def _snapshot(model: ModelGraph) -> list:
     return [(lid, role, arr.copy()) for lid, role, arr in model.arrays()]
 
 
+def _check_training(epochs: int, batch_size: int, lr_max: float, lr_min: float) -> None:
+    """`ValueError` naming the first of `train_supervised`'s settings that
+    is wrong on its face."""
+    if epochs < 0:
+        raise ValueError(f"epochs must be nonnegative, got {epochs}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    _check_lr_range(lr_min, lr_max)
+
+
 def train_supervised(
     model: ModelGraph,
     train: Dataset,
@@ -164,8 +174,7 @@ def train_supervised(
     gradient aborts immediately, before the update, with the last good
     (best so far) weights in place.
     """
-    if epochs < 0:
-        raise ValueError(f"epochs must be nonnegative, got {epochs}")
+    _check_training(epochs, batch_size, lr_max, lr_min)
     params = model.parameters()
     steps_per_epoch = math.ceil(len(train) / batch_size)
     total_steps = max(1, epochs * steps_per_epoch)

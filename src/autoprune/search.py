@@ -83,12 +83,8 @@ class SearchConfig:
         for name in ("epochs", "batch_size", "ranking_interval", "log_interval", "probe_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for lo, hi, tag in (
-            (self.lr_w_min, self.lr_w_max, "weight"),
-            (self.lr_r_min, self.lr_r_max, "ratio"),
-        ):
-            if lo < 0 or hi <= 0 or lo > hi:
-                raise ValueError(f"bad {tag} learning rate range [{lo}, {hi}]")
+        _check_lr_range(self.lr_w_min, self.lr_w_max, "w_")
+        _check_lr_range(self.lr_r_min, self.lr_r_max, "r_")
         if self.cosine_period_epochs < 0:
             raise ValueError("cosine period must be nonnegative")
 
@@ -117,6 +113,13 @@ class SearchDiverged(RuntimeError):
     def __init__(self, message: str, state: dict):
         super().__init__(message)
         self.state = state
+
+
+def _check_lr_range(lo: float, hi: float, tag: str = "") -> None:
+    """Refuse the learning rates `lr_<tag>min`, `lr_<tag>max` unless
+    0 <= lo <= hi and hi > 0."""
+    if lo < 0 or hi <= 0 or lo > hi:
+        raise ValueError(f"bad learning rate range [lr_{tag}min, lr_{tag}max] = [{lo}, {hi}]")
 
 
 def cosine_lr(step: int, period: int, lr_max: float, lr_min: float) -> float:

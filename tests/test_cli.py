@@ -194,12 +194,41 @@ class TestExitCodes:
     def test_report_without_baseline_is_2(self, tmp_path, capsys):
         assert run_cli("report", "--out", str(tmp_path / "out")) == 2
 
-    def test_bad_model_name_is_1(self, tmp_path, synthetic_mnist_dir, capsys):
-        code = run_cli("pretrain", "--model", "vgg-99",
-                       "--data-dir", str(synthetic_mnist_dir),
-                       "--out", str(tmp_path / "out"))
-        assert code == 1
-        assert "unknown model" in capsys.readouterr().err
+    @pytest.mark.parametrize("command, text, flags, message", [
+        ("pretrain", "[pretrain]\nbatch_size = 0", [], "[pretrain] setting: batch_size must be >= 1, got 0"),
+        ("pretrain", "[pretrain]\nlr_max = -0.1\nlr_min = -0.2", [],
+         "[pretrain] setting: bad learning rate range [lr_min, lr_max] = [-0.2, -0.1]"),
+        ("pretrain", "[pretrain]\nepochs = -1", [], "[pretrain] setting: epochs must be nonnegative, got -1"),
+        ("prune", "[finetune]\nlr_max = 0.01\nlr_min = 0.1", [],
+         "[finetune] setting: bad learning rate range [lr_min, lr_max] = [0.1, 0.01]"),
+        ("pretrain", "[run]\nvalidation_fraction = 1.5", [],
+         "[run] setting: validation_fraction must be in (0, 1), got 1.5"),
+        ("pretrain", "", ["--model", "foo"],
+         "[run] setting: unknown model 'foo'; expected 'cnn-small' or 'resnet-tiny'"),
+        ("search", "[run]\ndataset = foo", [], "[run] setting: unknown dataset 'foo'; expected mnist or cifar10"),
+    ], ids=["pretrain.batch_size", "pretrain.lr_below_zero", "pretrain.epochs", "finetune.lr_min_above_lr_max",
+            "run.validation_fraction", "run.model", "run.dataset"])
+    def test_bad_setting_is_2_before_any_file_is_read(self, tmp_path, capsys, command, text, flags, message):
+        # the data directory does not exist, so a message naming the
+        # setting shows that nothing was read before it was refused
+        path = write_config(tmp_path, text)
+        code = run_cli(command, "--config", path, *flags,
+                       "--data-dir", str(tmp_path / "no-data"), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: bad {message}\n"
+
+
+class TestReadme:
+    def test_the_ini_block_shows_the_defaults_and_every_search_key(self, tmp_path):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", text, re.S).group(1)
+        shown = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        shown.read_string(block)
+        cfg = load_config(write_config(tmp_path, block))
+        for section in shown.sections():
+            for key in shown[section]:
+                assert cfg[section][key] == DEFAULTS[section][key], f"{section}.{key}"
+        assert set(shown["search"]) == set(DEFAULTS["search"])
 
 
 class TestDescribe:

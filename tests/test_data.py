@@ -145,6 +145,16 @@ class TestMnistLoading:
         with pytest.raises(DataFormatError, match="images but"):
             load_mnist(d)
 
+    @pytest.mark.parametrize("name, n", [("train-labels-idx1-ubyte", 40), ("t10k-labels-idx1-ubyte", 12)])
+    def test_label_out_of_range_names_its_file(self, tmp_path, name, n):
+        d = make_mnist_dir(tmp_path)
+        labels = np.arange(n) % 10
+        labels[n // 2] = 200
+        write_idx(d / name, labels)
+        with pytest.raises(DataFormatError) as e:
+            load_mnist(d)
+        assert str(e.value) == f"{d / name}: label 200 out of range for 10 classes"
+
 
 class TestCifarLoading:
     def test_shapes_and_concatenation(self, tmp_path):

@@ -12,6 +12,8 @@ import pytest
 from autoprune.masking import rank_channels, ratio_mask_tensor, ratio_step_channels
 from autoprune.model import (
     INPUT,
+    CheckpointError,
+    _field,
     build_model,
     evaluate,
     exact_flops_by_layer,
@@ -580,3 +582,38 @@ class TestEvaluate:
     def test_labels_not_one_per_image_are_refused(self):
         with pytest.raises(ValueError, match="labels"):
             evaluate(small_model(), np.zeros((8, 1, 28, 28), np.float32), np.zeros(1, np.int64))
+
+
+class TestField:
+    """`_field` over a grid of JSON values and every kind a record reads
+    back: which values each kind takes, and the one message it gives for
+    the rest, a missing key and a record that is not an object."""
+
+    VALUES = [None, True, False, 0, 1, -3, 2.5, 0.0, "", "a", "1", {}, {"a": 1}, [], [1], [1, 2, 3],
+              [1, 2], [1, 2, 3, 4], [1.0, 2, 3], [True, 2, 3], ["a"], [[1]], [{}]]
+    # kind -> (the indices into VALUES it accepts, its wording)
+    KINDS = {
+        "int": ({3, 4, 5}, "an integer"),
+        "float": ({6, 7}, "a number"),
+        "str": ({8, 9, 10}, "a string"),
+        "dict": ({11, 12}, "an object"),
+        "list": (set(range(13, 23)), "a list"),
+        "list[int]": ({13, 14, 15, 16, 17}, "a list of integers"),
+        "tuple[int, int, int]": ({15}, "a list of three integers"),
+    }
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_each_value_is_taken_or_refused_in_its_kinds_words(self, kind):
+        accepted, words = self.KINDS[kind]
+        message = f"w: field 'k' is missing or not {words}"
+        for n, value in enumerate(self.VALUES):
+            if n in accepted:
+                assert _field("w: ", {"k": value}, "k", kind) is value
+            else:
+                with pytest.raises(CheckpointError) as e:
+                    _field("w: ", {"k": value}, "k", kind)
+                assert str(e.value) == message, value
+        for record in ({}, None, [], "k", 3):  # no key, or not an object
+            with pytest.raises(CheckpointError) as e:
+                _field("w: ", record, "k", kind)
+            assert str(e.value) == message, record

@@ -288,6 +288,21 @@ class TestTrainer:
             assert np.array_equal(got, best), (lid, role)
             assert not np.array_equal(got, last), (lid, role)
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({"lr_max": -0.1, "lr_min": -0.2}, r"bad learning rate range \[lr_min, lr_max\] = \[-0.2, -0.1\]"),
+        ({"lr_max": 0.01, "lr_min": 0.1}, r"bad learning rate range \[lr_min, lr_max\] = \[0.1, 0.01\]"),
+        ({"epochs": -1}, "epochs must be nonnegative, got -1"),
+    ])
+    def test_settings_wrong_on_their_face_are_refused(self, settings, message):
+        model = small_model(seed=1)
+        before = [p.data.copy() for p in model.parameters()]
+        kwargs = {"epochs": 1, "lr_max": 0.1, "lr_min": 0.001, "batch_size": 16} | settings
+        with pytest.raises(ValueError, match=message):
+            train_supervised(model, toy_problem(32), toy_problem(16, seed=1), **kwargs)
+        for p, b in zip(model.parameters(), before):
+            assert np.array_equal(p.data, b)
+
     def test_zero_epochs_is_evaluate_only(self):
         model = small_model(seed=1)
         val = toy_problem(32, seed=1)
