@@ -25,7 +25,7 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .data import DataFormatError, load_cifar10, load_mnist, split_validation, substream
+from .data import DataFormatError, load_cifar10, load_mnist, resolve_data_dir, split_validation, substream
 from .model import CheckpointError, _architecture, _field, build_model, evaluate, exact_flops_by_layer
 from .pruner import (
     PruningPlan,
@@ -159,10 +159,15 @@ def _fresh_model(cfg: dict):
 
 
 def _splits(cfg: dict):
-    train_full, test = _LOADERS[cfg["run"]["dataset"]](cfg["run"]["data_dir"] or None)
-    train, val = split_validation(
-        train_full, cfg["run"]["validation_fraction"], seed=cfg["run"]["seed"]
-    )
+    """Train, validation and test splits; a `validation_fraction` that
+    leaves either side of the split empty for this data is a `ConfigError`."""
+    run = cfg["run"]
+    train_full, test = _LOADERS[run["dataset"]](run["data_dir"] or None)
+    try:
+        train, val = split_validation(train_full, run["validation_fraction"], seed=run["seed"])
+    except ValueError as e:
+        where = resolve_data_dir(run["data_dir"] or None)
+        raise ConfigError(f"bad [run] validation_fraction for the data in {where}: {e}") from e
     return train, val, test
 
 
@@ -293,7 +298,7 @@ def cmd_pretrain(cfg: dict) -> int:
 def cmd_search(cfg: dict) -> int:
     t0 = time.perf_counter()
     base_dir = Path(cfg["run"]["out_dir"]) / "baseline"
-    model, base_manifest = load_checkpoint(base_dir)
+    model, base_manifest = load_checkpoint(base_dir, _input_shape(cfg))
     train, val, test = _splits(cfg)
     _check_upstream(cfg, train.checksums, base_manifest, base_dir / "manifest.json")
 
@@ -322,7 +327,7 @@ def cmd_prune(cfg: dict) -> int:
     search_dir = out_root / "search"
     search_path = search_dir / "manifest.json"
     base_path = out_root / "baseline" / "manifest.json"
-    model, search_manifest = load_checkpoint(search_dir)
+    model, search_manifest = load_checkpoint(search_dir, _input_shape(cfg))
     baseline = read_manifest(base_path)
     train, val, test = _splits(cfg)
     _check_upstream(cfg, train.checksums, baseline, base_path)

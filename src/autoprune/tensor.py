@@ -16,7 +16,13 @@ included.  Training loops are expected to call `zero_grad` between steps.
 by im2col columns of the input and scatters the input gradient back with
 col2im.  The output side multiplies each image by the tap-stacked weight
 and adds a shifted copy per kernel tap, with no column buffer: with a
-graph it runs at Cout <= Cin, without one only at 2*Cout < Cin.
+graph it runs at Cout <= Cin, without one only at 2*Cout < Cin.  Both
+loop over the kernel taps through one table (`_taps`).  A conv with
+stride 1, an output grid equal to its input grid and padding below
+min(H, W) (every 3x3/pad-1 conv of the stock models) shifts each tap
+over each channel's flattened H*W map and zeroes the columns the shift
+wraps into the next or previous row; every other conv takes each tap as
+a 2-d strided slice.  The two give the same bits.
 `batch_norm2d` keeps no normalized copy of its input.
 """
 
@@ -25,7 +31,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -298,19 +304,50 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 _COLS_BLOCK_BYTES = 1 << 19
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
-    n, c, h, w = x.shape
-    if padding:
-        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-        padded[:, :, padding : padding + h, padding : padding + w] = x
-        x = padded
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-    return cols.reshape(n, c * kh * kw, ho * wo)
+class _TapTable(NamedTuple):
+    """The kernel taps of one conv geometry (`_taps`)."""
+
+    flat: bool
+    in_grid: tuple[int, ...]  # trailing shape of an input map: (H*W,) if flat, else (H, W)
+    out_grid: tuple[int, ...]  # the same for an output map
+    taps: list  # (i, j, src, dst): index tuples into an input and an output map
+    wraps: list  # (j, input columns, output columns) of a flat shift's wrapped columns
+
+
+def _taps(kh: int, kw: int, stride: int, padding: int, h: int, w: int, ho: int, wo: int) -> _TapTable:
+    """Every kernel tap (i, j) that reads the input, in row-major order,
+    with the input positions it reads and the output positions it serves.
+
+    A flat table views maps as [..., H*W]: tap (i, j) is one shift by
+    d = (i-p)*W + (j-p), clipped to the outputs o with o and o + d in
+    [0, H*W).  The shift also pairs the last (j > p) or first (j < p)
+    |j-p| columns of each output row with columns of the next or previous
+    input row; `wraps` names those columns, which the caller zeroes.
+    Otherwise each tap is a 2-d strided window of an [..., H, W] map.
+    """
+    if stride == 1 and (ho, wo) == (h, w) and padding < min(h, w):
+        taps = []
+        for i in range(kh):
+            for j in range(kw):
+                d = (i - padding) * w + (j - padding)
+                lo, hi = max(0, -d), min(h * w, h * w - d)
+                taps.append((i, j, (..., slice(lo + d, hi + d)), (..., slice(lo, hi))))
+        wraps = [
+            (j, slice(0, j - padding), slice(w + padding - j, w)) if j > padding
+            else (j, slice(w + j - padding, w), slice(0, padding - j))
+            for j in range(kw)
+            if j != padding
+        ]
+        return _TapTable(True, (h * w,), (ho * wo,), taps, wraps)
+    rows = [_tap_span(i, stride, padding, h, ho) for i in range(kh)]
+    columns = [_tap_span(j, stride, padding, w, wo) for j in range(kw)]
+    taps = [
+        (i, j, (..., row[0], col[0]), (..., row[1], col[1]))
+        for i, row in enumerate(rows)
+        for j, col in enumerate(columns)
+        if row is not None and col is not None
+    ]
+    return _TapTable(False, (h, w), (ho, wo), taps, [])
 
 
 def _tap_span(k: int, stride: int, padding: int, size: int, osize: int):
@@ -327,17 +364,24 @@ def _tap_span(k: int, stride: int, padding: int, size: int, osize: int):
     return slice(start, start + stride * (hi - lo - 1) + 1, stride), slice(lo, hi)
 
 
-def _taps(kh: int, kw: int, stride: int, padding: int, h: int, w: int, ho: int, wo: int):
-    """Every kernel tap (i, j) that reads the input, in row-major order,
-    with its input (rows, cols) and output (rows, cols) slices."""
-    rows = [_tap_span(i, stride, padding, h, ho) for i in range(kh)]
-    columns = [_tap_span(j, stride, padding, w, wo) for j in range(kw)]
-    return [
-        (i, j, (row[0], col[0]), (row[1], col[1]))
-        for i, row in enumerate(rows)
-        for j, col in enumerate(columns)
-        if row is not None and col is not None
-    ]
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
+    """The [N, C*Kh*Kw, Ho*Wo] columns of `x`, zero where a tap reads padding."""
+    n, c, h, w = x.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    t = _taps(kh, kw, stride, padding, h, w, ho, wo)
+    x = x.reshape((n, c) + t.in_grid)
+    cols = (np.empty if t.flat else np.zeros)((n, c, kh, kw) + t.out_grid, dtype=x.dtype)
+    for i, j, src, dst in t.taps:
+        tap = cols[:, :, i, j]
+        tap[dst] = x[src]
+        if t.flat:  # the outputs past the shift's ends read padding rows
+            tap[..., : dst[-1].start] = 0
+            tap[..., dst[-1].stop :] = 0
+    grid = cols.reshape(n, c, kh, kw, ho, wo)
+    for j, _, out_cols in t.wraps:
+        grid[:, :, :, j, :, out_cols] = 0
+    return cols.reshape(n, c * kh * kw, ho * wo)
 
 
 def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
@@ -345,16 +389,23 @@ def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: i
 
     Each tap adds straight into the unpadded input over its clipped range,
     so every input element receives its terms in the same (i, j) order as
-    a sum over the padded grid would give it, and gets the same bits.
+    a sum over the padded grid would give it, and gets the same bits.  A
+    flat table's wrapped columns are zeroed in `cols` first (in place when
+    it is contiguous): a sum that starts at +0.0 is never -0.0, so adding
+    +0.0 to it changes no bit.
     """
     n, c, h, w = x_shape
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
-    cols = cols.reshape(n, c, kh, kw, ho, wo)
-    out = np.zeros((n, c, h, w), dtype=cols.dtype)
-    for i, j, (ri, ci), (ro, co) in _taps(kh, kw, stride, padding, h, w, ho, wo):
-        out[:, :, ri, ci] += cols[:, :, i, j, ro, co]
-    return out
+    t = _taps(kh, kw, stride, padding, h, w, ho, wo)
+    grid = cols.reshape(n, c, kh, kw, ho, wo)
+    for j, _, out_cols in t.wraps:
+        grid[:, :, :, j, :, out_cols] = 0
+    cols = grid.reshape((n, c, kh, kw) + t.out_grid)
+    out = np.zeros((n, c) + t.in_grid, dtype=cols.dtype)
+    for i, j, src, dst in t.taps:
+        out[src] += cols[:, :, i, j][dst]
+    return out.reshape(n, c, h, w)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -371,6 +422,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     im2col's columns.  Others multiply the weight by im2col columns, and
     take the weight gradient as one GEMM per image with the columns'
     transpose, summed over the batch, which copies neither operand.
+    Either side moves data per kernel tap; at stride 1 with an output the
+    size of the input and padding below min(H, W), each tap is one shift
+    over whole flattened channel maps, else a 2-d strided slice (`_taps`).
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ValueError(f"conv2d expects 4-d input and weight, got {x.data.shape} and {w.data.shape}")
@@ -431,27 +485,42 @@ def _output_side_conv2d(x: Tensor, w: Tensor, stride: int, padding: int, ho: int
     (zero where a tap reads padding or a position the stride skips); one
     multiply of that buffer by x's transpose gives the weight gradient,
     and one by the stacked weight's transpose gives the input gradient.
+    A flat shift zeroes the partials of its wrapped columns before adding
+    them, and their places in the tap layout after filling it.
     """
     n, cin, h, wd = x.data.shape
     cout, _, kh, kw = w.data.shape
-    taps = _taps(kh, kw, stride, padding, h, wd, ho, wo)
+    t = _taps(kh, kw, stride, padding, h, wd, ho, wo)
     wstack = w.data.transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
     xmat = x.data.reshape(n, cin, h * wd)
     dt = np.result_type(wstack, x.data)
-    out_data = np.zeros((n, cout, ho, wo), dtype=dt)
+    out_data = np.zeros((n, cout) + t.out_grid, dtype=dt)
     per = max(1, _COLS_BLOCK_BYTES // max(1, wstack.shape[0] * h * wd * dt.itemsize))
     part = np.empty((min(per, n), wstack.shape[0], h * wd), dtype=dt)
     for s in range(0, n, per):
         block = part[: min(per, n - s)]
         np.matmul(wstack, xmat[s : s + per], out=block)
-        block = block.reshape(-1, kh, kw, cout, h, wd)
-        for i, j, (ri, ci), (ro, co) in taps:
-            out_data[s : s + per, :, ro, co] += block[:, i, j, :, ri, ci]
+        grid = block.reshape(-1, kh, kw, cout, h, wd)
+        for j, in_cols, _ in t.wraps:
+            grid[:, :, j, :, :, in_cols] = 0
+        block = block.reshape((-1, kh, kw, cout) + t.in_grid)
+        out_block = out_data[s : s + per]
+        for i, j, src, dst in t.taps:
+            out_block[dst] += block[:, i, j][src]
+    out_data = out_data.reshape(n, cout, ho, wo)
 
     def back(g):
-        gtap = np.zeros((n, kh, kw, cout, h, wd), dtype=g.dtype)
-        for i, j, (ri, ci), (ro, co) in taps:
-            gtap[:, i, j, :, ri, ci] = g[:, :, ro, co]
+        gtap = (np.empty if t.flat else np.zeros)((n, kh, kw, cout) + t.in_grid, dtype=g.dtype)
+        g = g.reshape((n, cout) + t.out_grid)
+        for i, j, src, dst in t.taps:
+            tap = gtap[:, i, j]
+            tap[src] = g[dst]
+            if t.flat:  # no output reads the inputs past the shift's ends
+                tap[..., : src[-1].start] = 0
+                tap[..., src[-1].stop :] = 0
+        grid = gtap.reshape(n, kh, kw, cout, h, wd)
+        for j, in_cols, _ in t.wraps:
+            grid[:, :, j, :, :, in_cols] = 0
         gtap = gtap.reshape(n, kh * kw * cout, h * wd)
         if w.requires_grad:
             gw = np.matmul(gtap, xmat.transpose(0, 2, 1)).sum(axis=0)
@@ -683,6 +752,9 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 def finite_diff_check(f, x: Tensor, step: float = 1e-3) -> float:
     """Compare autodiff against central finite differences.
+
+    Kept in the public API as the gradient check demo 02 walks through;
+    the gradient tests call it too.
 
     `f` must map the tensor `x` to a scalar Tensor and be free of hidden
     state (batch-norm running updates must be disabled by the caller).

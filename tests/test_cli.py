@@ -175,6 +175,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {data / name}: holds no images\n"
         assert not (out / "baseline").exists()
 
+    @pytest.mark.parametrize("fraction", [0.01, 0.99])
+    def test_fraction_leaving_an_empty_split_is_2_naming_the_setting_and_the_data(
+        self, tmp_path, capsys, fraction
+    ):
+        # valid on its face, but 10 images give 0 (or 10) validation images
+        data = make_mnist_dir(tmp_path, n_train=10)
+        path = write_config(tmp_path, f"[run]\nvalidation_fraction = {fraction}\n")
+        out = tmp_path / "out"
+        assert run_cli("pretrain", "--config", path, "--data-dir", str(data), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad [run] validation_fraction for the data in {data}: "
+            f"fraction {fraction} leaves an empty split for 10 examples\n"
+        )
+        assert not (out / "baseline").exists()
+
     def test_missing_data_dir_is_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("AUTOPRUNE_DATA_DIR", raising=False)
         assert run_cli("pretrain", "--out", str(tmp_path / "out")) == 2
@@ -275,8 +290,8 @@ class TestForeignUpstream:
         manifest["model"]["input_shape"] = [1, 32, 32]
         path.write_text(json.dumps(manifest))
         assert main(["search", *args, "--seed", "0"]) == 2
-        assert capsys.readouterr().err == (f"error: {path} is from another run: its model.input_shape "
-                                           "is [1, 32, 32], this run's is [1, 28, 28]\n")
+        assert capsys.readouterr().err == (f"error: {path}: the model record's input_shape "
+                                           "is [1, 32, 32], the data's is [1, 28, 28]\n")
 
     def test_prune_refuses_another_seed(self, seed0_baseline, capsys):
         assert main(["prune", *seed0_baseline, "--seed", "1"]) == 2

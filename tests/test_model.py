@@ -74,6 +74,46 @@ class TestArchitectures:
         x = np.zeros((1, 1, 28, 28), dtype=np.float32)
         assert forward(m, x, mode="eval").data.shape == (1, 10)
 
+    @pytest.mark.parametrize("name, shape", [("cnn-small", (1, 28, 28)), ("resnet-tiny", (3, 32, 32))])
+    def test_stride_one_same_size_convs_take_the_flat_tap_shift(self, name, shape, monkeypatch):
+        # a train step with live masks, a train step on a half-width slice and
+        # a no-graph eval of each run every conv through both kernels; no
+        # stride-1 conv with an output the size of its input (every 3x3/pad-1
+        # conv of both models) may reach the 2-d strided tap slices
+        import autoprune.tensor as tensor_module
+
+        tables, strided = [], []
+        real_taps, real_span = tensor_module._taps, tensor_module._tap_span
+
+        def taps(*geometry):
+            table = real_taps(*geometry)
+            tables.append((geometry, table.flat))
+            return table
+
+        def span(k, stride, padding, size, osize):
+            strided.append((stride, size, osize))
+            return real_span(k, stride, padding, size, osize)
+
+        monkeypatch.setattr(tensor_module, "_taps", taps)
+        monkeypatch.setattr(tensor_module, "_tap_span", span)
+        model = build_model(name, 10, shape, rng=np.random.default_rng(0))
+        half = slice_channels(model, {i: np.arange(0, model.layer(i).out_channels, 2)
+                                      for i in model.prunable_ids()})
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((2, *shape)).astype(np.float32)
+        y = np.array([3, 7])
+        for net in (model, half):
+            masks = {i: Tensor(np.full(net.layer(i).out_channels, 0.5, np.float32), requires_grad=True)
+                     for i in net.prunable_ids()}
+            backward(softmax_cross_entropy(forward(net, x, masks=masks, mode="train", update_running=False), y))
+            with no_grad():
+                forward(net, x, mode="eval")
+        same_size = [g for g, _ in tables if g[2] == 1 and g[4:6] == g[6:8]]
+        assert same_size and all(flat for g, flat in tables if g in same_size)
+        assert not [s for s in strided if s[0] == 1 and s[1] == s[2]]
+        # resnet-tiny's stride-2 convs still take the strided slices
+        assert bool(strided) == (name == "resnet-tiny")
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):
             build_model("vgg-99", 10, (1, 28, 28))

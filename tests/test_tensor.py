@@ -150,10 +150,25 @@ def padded_col2im(cols, x_shape, kh, kw, stride, padding):
     return out[:, :, padding : padding + h, padding : padding + w]
 
 
+def strided_im2col(x, kh, kw, stride, padding):
+    """Reference im2col: pad the input, then take each tap as a 2-d
+    strided slice of the padded grid."""
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    return cols.reshape(n, c * kh * kw, ho * wo)
+
+
 def full_buffer_conv2d(x, w, stride, padding, g):
-    """Reference conv: one im2col buffer for the whole batch, then the
-    per-image GEMM, the per-image weight-gradient GEMMs summed over the
-    batch, and the input-gradient GEMM on it.
+    """Reference conv: one strided-slice im2col buffer for the whole batch,
+    then the per-image GEMM, the per-image weight-gradient GEMMs summed
+    over the batch, and the input-gradient GEMM summed back by the padded
+    col2im.
 
     Returns the output and the w and x gradients of sum(out * g).
     """
@@ -161,13 +176,69 @@ def full_buffer_conv2d(x, w, stride, padding, g):
     cout, _, kh, kw = w.shape
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (wd + 2 * padding - kw) // stride + 1
-    cols = _im2col(x, kh, kw, stride, padding)
+    cols = strided_im2col(x, kh, kw, stride, padding)
     wmat = w.reshape(cout, -1)
     out = np.matmul(wmat, cols).reshape(n, cout, ho, wo)
     gmat = g.reshape(n, cout, ho * wo)
     gw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-    gx = _col2im(np.matmul(wmat.T, gmat), x.shape, kh, kw, stride, padding)
+    gx = padded_col2im(np.matmul(wmat.T, gmat), x.shape, kh, kw, stride, padding)
     return out, gw, gx
+
+
+def tap_span(k, stride, padding, size, osize):
+    """Input and output slices of kernel tap `k` along one axis, or None."""
+    lo = max(0, -((k - padding) // stride))
+    hi = min(osize, (size - 1 + padding - k) // stride + 1)
+    if lo >= hi:
+        return None
+    start = k + stride * lo - padding
+    return slice(start, start + stride * (hi - lo - 1) + 1, stride), slice(lo, hi)
+
+
+def tap_slice_output_side(x, w, stride, padding, g):
+    """Reference output-side conv: every tap's clipped range as 2-d strided
+    slices, with the whole batch's tap partials in one buffer.
+
+    Returns the output and the w and x gradients of sum(out * g).
+    """
+    n, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wd + 2 * padding - kw) // stride + 1
+    rows = [tap_span(i, stride, padding, h, ho) for i in range(kh)]
+    columns = [tap_span(j, stride, padding, wd, wo) for j in range(kw)]
+    taps = [(i, j, row, col) for i, row in enumerate(rows) for j, col in enumerate(columns)
+            if row is not None and col is not None]
+    wstack = w.transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
+    xmat = x.reshape(n, cin, h * wd)
+    part = np.matmul(wstack, xmat).reshape(n, kh, kw, cout, h, wd)
+    out = np.zeros((n, cout, ho, wo), dtype=part.dtype)
+    for i, j, (ri, ro), (ci, co) in taps:
+        out[:, :, ro, co] += part[:, i, j, :, ri, ci]
+    gtap = np.zeros((n, kh, kw, cout, h, wd), dtype=g.dtype)
+    for i, j, (ri, ro), (ci, co) in taps:
+        gtap[:, i, j, :, ri, ci] = g[:, :, ro, co]
+    gtap = gtap.reshape(n, kh * kw * cout, h * wd)
+    gw = np.matmul(gtap, xmat.transpose(0, 2, 1)).sum(axis=0)
+    gw = np.ascontiguousarray(gw.reshape(kh, kw, cout, cin).transpose(2, 3, 0, 1))
+    gx = np.matmul(wstack.T, gtap).reshape(x.shape)
+    return out, gw, gx
+
+
+def plant_specials(a):
+    """Write NaN, +inf, -inf and -0.0 into the first and last column of
+    image 0, channel 0 of `a`, row by row: the columns a flat tap shift
+    wraps into the neighbouring row."""
+    specials = itertools.cycle((np.nan, np.inf, -np.inf, -0.0))
+    for r in range(a.shape[2]):
+        a[0, 0, r, 0] = next(specials)
+        a[0, 0, r, -1] = next(specials)
+    return a
+
+
+# (h, w) maps for the column helpers: a general one, a single row, a single
+# column, and maps whose smaller side is at most a k = 5 kernel's padding
+MAPS = [(7, 9), (1, 6), (5, 1), (2, 3), (3, 2)]
 
 
 def bits(a):
@@ -446,21 +517,24 @@ class TestOpSemantics:
                                 assert t.grad.dtype == dtype, at
                                 assert rel_err(t.grad, want[3 + k]) <= tol, (at, rel_err(t.grad, want[3 + k]))
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_col2im_is_bitwise_the_padded_sum(self):
+        # NaN, infinities and -0.0 sit in the columns a flat tap shift wraps
         rng = np.random.default_rng(41)
-        x_shape = (2, 3, 7, 9)
-        for dtype in (np.float32, np.float64):
-            for k in (1, 2, 3, 5):
-                for stride in (1, 2, 3):
-                    for padding in range(4):
-                        ho = (7 + 2 * padding - k) // stride + 1
-                        wo = (9 + 2 * padding - k) // stride + 1
-                        cols = upstream_grad(rng, (2, 3 * k * k, ho * wo), dtype)
-                        got = _col2im(cols, x_shape, k, k, stride, padding)
-                        want = padded_col2im(cols, x_shape, k, k, stride, padding)
-                        where = f"k {k}, stride {stride}, padding {padding}, {dtype.__name__}"
-                        assert got.shape == x_shape and got.dtype == dtype, where
-                        np.testing.assert_array_equal(bits(got), bits(want), err_msg=where)
+        for dtype, (h, w), k, stride, padding in itertools.product(
+            (np.float32, np.float64), MAPS, (1, 2, 3, 5), (1, 2, 3), range(4)
+        ):
+            if h + 2 * padding < k or w + 2 * padding < k:
+                continue
+            x_shape = (2, 3, h, w)
+            ho = (h + 2 * padding - k) // stride + 1
+            wo = (w + 2 * padding - k) // stride + 1
+            cols = plant_specials(upstream_grad(rng, (2, 3 * k * k, ho, wo), dtype)).reshape(2, -1, ho * wo)
+            want = padded_col2im(cols, x_shape, k, k, stride, padding)
+            got = _col2im(cols, x_shape, k, k, stride, padding)
+            where = f"{h}x{w}, k {k}, stride {stride}, padding {padding}, {dtype.__name__}"
+            assert got.shape == x_shape and got.dtype == dtype, where
+            np.testing.assert_array_equal(bits(got), bits(want), err_msg=where)
 
     @pytest.mark.parametrize("block_bytes", [None, 1 << 14])
     def test_conv_without_kept_columns_is_bitwise_the_full_buffer(self, block_bytes, monkeypatch):
@@ -768,6 +842,97 @@ class TestOutputSideConv:
         finally:
             tracemalloc.stop()
         assert peak <= out.data.nbytes + block + (64 << 10), (peak, out.data.nbytes)
+
+
+# (n, cin, h, w, cout, k, stride, padding) beyond NARROW_CONVS: single-row
+# and single-column maps, a flat k = 5 conv, and k = 5 convs whose padding
+# is at least the map's smaller side, which take 2-d slices
+EDGE_CONVS = [
+    (2, 4, 1, 6, 3, 1, 1, 0),
+    (2, 4, 1, 6, 3, 3, 1, 1),
+    (2, 4, 5, 1, 2, 1, 1, 0),
+    (2, 4, 5, 1, 2, 3, 1, 1),
+    (2, 3, 5, 6, 2, 5, 1, 2),
+    (2, 3, 3, 2, 3, 5, 1, 2),
+    (2, 3, 3, 4, 1, 5, 1, 3),
+]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestTapShift:
+    """A stride-1 conv whose output grid is its input grid, with padding
+    below min(H, W), shifts each kernel tap over flattened channel maps;
+    the references in this file take every tap as a 2-d strided slice.
+    Both kernels match them bit for bit, with NaN, infinities and -0.0 in
+    the columns a shift wraps into the neighbouring row."""
+
+    def test_im2col_is_bitwise_the_strided_slices(self):
+        rng = np.random.default_rng(43)
+        for dtype, (h, w), k, stride, padding in itertools.product(
+            (np.float32, np.float64), MAPS, (1, 2, 3, 5), (1, 2, 3), range(4)
+        ):
+            if h + 2 * padding < k or w + 2 * padding < k:
+                continue
+            where = f"{h}x{w}, k {k}, stride {stride}, padding {padding}, {dtype.__name__}"
+            x = plant_specials(upstream_grad(rng, (2, 3, h, w), dtype))
+            cols = _im2col(x, k, k, stride, padding)
+            assert cols.dtype == dtype, where
+            np.testing.assert_array_equal(bits(cols), bits(strided_im2col(x, k, k, stride, padding)),
+                                          err_msg=where)
+
+    @staticmethod
+    def convs(dtype, planted, more_outputs=False):
+        """Each conv of NARROW_CONVS and EDGE_CONVS, or Cin + 1 outputs with
+        `more_outputs`, with its input, weight and upstream gradient;
+        `planted` puts specials into the input and the gradient."""
+        rng = np.random.default_rng(101)
+        for n, cin, h, wd, cout, k, stride, padding in NARROW_CONVS + EDGE_CONVS:
+            cout = cin + 1 if more_outputs else cout
+            x = rng.standard_normal((n, cin, h, wd)).astype(dtype)
+            w = rng.standard_normal((cout, cin, k, k)).astype(dtype)
+            ho = (h + 2 * padding - k) // stride + 1
+            wo = (wd + 2 * padding - k) // stride + 1
+            g = upstream_grad(rng, (n, cout, ho, wo), dtype)
+            if planted:
+                plant_specials(x)
+                plant_specials(g)
+            where = f"{cin}->{cout} at {h}x{wd}, k {k}, stride {stride}, padding {padding}, {dtype.__name__}"
+            yield where, x, w, stride, padding, g
+
+    @pytest.mark.parametrize("block_bytes", [None, 1 << 10])
+    @pytest.mark.parametrize("planted", [False, True], ids=["finite", "planted"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_side_is_bitwise_the_tap_slices(self, dtype, planted, block_bytes, monkeypatch):
+        # every conv here has Cout < Cin, so it runs from the output side;
+        # the 1 KiB budget runs its forward one image per block
+        if block_bytes is not None:
+            monkeypatch.setattr(tensor, "_COLS_BLOCK_BYTES", block_bytes)
+        for where, x, w, stride, padding, g in self.convs(dtype, planted):
+            want = tap_slice_output_side(x, w, stride, padding, g)
+            with use_dtype(dtype):
+                got = conv_with_grads(x, w, stride, padding, g)
+            for name, a, b in zip(("output", "weight grad", "input grad"), got, want):
+                assert a.dtype == dtype and a.shape == b.shape, f"{where}: {name}"
+                np.testing.assert_array_equal(bits(a), bits(b), err_msg=f"{where}: {name}")
+
+    @pytest.mark.parametrize("block_bytes", [None, 1 << 10])
+    @pytest.mark.parametrize("planted", [False, True], ids=["finite", "planted"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_im2col_side_is_bitwise_the_strided_slices(self, dtype, planted, block_bytes, monkeypatch):
+        # Cout = Cin + 1 runs on im2col columns, with a graph and without;
+        # the 1 KiB budget builds the no-graph columns one image at a time
+        if block_bytes is not None:
+            monkeypatch.setattr(tensor, "_COLS_BLOCK_BYTES", block_bytes)
+        for where, x, w, stride, padding, g in self.convs(dtype, planted, more_outputs=True):
+            want = full_buffer_conv2d(x, w, stride, padding, g)
+            with use_dtype(dtype):
+                got = conv_with_grads(x, w, stride, padding, g)
+                with no_grad():
+                    plain = conv2d(Tensor(x), Tensor(w), stride, padding).data
+            np.testing.assert_array_equal(bits(plain), bits(want[0]), err_msg=f"{where}: no-graph output")
+            for name, a, b in zip(("output", "weight grad", "input grad"), got, want):
+                assert a.dtype == dtype and a.shape == b.shape, f"{where}: {name}"
+                np.testing.assert_array_equal(bits(a), bits(b), err_msg=f"{where}: {name}")
 
 
 class TestGraphLifecycle:
