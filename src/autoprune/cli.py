@@ -298,7 +298,7 @@ def cmd_pretrain(cfg: dict) -> int:
 def cmd_search(cfg: dict) -> int:
     t0 = time.perf_counter()
     base_dir = Path(cfg["run"]["out_dir"]) / "baseline"
-    model, base_manifest = load_checkpoint(base_dir, _input_shape(cfg))
+    model, base_manifest = load_checkpoint(base_dir)
     train, val, test = _splits(cfg)
     _check_upstream(cfg, train.checksums, base_manifest, base_dir / "manifest.json")
 
@@ -327,7 +327,7 @@ def cmd_prune(cfg: dict) -> int:
     search_dir = out_root / "search"
     search_path = search_dir / "manifest.json"
     base_path = out_root / "baseline" / "manifest.json"
-    model, search_manifest = load_checkpoint(search_dir, _input_shape(cfg))
+    model, search_manifest = load_checkpoint(search_dir)
     baseline = read_manifest(base_path)
     train, val, test = _splits(cfg)
     _check_upstream(cfg, train.checksums, baseline, base_path)

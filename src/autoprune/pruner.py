@@ -268,18 +268,18 @@ def read_manifest(path):
         raise CheckpointError(f"{path}: {e}") from e
 
 
-def load_checkpoint(directory, input_shape=None) -> tuple[ModelGraph, dict]:
+def load_checkpoint(directory) -> tuple[ModelGraph, dict]:
     """Rebuild a model and its weights from `save_checkpoint` output.
 
     The manifest's model record names the checkpoint's whole structure
     (`model_from_table`): each array it implies must sit in its own file,
     holding exactly that array's number of floats, which is checked
     before the file is read.  No file's size depends on the input's
-    height and width, so a caller that knows the (C, H, W) its data has
-    passes it as `input_shape`, and a record made for another input is
-    refused.  A missing file raises `FileNotFoundError`; a manifest of
-    another `format_version`, a malformed one, one for another input
-    shape, or a file of the wrong size, `CheckpointError`.
+    height and width, so a record made for another input loads; a caller
+    that knows the (C, H, W) of its data compares it with the returned
+    model's `input_shape`, as the CLI's run check does.  A missing file
+    raises `FileNotFoundError`; a manifest of another `format_version`, a
+    malformed one, or a file of the wrong size, `CheckpointError`.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -293,9 +293,6 @@ def load_checkpoint(directory, input_shape=None) -> tuple[ModelGraph, dict]:
         model = model_from_table(table)
     except ValueError as e:
         raise CheckpointError(f"{manifest_path}: {e}") from e
-    if input_shape is not None and model.input_shape != tuple(input_shape):
-        raise CheckpointError(f"{manifest_path}: the model record's input_shape is "
-                              f"{list(model.input_shape)}, the data's is {list(input_shape)}")
 
     def read(layer, role, shape):
         path = directory / _array_file(layer.id, role)

@@ -371,6 +371,8 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
     wo = (w + 2 * padding - kw) // stride + 1
     t = _taps(kh, kw, stride, padding, h, w, ho, wo)
     x = x.reshape((n, c) + t.in_grid)
+    # A flat tap writes all but its ends, so zeroing only those is cheaper
+    # than a zeroed buffer (here and in the output side's `gtap`).
     cols = (np.empty if t.flat else np.zeros)((n, c, kh, kw) + t.out_grid, dtype=x.dtype)
     for i, j, src, dst in t.taps:
         tap = cols[:, :, i, j]
@@ -390,9 +392,10 @@ def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: i
     Each tap adds straight into the unpadded input over its clipped range,
     so every input element receives its terms in the same (i, j) order as
     a sum over the padded grid would give it, and gets the same bits.  A
-    flat table's wrapped columns are zeroed in `cols` first (in place when
-    it is contiguous): a sum that starts at +0.0 is never -0.0, so adding
-    +0.0 to it changes no bit.
+    flat table's wrapped columns are zeroed in `cols` first: a sum that
+    starts at +0.0 is never -0.0, so adding +0.0 to it changes no bit.
+    `cols` is consumed: when it is contiguous, those columns are zeroed in
+    place, so a caller passes columns it does not read again.
     """
     n, c, h, w = x_shape
     ho = (h + 2 * padding - kh) // stride + 1
@@ -468,7 +471,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
             gw = np.matmul(gmat, xcols.transpose(0, 2, 1)).sum(axis=0)
             _accum(w, gw.reshape(w.data.shape), owned=True)
         if x.requires_grad:
-            gcols = np.matmul(wmat.T, gmat)
+            gcols = np.matmul(wmat.T, gmat)  # fresh, so `_col2im` may consume it
             _accum(x, _col2im(gcols, x.data.shape, kh, kw, stride, padding), owned=True)
 
     return _make(out_data, (x, w), back)

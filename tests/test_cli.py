@@ -290,8 +290,8 @@ class TestForeignUpstream:
         manifest["model"]["input_shape"] = [1, 32, 32]
         path.write_text(json.dumps(manifest))
         assert main(["search", *args, "--seed", "0"]) == 2
-        assert capsys.readouterr().err == (f"error: {path}: the model record's input_shape "
-                                           "is [1, 32, 32], the data's is [1, 28, 28]\n")
+        assert capsys.readouterr().err == (f"error: {path} is from another run: its model.input_shape "
+                                           "is [1, 32, 32], this run's is [1, 28, 28]\n")
 
     def test_prune_refuses_another_seed(self, seed0_baseline, capsys):
         assert main(["prune", *seed0_baseline, "--seed", "1"]) == 2

@@ -367,21 +367,6 @@ class TestCheckpoints:
         x = np.random.default_rng(2).standard_normal((3, 1, 8, 8)).astype(np.float32)
         assert np.array_equal(logits_of(pruned, x), logits_of(back, x))
 
-    def test_record_for_another_input_shape_is_refused_when_the_shape_is_known(self, tmp_path):
-        # every array file fits any square side divisible by 4
-        model = small_model(shape=(1, 28, 28))
-        path = save_checkpoint(model, tmp_path / "ck")
-        manifest = json.loads(path.read_text())
-        manifest["model"]["input_shape"] = [1, 32, 32]
-        path.write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError) as err:
-            load_checkpoint(tmp_path / "ck", input_shape=(1, 28, 28))
-        assert str(err.value) == (f"{path}: the model record's input_shape is [1, 32, 32], "
-                                  "the data's is [1, 28, 28]")
-        back, _ = load_checkpoint(tmp_path / "ck", input_shape=(1, 32, 32))
-        assert back.input_shape == (1, 32, 32)
-        assert load_checkpoint(tmp_path / "ck")[0].input_shape == (1, 32, 32)
-
     def test_missing_files_raise(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="manifest"):
             load_checkpoint(tmp_path / "nope")
