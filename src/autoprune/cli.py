@@ -85,13 +85,17 @@ def load_config(path: str | None) -> dict:
     if path is None:
         return cfg
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+        sections = {section: parser.items(section) for section in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as e:
+        raise ConfigError(f"malformed config file {path}: {' '.join(str(e).split())}") from e
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
+        for key, raw in items:
             if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown config key {key!r} in section [{section}]")
             conv = SCHEMA[section][key]
@@ -304,6 +308,7 @@ def cmd_search(cfg: dict) -> int:
 
     result = run_search(model, train, val, SearchConfig(**cfg["search"], seed=cfg["run"]["seed"]))
     plan = finalize_plan(model, result.ratios, result.rankings)
+    floored = [i for i, r in sorted(result.ratios.items()) if r <= 1.0 / result.rankings[i].channels]
     tables = {"trajectory.csv": result.metrics, "diagnostics.csv": result.refresh_events}
     out = _write_phase(cfg, "search", t0, train.checksums, model, tables, {
         "phase": "search",
@@ -313,11 +318,15 @@ def cmd_search(cfg: dict) -> int:
         "epochs_run": result.epochs_run,
         "converged": result.converged,
         "kink_count": result.diagnostics.kink_count,
+        "floored_layers": floored,
         "plan": plan.to_dict(),
     })
     ratio_text = ", ".join(f"{k}:{v:.3f}" for k, v in sorted(result.ratios.items()))
     print(f"search: iterations={result.iterations} fpr_exact={result.fpr_exact:.4f} "
           f"ratios=[{ratio_text}] -> {out}")
+    if len(floored) == len(result.ratios):
+        print(f"warning: every prunable ratio ended at its floor 1/C at alpha {cfg['search']['alpha']}: "
+              "the plan keeps one channel per layer", file=sys.stderr)
     return 0
 
 
@@ -364,8 +373,12 @@ def cmd_report(cfg: dict) -> int:
     check = partial(_check_upstream, cfg, checksums, checksums_of=str(base_path))
     check(baseline, base_path)
     search_path = out_root / "search" / "manifest.json"
+    floored = []
     if search_path.is_file():
-        check(read_manifest(search_path), search_path)
+        search = read_manifest(search_path)
+        check(search, search_path)
+        if "floored_layers" in search:  # a search written before the field reports without it
+            floored = _field(f"{search_path}: ", search, "floored_layers", "list[int]")
     pruned = None
     pruned_path = out_root / "pruned" / "manifest.json"
     if pruned_path.is_file():
@@ -391,6 +404,8 @@ def cmd_report(cfg: dict) -> int:
 
     table = format_table(rows, SUMMARY_COLUMNS)
     print(table)
+    if floored:
+        print(f"floored layers (ratio 1/C, one channel kept): {', '.join(map(str, floored))}")
     print(f"report -> {report_dir}")
     return 0
 

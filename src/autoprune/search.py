@@ -76,6 +76,9 @@ class SearchConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("alpha", "beta", "cosine_period_epochs"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
         if self.beta <= 0:
@@ -117,8 +120,8 @@ class SearchDiverged(RuntimeError):
 
 def _check_lr_range(lo: float, hi: float, tag: str = "") -> None:
     """Refuse the learning rates `lr_<tag>min`, `lr_<tag>max` unless
-    0 <= lo <= hi and hi > 0."""
-    if lo < 0 or hi <= 0 or lo > hi:
+    0 <= lo <= hi < inf and hi > 0."""
+    if not 0 <= lo <= hi < math.inf or hi == 0:
         raise ValueError(f"bad learning rate range [lr_{tag}min, lr_{tag}max] = [{lo}, {hi}]")
 
 

@@ -12,17 +12,22 @@ Gradients accumulate into `.grad` and are populated for every tensor
 reachable from the loss that has `requires_grad` set, intermediates
 included.  Training loops are expected to call `zero_grad` between steps.
 
-`conv2d` has two formulations.  The im2col side multiplies the weight
-by im2col columns of the input and scatters the input gradient back with
-col2im.  The output side multiplies each image by the tap-stacked weight
-and adds a shifted copy per kernel tap, with no column buffer: with a
-graph it runs at Cout <= Cin, without one only at 2*Cout < Cin.  Both
-loop over the kernel taps through one table (`_taps`).  A conv with
-stride 1, an output grid equal to its input grid and padding below
-min(H, W) (every 3x3/pad-1 conv of the stock models) shifts each tap
-over each channel's flattened H*W map and zeroes the columns the shift
-wraps into the next or previous row; every other conv takes each tap as
-a 2-d strided slice.  The two give the same bits.
+`conv2d` has two formulations over one table of kernel taps (`_taps`),
+and two loops serve both: `_gather` copies each tap of a map into
+columns, `_scatter_add` adds each tap's columns into a map.  The im2col
+side gathers the input and scatter-adds the input gradient; the output
+side, which keeps no column buffer, scatter-adds the tap-stacked
+weight's partial outputs and gathers the output gradient over the
+transposed table.  With a graph the output side runs at Cout <= Cin,
+without one only at 2*Cout < Cin.  A conv with stride 1, an output grid
+equal to its input grid and padding p below min(H, W) (every 3x3/pad-1
+conv of the stock models) takes each tap (i, j) as one shift over each
+channel's flattened H*W map, else as a 2-d strided slice; the two give
+the same bits.  A shift leaves the columns past its ends unwritten,
+which `_gather` zeroes, and pairs the last (j > p) or first (j < p)
+|j-p| columns of each row with the next or previous row, which both
+loops zero in the columns (`_zero_wraps`): a sum that starts at +0.0 is
+never -0.0, so adding +0.0 changes no bit.
 `batch_norm2d` keeps no normalized copy of its input.
 """
 
@@ -311,7 +316,13 @@ class _TapTable(NamedTuple):
     in_grid: tuple[int, ...]  # trailing shape of an input map: (H*W,) if flat, else (H, W)
     out_grid: tuple[int, ...]  # the same for an output map
     taps: list  # (i, j, src, dst): index tuples into an input and an output map
-    wraps: list  # (j, input columns, output columns) of a flat shift's wrapped columns
+    wraps: list  # (j, src, dst): one wrapped column of a flat shift, as stride-W slices
+
+    def transposed(self) -> "_TapTable":
+        """The same taps with input and output swapped."""
+        return _TapTable(self.flat, self.out_grid, self.in_grid,
+                         [(i, j, dst, src) for i, j, src, dst in self.taps],
+                         [(j, dst, src) for j, src, dst in self.wraps])
 
 
 def _taps(kh: int, kw: int, stride: int, padding: int, h: int, w: int, ho: int, wo: int) -> _TapTable:
@@ -320,10 +331,8 @@ def _taps(kh: int, kw: int, stride: int, padding: int, h: int, w: int, ho: int, 
 
     A flat table views maps as [..., H*W]: tap (i, j) is one shift by
     d = (i-p)*W + (j-p), clipped to the outputs o with o and o + d in
-    [0, H*W).  The shift also pairs the last (j > p) or first (j < p)
-    |j-p| columns of each output row with columns of the next or previous
-    input row; `wraps` names those columns, which the caller zeroes.
-    Otherwise each tap is a 2-d strided window of an [..., H, W] map.
+    [0, H*W).  Otherwise each tap is a 2-d strided window of an
+    [..., H, W] map.
     """
     if stride == 1 and (ho, wo) == (h, w) and padding < min(h, w):
         taps = []
@@ -332,12 +341,8 @@ def _taps(kh: int, kw: int, stride: int, padding: int, h: int, w: int, ho: int, 
                 d = (i - padding) * w + (j - padding)
                 lo, hi = max(0, -d), min(h * w, h * w - d)
                 taps.append((i, j, (..., slice(lo + d, hi + d)), (..., slice(lo, hi))))
-        wraps = [
-            (j, slice(0, j - padding), slice(w + padding - j, w)) if j > padding
-            else (j, slice(w + j - padding, w), slice(0, padding - j))
-            for j in range(kw)
-            if j != padding
-        ]
+        wraps = [(j, slice((c + j - padding) % w, None, w), slice(c, None, w))
+                 for j in range(kw) for c in (range(w + padding - j, w) if j > padding else range(padding - j))]
         return _TapTable(True, (h * w,), (ho * wo,), taps, wraps)
     rows = [_tap_span(i, stride, padding, h, ho) for i in range(kh)]
     columns = [_tap_span(j, stride, padding, w, wo) for j in range(kw)]
@@ -364,50 +369,60 @@ def _tap_span(k: int, stride: int, padding: int, size: int, osize: int):
     return slice(start, start + stride * (hi - lo - 1) + 1, stride), slice(lo, hi)
 
 
+def _zero_wraps(cols: np.ndarray, t: _TapTable) -> None:
+    """Zero every tap's wrapped output columns in `[N, C, Kh, Kw] + t.out_grid` columns."""
+    for j, _, dst in t.wraps:
+        cols[:, :, :, j, dst] = 0
+
+
+def _gather(a: np.ndarray, t: _TapTable, cols: np.ndarray) -> None:
+    """Fill each tap's `cols[:, :, i, j]` (`[N, C] + t.out_grid`) from the
+    `[N, C] + t.in_grid` map `a`.  A flat table writes every column; any
+    other writes only what the taps read, so its `cols` starts zeroed.
+    """
+    for i, j, src, dst in t.taps:
+        tap = cols[:, :, i, j]
+        tap[dst] = a[src]
+        if t.flat:
+            tap[..., : dst[-1].start] = 0
+            tap[..., dst[-1].stop :] = 0
+    _zero_wraps(cols, t)
+
+
+def _scatter_add(cols: np.ndarray, t: _TapTable, out: np.ndarray) -> None:
+    """Add each tap's `cols[:, :, i, j]` into the `[N, C] + t.in_grid` map
+    `out`, in row-major tap order.
+
+    Each tap adds straight into its clipped range, so every element of
+    `out` receives its terms in the same (i, j) order as a sum over the
+    padded grid would give it, and gets the same bits.  `cols` is
+    consumed: a flat table's wrapped columns are zeroed in it first.
+    """
+    _zero_wraps(cols, t)
+    for i, j, src, dst in t.taps:
+        out[src] += cols[:, :, i, j][dst]
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
     """The [N, C*Kh*Kw, Ho*Wo] columns of `x`, zero where a tap reads padding."""
     n, c, h, w = x.shape
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
     t = _taps(kh, kw, stride, padding, h, w, ho, wo)
-    x = x.reshape((n, c) + t.in_grid)
-    # A flat tap writes all but its ends, so zeroing only those is cheaper
-    # than a zeroed buffer (here and in the output side's `gtap`).
     cols = (np.empty if t.flat else np.zeros)((n, c, kh, kw) + t.out_grid, dtype=x.dtype)
-    for i, j, src, dst in t.taps:
-        tap = cols[:, :, i, j]
-        tap[dst] = x[src]
-        if t.flat:  # the outputs past the shift's ends read padding rows
-            tap[..., : dst[-1].start] = 0
-            tap[..., dst[-1].stop :] = 0
-    grid = cols.reshape(n, c, kh, kw, ho, wo)
-    for j, _, out_cols in t.wraps:
-        grid[:, :, :, j, :, out_cols] = 0
+    _gather(x.reshape((n, c) + t.in_grid), t, cols)
     return cols.reshape(n, c * kh * kw, ho * wo)
 
 
 def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Sum im2col columns back onto the input grid, tap by tap.
-
-    Each tap adds straight into the unpadded input over its clipped range,
-    so every input element receives its terms in the same (i, j) order as
-    a sum over the padded grid would give it, and gets the same bits.  A
-    flat table's wrapped columns are zeroed in `cols` first: a sum that
-    starts at +0.0 is never -0.0, so adding +0.0 to it changes no bit.
-    `cols` is consumed: when it is contiguous, those columns are zeroed in
-    place, so a caller passes columns it does not read again.
-    """
+    """Sum im2col columns back onto the input grid (`_scatter_add`), which
+    consumes `cols`: a caller passes columns it does not read again."""
     n, c, h, w = x_shape
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
     t = _taps(kh, kw, stride, padding, h, w, ho, wo)
-    grid = cols.reshape(n, c, kh, kw, ho, wo)
-    for j, _, out_cols in t.wraps:
-        grid[:, :, :, j, :, out_cols] = 0
-    cols = grid.reshape((n, c, kh, kw) + t.out_grid)
     out = np.zeros((n, c) + t.in_grid, dtype=cols.dtype)
-    for i, j, src, dst in t.taps:
-        out[src] += cols[:, :, i, j][dst]
+    _scatter_add(cols.reshape((n, c, kh, kw) + t.out_grid), t, out)
     return out.reshape(n, c, h, w)
 
 
@@ -418,16 +433,12 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     must be at least 1x1. Rows and columns the stride never samples
     contribute nothing and receive zero gradient.
 
-    With a graph, a conv with Cout <= Cin multiplies each image by the
-    tap-stacked weight and adds the shifted partial outputs
+    With a graph, a conv with Cout <= Cin runs on the output side
     (`_output_side_conv2d`); without one it does so only at 2*Cout < Cin,
     where writing Kh*Kw partial maps per output still costs less than
     im2col's columns.  Others multiply the weight by im2col columns, and
     take the weight gradient as one GEMM per image with the columns'
     transpose, summed over the batch, which copies neither operand.
-    Either side moves data per kernel tap; at stride 1 with an output the
-    size of the input and padding below min(H, W), each tap is one shift
-    over whole flattened channel maps, else a 2-d strided slice (`_taps`).
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ValueError(f"conv2d expects 4-d input and weight, got {x.data.shape} and {w.data.shape}")
@@ -482,48 +493,32 @@ def _output_side_conv2d(x: Tensor, w: Tensor, stride: int, padding: int, ho: int
 
     Row (i*Kw + j)*Cout + o of the stacked weight is tap (i, j) of output
     channel o.  The forward multiplies each image by it, which gives
-    every tap's partial output at every input position, and adds each
-    tap's partials into the output over the tap's clipped range, a block
-    of images at a time.  The backward places g into the same tap layout
-    (zero where a tap reads padding or a position the stride skips); one
-    multiply of that buffer by x's transpose gives the weight gradient,
-    and one by the stacked weight's transpose gives the input gradient.
-    A flat shift zeroes the partials of its wrapped columns before adding
-    them, and their places in the tap layout after filling it.
+    every tap's partial output at every input position, and scatter-adds
+    those into the output over the transposed table, a block of images at
+    a time.  The backward gathers g into the same tap layout; one
+    multiply of that by x's transpose gives the weight gradient, and one
+    by the stacked weight's transpose gives the input gradient.
     """
     n, cin, h, wd = x.data.shape
     cout, _, kh, kw = w.data.shape
-    t = _taps(kh, kw, stride, padding, h, wd, ho, wo)
+    t = _taps(kh, kw, stride, padding, h, wd, ho, wo).transposed()
+    # the [N, Kh, Kw, Cout] + grid tap layout seen as `_gather`'s columns
+    axes = (0, 3, 1, 2) + tuple(range(4, 4 + len(t.out_grid)))
     wstack = w.data.transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
     xmat = x.data.reshape(n, cin, h * wd)
     dt = np.result_type(wstack, x.data)
-    out_data = np.zeros((n, cout) + t.out_grid, dtype=dt)
+    out_data = np.zeros((n, cout) + t.in_grid, dtype=dt)
     per = max(1, _COLS_BLOCK_BYTES // max(1, wstack.shape[0] * h * wd * dt.itemsize))
     part = np.empty((min(per, n), wstack.shape[0], h * wd), dtype=dt)
     for s in range(0, n, per):
         block = part[: min(per, n - s)]
         np.matmul(wstack, xmat[s : s + per], out=block)
-        grid = block.reshape(-1, kh, kw, cout, h, wd)
-        for j, in_cols, _ in t.wraps:
-            grid[:, :, j, :, :, in_cols] = 0
-        block = block.reshape((-1, kh, kw, cout) + t.in_grid)
-        out_block = out_data[s : s + per]
-        for i, j, src, dst in t.taps:
-            out_block[dst] += block[:, i, j][src]
+        _scatter_add(block.reshape((-1, kh, kw, cout) + t.out_grid).transpose(axes), t, out_data[s : s + per])
     out_data = out_data.reshape(n, cout, ho, wo)
 
     def back(g):
-        gtap = (np.empty if t.flat else np.zeros)((n, kh, kw, cout) + t.in_grid, dtype=g.dtype)
-        g = g.reshape((n, cout) + t.out_grid)
-        for i, j, src, dst in t.taps:
-            tap = gtap[:, i, j]
-            tap[src] = g[dst]
-            if t.flat:  # no output reads the inputs past the shift's ends
-                tap[..., : src[-1].start] = 0
-                tap[..., src[-1].stop :] = 0
-        grid = gtap.reshape(n, kh, kw, cout, h, wd)
-        for j, in_cols, _ in t.wraps:
-            grid[:, :, j, :, :, in_cols] = 0
+        gtap = (np.empty if t.flat else np.zeros)((n, kh, kw, cout) + t.out_grid, dtype=g.dtype)
+        _gather(g.reshape((n, cout) + t.in_grid), t, gtap.transpose(axes))
         gtap = gtap.reshape(n, kh * kw * cout, h * wd)
         if w.requires_grad:
             gw = np.matmul(gtap, xmat.transpose(0, 2, 1)).sum(axis=0)

@@ -1,11 +1,12 @@
 """The A/B runner (`tools/ab.py`) on a throwaway repository whose
 `perfbench/run.py` is a stand-in that prints fixed report lines, so no
 benchmark runs: the pairing, the unpacked parent tree, the win count, the
-digest comparison and the BENCH file."""
+digest comparison, the check of each run's output and the BENCH file."""
 
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import pytest
 AB_PATH = Path(__file__).resolve().parents[1] / "tools" / "ab.py"
 
 FAKE_RUN = '''
-import argparse, json, os
+import argparse, json, os, sys
 from pathlib import Path
 p = argparse.ArgumentParser()
 for flag in ("--workload", "--seed", "--seconds", "--trace"):
@@ -44,6 +45,11 @@ print(f"workload {a.workload}  seed {a.seed}  trace {a.trace}")
 print("environment " + json.dumps({"python": "3.x", "numpy": "2.x", "blas": "fake 0", "nproc": 2}))
 print(f"digest sha256:{state['digest']}-{seed}")
 print(json.dumps({"correct": state["correct"], "attempted": 3, "failed": 0, "metrics": metrics}))
+# a traced run may end on a line that is not its result, or write to stderr
+if a.trace == "1" and "traced_tail" in state:
+    print(state["traced_tail"])
+if a.trace == "1" and "traced_stderr" in state:
+    print(state["traced_stderr"], file=sys.stderr)
 '''
 
 BENCHMARK = {
@@ -169,6 +175,21 @@ def test_a_run_that_is_not_correct_fails_and_writes_nothing(tmp_path):
     assert left_behind(repo) == ([], 0)
 
 
+@pytest.mark.parametrize("extra, message", [
+    ({"traced_tail": "  tensor.conv2d.fwd@cnn-small.L0  1.2 ms"}, "last line is not strict JSON"),
+    ({"traced_stderr": "RuntimeWarning: overflow"}, "wrote to stderr: 'RuntimeWarning: overflow'"),
+])
+def test_a_traced_run_that_breaks_the_output_contract_fails_naming_it(tmp_path, extra, message):
+    state = {"p50": 60.0, "digest": "aaa", "correct": True}
+    repo = fake_repo(tmp_path, state, {**state, **extra})
+    proc = run_ab(repo, "--pairs", "1", "--workloads", "w-one", "--out", "BENCH_9.json")
+    assert proc.returncode == 1
+    error = [ln for ln in proc.stderr.splitlines() if ln.startswith("error: ")]
+    assert len(error) == 1 and f"{repo}: w-one seed 1 trace 1: {message}" in error[0]
+    assert not (repo / "BENCH_9.json").exists()
+    assert left_behind(repo) == ([], 0)
+
+
 @pytest.fixture(scope="module")
 def ab():
     spec = importlib.util.spec_from_file_location("ab", AB_PATH)
@@ -187,3 +208,31 @@ def test_a_gain_needs_nine_wins_in_ten_and_a_median_beyond_the_iqr(ab):
     assert not ab.summarize(parent, [v - 5 for v in parent[:8]] + parent[8:], "lower")["gain"]
     # higher is better: the same figures mirrored
     assert ab.summarize(parent, [v + 3 for v in parent], "higher")["gain"]
+
+
+GOOD = {"correct": True, "attempted": 3, "failed": 0, "metrics": {"step_ms_p50": {"value": 1.5, "unit": "ms"}}}
+
+
+def test_a_strict_result_line_is_the_run_result(ab):
+    assert ab.result_line("digest sha256:x\n" + json.dumps(GOOD) + "\n", "") == GOOD
+
+
+@pytest.mark.parametrize("stdout, stderr, message", [
+    (json.dumps(GOOD), "warning: x\n", "wrote to stderr: 'warning: x'"),
+    (json.dumps(GOOD) + "\nlayer L0 1.2 ms\n", "", "last line is not strict JSON"),
+    ("", "", "last line is not strict JSON"),
+    (json.dumps({**GOOD, "metrics": {"m": {"value": float("nan")}}}), "", "(NaN is not JSON)"),
+    (json.dumps({**GOOD, "metrics": {"m": {"value": -float("inf")}}}), "", "(-Infinity is not JSON)"),
+    ('{"correct": true, "attempted": 3, "failed": 0, "metrics": {"m": {"value": 1e999}}}', "",
+     "metric m has value inf, not a finite number"),
+    (json.dumps({**GOOD, "metrics": {"m": {"value": "1.5"}}}), "", "metric m has value '1.5'"),
+    (json.dumps({**GOOD, "metrics": {"m": {"value": True}}}), "", "metric m has value True"),
+    (json.dumps({**GOOD, "metrics": {"m": 1.5}}), "", "metric m has value None"),
+    (json.dumps({k: v for k, v in GOOD.items() if k != "failed"}), "",
+     "not a result with correct, attempted, failed, metrics"),
+    (json.dumps([GOOD]), "", "not a result with"),
+    (json.dumps({**GOOD, "metrics": [1.5]}), "", "not a result with"),
+])
+def test_a_result_line_the_benchmark_would_refuse_is_refused(ab, stdout, stderr, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ab.result_line(stdout, stderr)

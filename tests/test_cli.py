@@ -159,12 +159,30 @@ class TestExitCodes:
         ("log_interval = 0", "log_interval must be >= 1, got 0"),
         ("probe_size = 0", "probe_size must be >= 1, got 0"),
         ("probe_size = -3", "probe_size must be >= 1, got -3"),
+        ("alpha = nan", "alpha must be finite, got nan"),
+        ("beta = inf", "beta must be finite, got inf"),
+        ("cosine_period_epochs = nan", "cosine_period_epochs must be finite, got nan"),
     ])
     def test_bad_search_value_is_2_before_any_file_is_read(self, tmp_path, capsys, line, message):
         # no baseline and no data: the config is refused first
         path = write_config(tmp_path, f"[search]\n{line}\n")
         assert run_cli("search", "--config", path, "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err == f"error: bad [search] setting: {message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        (b"alpha = 1\n", "File contains no section headers."),
+        (b"[search]\nalpha = 1\nalpha = 2\n", "option 'alpha' in section 'search' already exists"),
+        (b"[search]\nalpha = 1\n[search]\nbeta = 1\n", "section 'search' already exists"),
+        (b"[search]\nalpha = 1\xff\n", "'utf-8' codec can't decode byte 0xff"),
+        (b"[run]\ndata_dir = /data/100%\n", "'%' must be followed by '%' or '('"),
+    ], ids=["no_section_header", "duplicate_key", "duplicate_section", "not_utf8", "bare_percent"])
+    def test_malformed_config_file_is_2_naming_it(self, tmp_path, capsys, text, message):
+        path = tmp_path / "settings.ini"
+        path.write_bytes(text)
+        assert run_cli("describe", "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed config file {path}: ") and err.count("\n") == 1, err
+        assert message in err
 
     @pytest.mark.parametrize("split, name", [("train", "train-images-idx3-ubyte"),
                                              ("test", "t10k-images-idx3-ubyte")])
@@ -221,8 +239,12 @@ class TestExitCodes:
         ("pretrain", "", ["--model", "foo"],
          "[run] setting: unknown model 'foo'; expected 'cnn-small' or 'resnet-tiny'"),
         ("search", "[run]\ndataset = foo", [], "[run] setting: unknown dataset 'foo'; expected mnist or cifar10"),
+        ("pretrain", "[pretrain]\nlr_max = nan", [],
+         "[pretrain] setting: bad learning rate range [lr_min, lr_max] = [0.001, nan]"),
+        ("prune", "[finetune]\nlr_min = inf\nlr_max = inf", [],
+         "[finetune] setting: bad learning rate range [lr_min, lr_max] = [inf, inf]"),
     ], ids=["pretrain.batch_size", "pretrain.lr_below_zero", "pretrain.epochs", "finetune.lr_min_above_lr_max",
-            "run.validation_fraction", "run.model", "run.dataset"])
+            "run.validation_fraction", "run.model", "run.dataset", "pretrain.lr_max_nan", "finetune.lr_inf"])
     def test_bad_setting_is_2_before_any_file_is_read(self, tmp_path, capsys, command, text, flags, message):
         # the data directory does not exist, so a message naming the
         # setting shows that nothing was read before it was refused
@@ -339,6 +361,42 @@ class TestForeignUpstream:
         assert main(["report", *seed0_baseline, "--seed", "5"]) == 2
         err = capsys.readouterr().err
         assert "baseline" in err and "its seed is 0, this run's is 5" in err
+
+
+class TestFlooredSearch:
+    def test_a_search_that_floors_every_ratio_warns_and_the_report_names_the_layers(
+            self, seed0_baseline, tmp_path, capsys):
+        args, run = _copied_run(seed0_baseline, tmp_path)
+        assert main(["search", *args, "--seed", "0", "--alpha", "1000"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ("warning: every prunable ratio ended at its floor 1/C at alpha 1000.0: "
+                                "the plan keeps one channel per layer\n")
+        assert captured.out.startswith("search: ")
+        path = run / "search" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        ids = load_checkpoint(run / "search")[0].prunable_ids()
+        assert manifest["floored_layers"] == ids
+        assert [len(e["kept_channel_ids"]) for e in manifest["plan"]["entries"]] == [1] * len(ids)
+        assert main(["report", *args, "--seed", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2] == "floored layers (ratio 1/C, one channel kept): " + ", ".join(map(str, ids))
+        # a search manifest written before the field reports as before
+        del manifest["floored_layers"]
+        path.write_text(json.dumps(manifest))
+        assert main(["report", *args, "--seed", "0"]) == 0
+        assert "floored" not in capsys.readouterr().out
+        manifest["floored_layers"] = "x"
+        path.write_text(json.dumps(manifest))
+        assert main(["report", *args, "--seed", "0"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {path}: field 'floored_layers' is missing or not a list of integers\n"
+
+    def test_a_search_above_the_floor_does_not_warn(self, seed0_baseline, capsys):
+        manifest = json.loads((Path(seed0_baseline[-1]) / "search" / "manifest.json").read_text())
+        ratios, floored = manifest["ratios"], manifest["floored_layers"]
+        assert len(floored) < len(ratios)
+        assert main(["search", *seed0_baseline, "--seed", "0"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 def _copied_run(options, tmp_path):

@@ -293,6 +293,9 @@ class TestTrainer:
         ({"lr_max": -0.1, "lr_min": -0.2}, r"bad learning rate range \[lr_min, lr_max\] = \[-0.2, -0.1\]"),
         ({"lr_max": 0.01, "lr_min": 0.1}, r"bad learning rate range \[lr_min, lr_max\] = \[0.1, 0.01\]"),
         ({"epochs": -1}, "epochs must be nonnegative, got -1"),
+        ({"lr_max": float("nan"), "lr_min": 0.0}, r"bad learning rate range \[lr_min, lr_max\] = \[0.0, nan\]"),
+        ({"lr_max": float("inf"), "lr_min": float("inf")},
+         r"bad learning rate range \[lr_min, lr_max\] = \[inf, inf\]"),
     ])
     def test_settings_wrong_on_their_face_are_refused(self, settings, message):
         model = small_model(seed=1)

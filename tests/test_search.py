@@ -114,6 +114,12 @@ class TestConfigValidation:
             {"lr_w_max": 0.0},
             {"lr_w_min": 0.5, "lr_w_max": 0.1},
             {"cosine_period_epochs": -1.0},
+            {"alpha": float("nan")},
+            {"alpha": float("inf")},
+            {"beta": float("inf")},
+            {"cosine_period_epochs": float("nan")},
+            {"lr_r_max": float("inf")},
+            {"lr_w_min": float("nan")},
         ):
             with pytest.raises(ValueError):
                 SearchConfig(**kw).validate()

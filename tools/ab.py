@@ -16,9 +16,11 @@ own `src/`.
 For every gated metric of `BENCHMARK.json` the script prints each side's
 median and interquartile range and the pairs the change won, and whether
 the change won at least 9 pairs in 10 by more than the parent's IQR in
-the median.  Every run must print `correct: true`; each workload's digests
-at one seed must agree within a tree, and between the trees they say
-whether the change is bit-identical or moves floats.
+the median.  Every run is checked as the benchmark checks it
+(`result_line`): it exits 0, writes nothing to stderr, and its last line
+is a strict-JSON result with `correct: true` and finite metrics.  Each
+workload's digests at one seed must agree within a tree, and between the
+trees they say whether the change is bit-identical or moves floats.
 
 With `--out`, it also runs `--trace 1` at `--bench-seed` in three pairs
 per workload, alternating which tree runs first as the timed pairs do,
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -54,19 +57,54 @@ def git(tree: Path, *args: str) -> str:
     return subprocess.run(["git", *args], cwd=tree, check=True, capture_output=True, text=True).stdout.strip()
 
 
+RESULT_KEYS = ("correct", "attempted", "failed", "metrics")
+
+
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def result_line(stdout: str, stderr: str) -> dict:
+    """The result a run printed last, checked as the benchmark checks it.
+
+    ValueError if the run wrote to stderr, if its last stdout line is not
+    a strict-JSON object (NaN and Infinity are not JSON) holding every key
+    of `RESULT_KEYS`, or if a metric's value is not a finite number.
+    """
+    if stderr:
+        raise ValueError(f"wrote to stderr: {stderr.strip()[-500:]!r}")
+    last = (stdout.splitlines() or [""])[-1]
+    try:
+        result = json.loads(last, parse_constant=_not_json)
+    except ValueError as exc:
+        raise ValueError(f"last line is not strict JSON ({exc}): {last[:500]!r}") from None
+    if not isinstance(result, dict) or not all(k in result for k in RESULT_KEYS) \
+            or not isinstance(result["metrics"], dict):
+        raise ValueError(f"last line is not a result with {', '.join(RESULT_KEYS)}: {last[:500]!r}")
+    for name, metric in result["metrics"].items():
+        value = metric.get("value") if isinstance(metric, dict) else None
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ValueError(f"metric {name} has value {value!r}, not a finite number")
+    return result
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One `run.py` call in `tree`: its last line, digest and environment."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    where = f"{tree}: {workload} seed {seed} trace {trace}"
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise RunFailed(f"{tree}: {' '.join(cmd[1:])} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
-    last = json.loads(lines[-1])
+    if proc.returncode != 0:
+        raise RunFailed(f"{where} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
+    try:
+        last = result_line(proc.stdout, proc.stderr)
+    except ValueError as exc:
+        raise RunFailed(f"{where}: {exc}") from None
+    if last["correct"] is not True:
+        raise RunFailed(f"{where} is not correct: {json.dumps(last)[:500]}")
+    lines = proc.stdout.splitlines()
     digest = next((ln.split(" ", 1)[1] for ln in lines if ln.startswith("digest ")), None)
     env = next((json.loads(ln.split(" ", 1)[1]) for ln in lines if ln.startswith("environment ")), {})
-    if last.get("correct") is not True:
-        raise RunFailed(f"{tree}: {workload} seed {seed} trace {trace} is not correct: {lines[-1][:500]}")
     return {"last": last, "digest": digest, "environment": env}
 
 
