@@ -39,7 +39,7 @@ from .masking import (
     ratio_mask_tensor,
     refresh_ranking,
 )
-from .objective import LossBreakdown, flops_cost, flops_cost_grad, combined_loss
+from .objective import flops_cost, flops_cost_grad, combined_loss
 from .model import (
     LayerSpec,
     ModelGraph,
@@ -84,7 +84,6 @@ __all__ = [
     "rank_channels",
     "ratio_mask_tensor",
     "refresh_ranking",
-    "LossBreakdown",
     "flops_cost",
     "flops_cost_grad",
     "combined_loss",

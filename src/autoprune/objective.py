@@ -7,30 +7,17 @@ ratios, raised to a sub-linear exponent:
 
 where P_i is the full FLOPs of prunable layer i.  With ratios in
 (0, 1] the cost lies in (0, 1], so a single weight trades it off
-against cross entropy on a comparable scale.
+against cross entropy on a comparable scale.  The search's ratio step
+minimizes `combined_loss`; its weight step, the cross entropy alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .tensor import Tensor, _accum, _make, softmax_cross_entropy
-
-
-@dataclass
-class LossBreakdown:
-    """One training step's loss, split into its terms.
-
-    `total` is computed from the stored parts, so
-    total == ce + alpha * cost holds exactly for the step's alpha.
-    """
-
-    ce: float
-    cost: float
-    total: float
 
 
 def _validate(ratios, flops, beta):
@@ -81,8 +68,7 @@ def flops_cost_tensor(ratios: Sequence[Tensor], flops: Sequence[float], beta: fl
     values = np.array([float(t.data) for t in ratios], dtype=np.float64)
     grad = flops_cost_grad(values, flops, beta)
     value = flops_cost(values, flops, beta)
-    dt = ratios[0].data.dtype if ratios else np.float32
-    out_data = np.asarray(value, dtype=dt)
+    out_data = np.asarray(value, dtype=ratios[0].data.dtype)
 
     def back(g):
         up = float(np.asarray(g))
@@ -96,34 +82,18 @@ def flops_cost_tensor(ratios: Sequence[Tensor], flops: Sequence[float], beta: fl
 def combined_loss(
     logits: Tensor,
     labels: np.ndarray,
-    ratios,
+    ratios: Sequence[Tensor],
     flops: Sequence[float],
     alpha: float,
     beta: float,
-) -> tuple[Tensor, LossBreakdown]:
-    """Cross entropy plus alpha times the FLOPs cost, as one scalar node.
+) -> tuple[Tensor, float]:
+    """Cross entropy plus alpha times the FLOPs cost of the scalar ratio
+    tensors `ratios`, as one scalar node, and the cross entropy alone.
 
-    `ratios` may be scalar Tensors (gradients flow to them) or plain
-    floats.  A float cost is a constant that moves no gradient, so it is
-    only reported; the graph then holds the cross entropy alone, as it
-    does with alpha == 0.  The breakdown always has
-    total == ce + alpha * cost.
+    At alpha == 0 the node is the cross entropy itself.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     ce_t = softmax_cross_entropy(logits, labels)
-    ce = float(ce_t.data)
-
-    graph_ratios = len(ratios) > 0 and isinstance(ratios[0], Tensor)
-    if graph_ratios:
-        values = [float(t.data) for t in ratios]
-    else:
-        values = [float(v) for v in ratios]
-    cost = flops_cost(values, flops, beta)
-
-    if graph_ratios and alpha != 0.0:
-        loss_t = ce_t + flops_cost_tensor(ratios, flops, beta) * alpha
-    else:
-        loss_t = ce_t
-
-    return loss_t, LossBreakdown(ce=ce, cost=cost, total=ce + alpha * cost)
+    loss_t = ce_t + flops_cost_tensor(ratios, flops, beta) * alpha if alpha != 0.0 else ce_t
+    return loss_t, float(ce_t.data)

@@ -175,6 +175,9 @@ def train_supervised(
     (best so far) weights in place.
     """
     _check_training(epochs, batch_size, lr_max, lr_min)
+    for name, ds in (("training", train), ("validation", val)):
+        if len(ds) == 0:
+            raise ValueError(f"the {name} set is empty")
     params = model.parameters()
     steps_per_epoch = math.ceil(len(train) / batch_size)
     total_steps = max(1, epochs * steps_per_epoch)

@@ -1,10 +1,10 @@
 """Alternating search over network weights and remaining ratios.
 
-Each iteration takes one plain SGD step on the weights using a training
-batch and the current masks held fixed, then one SGD step on the ratios
-using a validation batch, with gradients flowing to each ratio through
-both its mask and the FLOPs cost term.  Weights are frozen
-for the ratio step, so it records no graph before the first mask and
+Each iteration takes one plain SGD step on the weights, on cross entropy
+with a training batch and the current masks held fixed, then one on the
+ratios, on `combined_loss` with a validation batch: gradients flow to
+each ratio through both its mask and the FLOPs cost term.  Weights are
+frozen for the ratio step, so it records no graph before the first mask and
 computes no weight gradients the next weight step would discard.
 Both steps, and the probe evaluation, run on a copy of the model sliced
 down to the channels they need: the weight step to those its masks keep,
@@ -47,8 +47,8 @@ from .model import (
     slice_channels,
     write_back,
 )
-from .objective import LossBreakdown, combined_loss, flops_cost
-from .tensor import Tensor, backward, zero_grad
+from .objective import combined_loss, flops_cost
+from .tensor import Tensor, backward, softmax_cross_entropy, zero_grad
 
 # The search has converged once no ratio moves more than this over an epoch.
 _CONVERGENCE_TOL = 1e-4
@@ -184,32 +184,24 @@ def inner_step(
     yb: np.ndarray,
     masks: dict[int, ChannelMask],
     ratios: dict[int, float],
-    flops: dict[int, int],
-    config: SearchConfig,
     lr_w: float,
-) -> LossBreakdown:
-    """One weight update under fixed masks.  Returns the loss breakdown.
+) -> float:
+    """One weight update under fixed masks.  Returns the cross entropy.
 
-    It computes only the channels the masks keep, on a slice of the
-    model, and writes the updated entries back.
+    The masks are constants, so the step minimizes cross entropy alone;
+    `ratios` only goes into the state of a `SearchDiverged`.  It computes
+    only the channels the masks keep, on a slice of the model, and writes
+    the updated entries back.
     Raises `SearchDiverged`, with the weights left as they were, when the
     loss or any weight gradient is not finite.
     """
-    ids = sorted(flops)
     net, keep, mask_vecs = _active_view(model, masks)
-    logits = forward(net, xb, masks=mask_vecs, mode="train")
-    loss_t, bd = combined_loss(
-        logits,
-        yb,
-        [ratios[i] for i in ids],
-        [flops[i] for i in ids],
-        config.alpha,
-        config.beta,
-    )
-    if not math.isfinite(bd.ce):
+    loss_t = softmax_cross_entropy(forward(net, xb, masks=mask_vecs, mode="train"), yb)
+    ce = float(loss_t.data)
+    if not math.isfinite(ce):
         raise SearchDiverged(
             "training loss is not finite",
-            {"loss": bd.ce, "ratios": dict(ratios), "lr_w": lr_w},
+            {"loss": ce, "ratios": dict(ratios), "lr_w": lr_w},
         )
     # a slice starts without gradients; the model drops those of its last step
     zero_grad(model.parameters())
@@ -218,12 +210,12 @@ def inner_step(
     if bad:
         raise SearchDiverged(
             "weight gradient is not finite",
-            {"loss": bd.ce, "params": bad, "ratios": dict(ratios), "lr_w": lr_w},
+            {"loss": ce, "params": bad, "ratios": dict(ratios), "lr_w": lr_w},
         )
     sgd_step(net.parameters(), lr_w)
     if net is not model:
         write_back(model, net, keep)
-    return bd
+    return ce
 
 
 def outer_step(
@@ -235,8 +227,9 @@ def outer_step(
     flops: dict[int, int],
     config: SearchConfig,
     lr_r: float,
-) -> tuple[dict[int, float], LossBreakdown]:
-    """One ratio update from a validation batch.
+) -> tuple[dict[int, float], dict[int, float]]:
+    """One ratio step on a validation batch: the new ratios, and the
+    gradient of `combined_loss` with respect to each (before the clamp).
 
     The step runs on each layer's `ratio_step_channels`.  The forward
     pass normalizes by batch statistics (a validation batch is still a
@@ -256,13 +249,13 @@ def outer_step(
     net.set_requires_grad(False)
     try:
         logits = forward(net, xb, masks=mask_ts, mode="train", update_running=False)
-        loss_t, bd = combined_loss(
+        loss_t, ce = combined_loss(
             logits, yb, [rts[i] for i in ids], [flops[i] for i in ids], config.alpha, config.beta
         )
-        if not math.isfinite(bd.ce):
+        if not math.isfinite(ce):
             raise SearchDiverged(
                 "validation loss is not finite",
-                {"loss": bd.ce, "ratios": dict(ratios), "lr_r": lr_r},
+                {"loss": ce, "ratios": dict(ratios), "lr_r": lr_r},
             )
         backward(loss_t)
     finally:
@@ -272,13 +265,13 @@ def outer_step(
     if bad:
         raise SearchDiverged(
             "ratio gradient is not finite",
-            {"loss": bd.ce, "layers": bad, "ratios": dict(ratios), "lr_r": lr_r},
+            {"loss": ce, "layers": bad, "ratios": dict(ratios), "lr_r": lr_r},
         )
     out = {}
     for i in ids:
         c = rankings[i].channels
         out[i] = float(min(1.0, max(1.0 / c, ratios[i] - lr_r * grads[i])))
-    return out, bd
+    return out, grads
 
 
 def _rebuild_masks(ratios, rankings) -> dict[int, ChannelMask]:
@@ -316,6 +309,9 @@ def run_search(
     ratio crosses x.
     """
     config.validate()
+    for name, ds in (("training", train), ("validation", val)):
+        if len(ds) == 0:
+            raise ValueError(f"the {name} set is empty")
     flops = prunable_flops(model)
     if not flops:
         raise ValueError(f"model {model.name!r} has no prunable layers")
@@ -341,19 +337,20 @@ def run_search(
     converged = False
     stop_when = stop_when or {}
     it = 0
-    bd = None
 
-    def log_row(iteration: int, lr_w: float, lr_r: float, breakdown: LossBreakdown) -> None:
+    def log_row(iteration: int, lr_w: float, lr_r: float, ce: float, step_ratios: dict) -> None:
+        # the loss terms are the weight step's, at the ratios it started from
         net, _, mask_vecs = _active_view(model, masks)
         acc = evaluate(net, probe_x, probe_y, batch_size=256, masks=mask_vecs)
+        cost = flops_cost([step_ratios[i] for i in ids], [flops[i] for i in ids], config.beta)
         row = {
             "iteration": iteration,
             "epoch": iteration // iters_per_epoch,
             "lr_w": lr_w,
             "lr_r": lr_r,
-            "loss_ce": breakdown.ce,
-            "cost": breakdown.cost,
-            "total": breakdown.total,
+            "loss_ce": ce,
+            "cost": cost,
+            "total": ce + config.alpha * cost,
             "val_accuracy": acc,
             # the FLOPs-weighted mean ratio is the cost at exponent 1
             "fpr_surrogate": 1.0 - flops_cost([ratios[i] for i in ids], [flops[i] for i in ids], 1.0),
@@ -368,7 +365,8 @@ def run_search(
         lr_r = cosine_lr(it, period, config.lr_r_max, config.lr_r_min)
 
         xb, yb = next(train_stream)
-        bd = inner_step(model, xb, yb, masks, ratios, flops, config, lr_w)
+        ce = inner_step(model, xb, yb, masks, ratios, lr_w)
+        step_ratios = ratios
 
         xb, yb = next(val_stream)
         for i in ids:  # the ratio step takes the right-sided slope at each kink
@@ -399,7 +397,7 @@ def run_search(
                 )
 
         if it % config.log_interval == 0 or it == max_iters or it % iters_per_epoch == 0:
-            log_row(it, lr_w, lr_r, bd)
+            log_row(it, lr_w, lr_r, ce, step_ratios)
 
         if "mean_ratio_below" in stop_when:
             mean_ratio = sum(ratios.values()) / len(ratios)
@@ -415,7 +413,7 @@ def run_search(
 
     # the last row is the final state, so it holds the result's FPR
     if not metrics or metrics[-1]["iteration"] != it:
-        log_row(it, lr_w, lr_r, bd)
+        log_row(it, lr_w, lr_r, ce, step_ratios)
 
     return SearchResult(
         ratios=dict(ratios),

@@ -62,6 +62,7 @@ BENCHMARK = {
         {"name": "step_ms_p90", "better": "lower"},
         {"name": "peak_rss_mb", "better": "lower"},
     ],
+    "per_layer": [{"name": "tensor.conv2d.bwd_ms"}],
 }
 
 
@@ -214,7 +215,23 @@ GOOD = {"correct": True, "attempted": 3, "failed": 0, "metrics": {"step_ms_p50":
 
 
 def test_a_strict_result_line_is_the_run_result(ab):
-    assert ab.result_line("digest sha256:x\n" + json.dumps(GOOD) + "\n", "") == GOOD
+    assert ab.result_line("digest sha256:x\n" + json.dumps(GOOD) + "\n", "", ["step_ms_p50"]) == GOOD
+
+
+@pytest.mark.parametrize("names, message", [
+    (["step_ms_p50", "setup_s"], "missing ['setup_s'], extra []"),
+    ([], "missing [], extra ['step_ms_p50']"),
+    (["step_ms_p90"], "missing ['step_ms_p90'], extra ['step_ms_p50']"),
+])
+def test_a_result_with_other_metrics_than_declared_is_refused(ab, names, message):
+    with pytest.raises(ValueError, match=re.escape(f"metrics differ from BENCHMARK.json: {message}")):
+        ab.result_line(json.dumps(GOOD), "", names)
+
+
+def test_declared_metric_names_follow_the_trace_mode(ab):
+    declared = json.loads((AB_PATH.parents[1] / "BENCHMARK.json").read_text())
+    assert ab.metric_names(0) == ["setup_s", "step_ms_p50", "step_ms_p90", "peak_rss_mb"]
+    assert ab.metric_names(1) == [m["name"] for m in declared["per_layer"]]
 
 
 @pytest.mark.parametrize("stdout, stderr, message", [
@@ -235,4 +252,4 @@ def test_a_strict_result_line_is_the_run_result(ab):
 ])
 def test_a_result_line_the_benchmark_would_refuse_is_refused(ab, stdout, stderr, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        ab.result_line(stdout, stderr)
+        ab.result_line(stdout, stderr, ["step_ms_p50"])

@@ -1,18 +1,24 @@
 """Cost term checks: hand-computed values, analytic gradient against
-float64 finite differences, and exact loss bookkeeping."""
+float64 finite differences, and the combined loss node."""
 
 import numpy as np
 import pytest
 
 from autoprune.masking import rank_channels, ratio_mask_tensor
 from autoprune.objective import (
-    LossBreakdown,
     combined_loss,
     flops_cost,
     flops_cost_grad,
     flops_cost_tensor,
 )
-from autoprune.tensor import Tensor, backward, channel_scale, linear, zero_grad
+from autoprune.tensor import (
+    Tensor,
+    backward,
+    channel_scale,
+    linear,
+    softmax_cross_entropy,
+    zero_grad,
+)
 
 
 class TestCostValue:
@@ -102,23 +108,29 @@ class TestCombinedLoss:
         labels = rng.integers(0, 3, 6)
         return linear(x, w, b), labels, w
 
-    def test_total_is_exactly_ce_plus_weighted_cost(self):
+    @staticmethod
+    def _ratios(*values):
+        return [Tensor(np.float64(v), requires_grad=True, dtype=np.float64) for v in values]
+
+    def test_loss_is_cross_entropy_plus_weighted_cost(self):
         logits, labels, _ = self._logits()
-        _, bd = combined_loss(logits, labels, [0.7, 0.9], [100, 200], alpha=0.5, beta=0.3)
-        assert isinstance(bd, LossBreakdown)
-        assert bd.total == bd.ce + 0.5 * bd.cost
+        ratios = self._ratios(0.7, 0.9)
+        loss_t, ce = combined_loss(logits, labels, ratios, [100, 200], alpha=0.5, beta=0.3)
+        assert ce == float(softmax_cross_entropy(logits, labels).data)
+        cost = flops_cost([0.7, 0.9], [100, 200], 0.3)
+        np.testing.assert_allclose(float(loss_t.data), ce + 0.5 * cost, rtol=1e-6)
+        # the logits do not depend on the ratios, so only the cost reaches them
+        backward(loss_t)
+        want = 0.5 * flops_cost_grad([0.7, 0.9], [100, 200], 0.3)
+        np.testing.assert_allclose([float(t.grad) for t in ratios], want, rtol=1e-12)
 
     def test_zero_alpha_reduces_to_cross_entropy_exactly(self):
         logits, labels, _ = self._logits()
-        loss_t, bd = combined_loss(logits, labels, [0.7, 0.9], [100, 200], alpha=0.0, beta=0.3)
-        assert bd.total == bd.ce
-        assert float(loss_t.data) == bd.ce
-
-    def test_cost_can_be_dropped_from_graph_but_stays_reported(self):
-        logits, labels, _ = self._logits()
-        loss_t, bd = combined_loss(logits, labels, [0.5, 0.5], [100, 100], alpha=0.5, beta=1.0)
-        assert float(loss_t.data) == bd.ce
-        assert bd.total == bd.ce + 0.5 * bd.cost
+        ratios = self._ratios(0.7, 0.9)
+        loss_t, ce = combined_loss(logits, labels, ratios, [100, 200], alpha=0.0, beta=0.3)
+        assert float(loss_t.data) == ce
+        backward(loss_t)
+        assert all(t.grad is None for t in ratios)
 
     def test_gradients_reach_weights_and_ratios_in_one_backward(self):
         rng = np.random.default_rng(23)
@@ -146,4 +158,4 @@ class TestCombinedLoss:
     def test_negative_alpha_rejected(self):
         logits, labels, _ = self._logits()
         with pytest.raises(ValueError, match="alpha"):
-            combined_loss(logits, labels, [0.5], [10], alpha=-1.0, beta=0.3)
+            combined_loss(logits, labels, self._ratios(0.5), [10], alpha=-1.0, beta=0.3)

@@ -8,11 +8,14 @@ arrive and that uninstalling puts every attribute back: once on cnn-small
 at full width, and once on resnet-tiny with its prunable convs narrowed
 below their input width, where conv2d takes its output-side path.  It
 also checks that the always-on clock stamps every SGD step, search
-iteration and probe evaluation.
+iteration and probe evaluation, and that the metrics the benchmark
+prints are the ones `BENCHMARK.json` declares.
 """
 
 import importlib.util
+import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,8 @@ import autoprune
 from autoprune import masking, model, objective, pruner, search, tensor
 from autoprune.data import Dataset
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -50,7 +54,7 @@ def traced_steps(net, ratios, shape):
     tracer.install(autoprune)
     try:
         assert search.inner_step is not before[1]["inner_step"]
-        search.inner_step(net, xb, yb, masks, ratios, flops, config, 0.05)
+        search.inner_step(net, xb, yb, masks, ratios, 0.05)
         search.outer_step(net, xb, yb, ratios, rankings, flops, config, 0.05)
     finally:
         tracer.uninstall()
@@ -139,3 +143,24 @@ def test_clock_stamps_each_step_iteration_and_probe(monkeypatch):
     # one probe evaluation per trajectory row, each over the probe images
     assert [n for _, _, n in clock.probe_spans] == [12] * len(result.metrics)
     assert all(t0 <= t1 for t0, t1, _ in clock.probe_spans)
+
+
+def test_printed_metrics_are_the_declared_ones(monkeypatch):
+    # workloads.py imports its siblings `gen_data` and `tracer` by name
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    loaded = set(sys.modules)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    try:
+        sys.modules[spec.name] = workloads  # its dataclasses look their module up there
+        spec.loader.exec_module(workloads)
+    finally:
+        for name in set(sys.modules) - loaded:
+            del sys.modules[name]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+    def pairs(metrics):
+        return [(m["name"], m["unit"]) for m in metrics]
+
+    assert list(workloads.E2E_UNITS.items()) == pairs(declared["end_to_end"])
+    assert list(workloads.per_layer_units(autoprune).items()) == pairs(declared["per_layer"])

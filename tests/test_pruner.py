@@ -306,6 +306,14 @@ class TestTrainer:
         for p, b in zip(model.parameters(), before):
             assert np.array_equal(p.data, b)
 
+    @pytest.mark.parametrize("empty", ("training", "validation"))
+    def test_an_empty_set_is_refused_by_name(self, empty):
+        sets = {"training": toy_problem(32), "validation": toy_problem(16, seed=1)}
+        sets[empty] = toy_problem(0)
+        with pytest.raises(ValueError, match=f"the {empty} set is empty"):
+            train_supervised(small_model(seed=1), sets["training"], sets["validation"],
+                             epochs=1, lr_max=0.1, lr_min=0.001)
+
     def test_zero_epochs_is_evaluate_only(self):
         model = small_model(seed=1)
         val = toy_problem(32, seed=1)

@@ -18,7 +18,8 @@ median and interquartile range and the pairs the change won, and whether
 the change won at least 9 pairs in 10 by more than the parent's IQR in
 the median.  Every run is checked as the benchmark checks it
 (`result_line`): it exits 0, writes nothing to stderr, and its last line
-is a strict-JSON result with `correct: true` and finite metrics.  Each
+is a strict-JSON result with `correct: true` and finite metrics, named
+exactly as `BENCHMARK.json` lists them for the run's trace mode.  Each
 workload's digests at one seed must agree within a tree, and between the
 trees they say whether the change is bit-identical or moves floats.
 
@@ -64,12 +65,19 @@ def _not_json(constant: str):
     raise ValueError(f"{constant} is not JSON")
 
 
-def result_line(stdout: str, stderr: str) -> dict:
+def metric_names(trace: int) -> list[str]:
+    """The metrics `BENCHMARK.json` declares for a `--trace <trace>` run."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return [m["name"] for m in spec["per_layer" if trace else "end_to_end"]]
+
+
+def result_line(stdout: str, stderr: str, names: list[str]) -> dict:
     """The result a run printed last, checked as the benchmark checks it.
 
     ValueError if the run wrote to stderr, if its last stdout line is not
     a strict-JSON object (NaN and Infinity are not JSON) holding every key
-    of `RESULT_KEYS`, or if a metric's value is not a finite number.
+    of `RESULT_KEYS`, if a metric's value is not a finite number, or if
+    the metrics are not exactly `names`.
     """
     if stderr:
         raise ValueError(f"wrote to stderr: {stderr.strip()[-500:]!r}")
@@ -85,6 +93,10 @@ def result_line(stdout: str, stderr: str) -> dict:
         value = metric.get("value") if isinstance(metric, dict) else None
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
             raise ValueError(f"metric {name} has value {value!r}, not a finite number")
+    missing = [n for n in names if n not in result["metrics"]]
+    extra = [n for n in result["metrics"] if n not in names]
+    if missing or extra:
+        raise ValueError(f"metrics differ from BENCHMARK.json: missing {missing}, extra {extra}")
     return result
 
 
@@ -97,7 +109,7 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     if proc.returncode != 0:
         raise RunFailed(f"{where} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
     try:
-        last = result_line(proc.stdout, proc.stderr)
+        last = result_line(proc.stdout, proc.stderr, metric_names(trace))
     except ValueError as exc:
         raise RunFailed(f"{where}: {exc}") from None
     if last["correct"] is not True:
