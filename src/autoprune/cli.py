@@ -136,7 +136,8 @@ _LOADERS = {"mnist": load_mnist, "cifar10": load_cifar10}
 
 def _check_config(cfg: dict) -> None:
     """Refuse a setting that is wrong on its face, before any file is read:
-    `ConfigError` "bad [<section>] setting: ..." naming its key."""
+    `ConfigError` "bad [<section>] setting: ..." naming its key.  An
+    `out_dir` whose nearest existing ancestor is not a directory is one."""
     run, section = cfg["run"], "run"
     try:
         if run["dataset"] not in _LOADERS:
@@ -144,6 +145,10 @@ def _check_config(cfg: dict) -> None:
         _architecture(run["model"], _input_shape(cfg), 10)
         if not 0 < run["validation_fraction"] < 1:
             raise ValueError(f"validation_fraction must be in (0, 1), got {run['validation_fraction']}")
+        out = Path(run["out_dir"])
+        ancestor = next(p for p in (out, *out.absolute().parents) if p.exists())
+        if not ancestor.is_dir():
+            raise ValueError(f"out_dir {str(out)!r} cannot be a directory: {ancestor} is a file")
         for section in ("pretrain", "finetune"):
             _check_training(**{k: cfg[section][k] for k in ("epochs", "batch_size", "lr_max", "lr_min")})
         section = "search"

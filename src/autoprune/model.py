@@ -482,7 +482,6 @@ def _kept_index(model: ModelGraph, keep: dict[int, np.ndarray]):
     flow: dict[int, np.ndarray | None] = {INPUT: None}  # channel ids out of each layer, None = all
     index: dict[int, dict[str, object]] = {}
     layers = []
-    spatial = None
     for layer in model.layers:
         pin = model.preds[layer.id]
         src = flow[pin[0]]
@@ -506,8 +505,7 @@ def _kept_index(model: ModelGraph, keep: dict[int, np.ndarray]):
         elif layer.kind == "linear":
             rows = slice(None)
             if src is not None:
-                spatial = spatial or _spatial_map(model)
-                hw = spatial[pin[0]][0] * spatial[pin[0]][1]
+                hw = layer.in_channels // model.layer(pin[0]).out_channels
                 rows = (src[:, None] * hw + np.arange(hw)[None, :]).ravel()
                 cin = len(rows)
             index[layer.id] = {"weight": rows, "bias": slice(None)}

@@ -297,16 +297,16 @@ def run_search(
     train: Dataset,
     val: Dataset,
     config: SearchConfig,
-    stop_when: dict | None = None,
+    *,
+    mean_ratio_below: float | None = None,
 ) -> SearchResult:
     """Alternate weight and ratio updates until the epoch budget or until
     the ratios stop moving (max change below tolerance over an epoch).
 
     The model must carry usable starting weights; the search fine-tunes
     them under the evolving masks rather than training from scratch.
-    `stop_when` optionally names early-exit thresholds (used by control
-    experiments): {"mean_ratio_below": x} stops once the unweighted mean
-    ratio crosses x.
+    `mean_ratio_below` optionally stops early (control experiments):
+    once the unweighted mean ratio falls below it.
     """
     config.validate()
     for name, ds in (("training", train), ("validation", val)):
@@ -335,7 +335,6 @@ def run_search(
     refresh_events: list[dict] = []
     epoch_start = dict(ratios)
     converged = False
-    stop_when = stop_when or {}
     it = 0
 
     def log_row(iteration: int, lr_w: float, lr_r: float, ce: float, step_ratios: dict) -> None:
@@ -399,10 +398,8 @@ def run_search(
         if it % config.log_interval == 0 or it == max_iters or it % iters_per_epoch == 0:
             log_row(it, lr_w, lr_r, ce, step_ratios)
 
-        if "mean_ratio_below" in stop_when:
-            mean_ratio = sum(ratios.values()) / len(ratios)
-            if mean_ratio < stop_when["mean_ratio_below"]:
-                break
+        if mean_ratio_below is not None and sum(ratios.values()) / len(ratios) < mean_ratio_below:
+            break
 
         if it % iters_per_epoch == 0:
             delta = max(abs(ratios[i] - epoch_start[i]) for i in ids)

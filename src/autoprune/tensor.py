@@ -13,7 +13,8 @@ reachable from the loss that has `requires_grad` set, intermediates
 included.  Training loops are expected to call `zero_grad` between steps.
 
 `conv2d` has two formulations over one table of kernel taps (`_taps`),
-and two loops serve both: `_gather` copies each tap of a map into
+which each call builds once and both kernels and their backward passes
+share.  Two loops serve both: `_gather` copies each tap of a map into
 columns, `_scatter_add` adds each tap's columns into a map.  The im2col
 side gathers the input and scatter-adds the input gradient; the output
 side, which keeps no column buffer, scatter-adds the tap-stacked
@@ -34,6 +35,7 @@ never -0.0, so adding +0.0 changes no bit.
 from __future__ import annotations
 
 import itertools
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -403,27 +405,21 @@ def _scatter_add(cols: np.ndarray, t: _TapTable, out: np.ndarray) -> None:
         out[src] += cols[:, :, i, j][dst]
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
-    """The [N, C*Kh*Kw, Ho*Wo] columns of `x`, zero where a tap reads padding."""
-    n, c, h, w = x.shape
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    t = _taps(kh, kw, stride, padding, h, w, ho, wo)
+def _im2col(x: np.ndarray, t: _TapTable, kh: int, kw: int):
+    """The [N, C*Kh*Kw, Ho*Wo] columns of `x` over `t`, zero where a tap reads padding."""
+    n, c = x.shape[:2]
     cols = (np.empty if t.flat else np.zeros)((n, c, kh, kw) + t.out_grid, dtype=x.dtype)
     _gather(x.reshape((n, c) + t.in_grid), t, cols)
-    return cols.reshape(n, c * kh * kw, ho * wo)
+    return cols.reshape(n, c * kh * kw, math.prod(t.out_grid))
 
 
-def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
+def _col2im(cols: np.ndarray, x_shape, t: _TapTable, kh: int, kw: int) -> np.ndarray:
     """Sum im2col columns back onto the input grid (`_scatter_add`), which
     consumes `cols`: a caller passes columns it does not read again."""
-    n, c, h, w = x_shape
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    t = _taps(kh, kw, stride, padding, h, w, ho, wo)
+    n, c = x_shape[:2]
     out = np.zeros((n, c) + t.in_grid, dtype=cols.dtype)
     _scatter_add(cols.reshape((n, c, kh, kw) + t.out_grid), t, out)
-    return out.reshape(n, c, h, w)
+    return out.reshape(x_shape)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -456,9 +452,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
             )
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (wd + 2 * padding - kw) // stride + 1
+    t = _taps(kh, kw, stride, padding, h, wd, ho, wo)  # the call's one table, for both kernels and passes
     recording = _recording((x, w))
     if (cout <= cin) if recording else (2 * cout < cin):
-        return _output_side_conv2d(x, w, stride, padding, ho, wo)
+        return _output_side_conv2d(x, w, t.transposed(), ho, wo)
 
     # Only the weight gradient reads the columns: when it will, they are
     # built for the whole batch, before the output buffer, and kept;
@@ -466,11 +463,11 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     # per-image GEMM.
     wmat = w.data.reshape(cout, -1)
     keep = recording and w.requires_grad
-    cols = _im2col(x.data, kh, kw, stride, padding) if keep else None
+    cols = _im2col(x.data, t, kh, kw) if keep else None
     per = max(1, n if keep else _COLS_BLOCK_BYTES // max(1, cin * kh * kw * ho * wo * x.data.itemsize))
     out_data = np.empty((n, cout, ho * wo), dtype=np.result_type(wmat, x.data))
     for s in range(0, n, per):
-        block = cols if keep else _im2col(x.data[s : s + per], kh, kw, stride, padding)
+        block = cols if keep else _im2col(x.data[s : s + per], t, kh, kw)
         np.matmul(wmat, block, out=out_data[s : s + per])
     out_data = out_data.reshape(n, cout, ho, wo)
 
@@ -478,30 +475,29 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         gmat = g.reshape(n, cout, ho * wo)
         if w.requires_grad:
             # A weight made trainable after the forward rebuilds its columns.
-            xcols = cols if cols is not None else _im2col(x.data, kh, kw, stride, padding)
+            xcols = cols if cols is not None else _im2col(x.data, t, kh, kw)
             gw = np.matmul(gmat, xcols.transpose(0, 2, 1)).sum(axis=0)
             _accum(w, gw.reshape(w.data.shape), owned=True)
         if x.requires_grad:
             gcols = np.matmul(wmat.T, gmat)  # fresh, so `_col2im` may consume it
-            _accum(x, _col2im(gcols, x.data.shape, kh, kw, stride, padding), owned=True)
+            _accum(x, _col2im(gcols, x.data.shape, t, kh, kw), owned=True)
 
     return _make(out_data, (x, w), back)
 
 
-def _output_side_conv2d(x: Tensor, w: Tensor, stride: int, padding: int, ho: int, wo: int) -> Tensor:
+def _output_side_conv2d(x: Tensor, w: Tensor, t: _TapTable, ho: int, wo: int) -> Tensor:
     """conv2d from the output side, with every GEMM on the Kh*Kw*Cout side.
 
     Row (i*Kw + j)*Cout + o of the stacked weight is tap (i, j) of output
     channel o.  The forward multiplies each image by it, which gives
     every tap's partial output at every input position, and scatter-adds
-    those into the output over the transposed table, a block of images at
-    a time.  The backward gathers g into the same tap layout; one
+    those into the output over `t`, the conv's tap table transposed, a
+    block of images at a time.  The backward gathers g into the same tap layout; one
     multiply of that by x's transpose gives the weight gradient, and one
     by the stacked weight's transpose gives the input gradient.
     """
     n, cin, h, wd = x.data.shape
     cout, _, kh, kw = w.data.shape
-    t = _taps(kh, kw, stride, padding, h, wd, ho, wo).transposed()
     # the [N, Kh, Kw, Cout] + grid tap layout seen as `_gather`'s columns
     axes = (0, 3, 1, 2) + tuple(range(4, 4 + len(t.out_grid)))
     wstack = w.data.transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)

@@ -345,12 +345,12 @@ def test_criterion_6_control_dynamics(mnist_dir, pipeline):
     def control(alpha, stop=None):
         model, _ = load_checkpoint(pipeline["a"] / "baseline")
         cfg = SearchConfig(alpha=alpha, epochs=2, log_interval=2000, probe_size=256, seed=0)
-        return run_search(model, train, val, cfg, stop_when=stop)
+        return run_search(model, train, val, cfg, mean_ratio_below=stop)
 
     calm = control(0.0)
     assert calm.fpr_exact < 0.05, f"alpha=0 fpr {calm.fpr_exact:.4f}"
 
-    hungry = control(5.0, stop={"mean_ratio_below": 0.4})
+    hungry = control(5.0, stop=0.4)
     mean_r = sum(hungry.ratios.values()) / len(hungry.ratios)
     assert mean_r < 0.4, f"alpha=5 mean ratio {mean_r:.4f}"
     assert hungry.epochs_run <= 2.0

@@ -255,6 +255,24 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: bad {message}\n"
 
 
+    @pytest.mark.parametrize("command", ["pretrain", "search", "prune", "report"])
+    @pytest.mark.parametrize("below", ["", "run", "run/deeper"], ids=["the_file", "under", "two_under"])
+    def test_out_dir_at_or_under_a_regular_file_is_2_before_any_file_is_read(
+        self, tmp_path, capsys, command, below
+    ):
+        # the data directory does not exist, so the message naming out_dir
+        # shows that no data was read, let alone a step run, before it
+        blocker = tmp_path / "taken"
+        blocker.write_text("a regular file\n")
+        out = blocker / below if below else blocker
+        code = run_cli(command, "--data-dir", str(tmp_path / "no-data"), "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: bad [run] setting: out_dir {str(out)!r} cannot be a directory: {blocker} is a file\n"
+        )
+        assert blocker.read_text() == "a regular file\n"
+
+
 class TestReadme:
     def test_the_ini_block_shows_the_defaults_and_every_search_key(self, tmp_path):
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

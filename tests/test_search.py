@@ -661,7 +661,9 @@ class TestRunSearch:
         model = tiny_model()
         train, val = tiny_dataset(64), tiny_dataset(16, seed=1)
         cfg = tiny_config(alpha=50.0, epochs=50, lr_r_max=0.2, lr_r_min=0.01)
-        res = run_search(model, train, val, cfg, stop_when={"mean_ratio_below": 0.9})
+        with pytest.raises(TypeError, match="mean_ratio_blow"):
+            run_search(model, train, val, cfg, mean_ratio_blow=0.9)
+        res = run_search(model, train, val, cfg, mean_ratio_below=0.9)
         assert sum(res.ratios.values()) / len(res.ratios) < 0.9
         assert res.iterations < 50 * 8
         assert res.metrics[-1]["iteration"] == res.iterations

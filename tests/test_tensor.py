@@ -13,6 +13,7 @@ from autoprune.tensor import (
     Tensor,
     _col2im,
     _im2col,
+    _taps,
     add,
     backward,
     batch_norm2d,
@@ -531,7 +532,7 @@ class TestOpSemantics:
             wo = (w + 2 * padding - k) // stride + 1
             cols = plant_specials(upstream_grad(rng, (2, 3 * k * k, ho, wo), dtype)).reshape(2, -1, ho * wo)
             want = padded_col2im(cols, x_shape, k, k, stride, padding)
-            got = _col2im(cols, x_shape, k, k, stride, padding)
+            got = _col2im(cols, x_shape, _taps(k, k, stride, padding, h, w, ho, wo), k, k)
             where = f"{h}x{w}, k {k}, stride {stride}, padding {padding}, {dtype.__name__}"
             assert got.shape == x_shape and got.dtype == dtype, where
             np.testing.assert_array_equal(bits(got), bits(want), err_msg=where)
@@ -875,7 +876,9 @@ class TestTapShift:
                 continue
             where = f"{h}x{w}, k {k}, stride {stride}, padding {padding}, {dtype.__name__}"
             x = plant_specials(upstream_grad(rng, (2, 3, h, w), dtype))
-            cols = _im2col(x, k, k, stride, padding)
+            ho = (h + 2 * padding - k) // stride + 1
+            wo = (w + 2 * padding - k) // stride + 1
+            cols = _im2col(x, _taps(k, k, stride, padding, h, w, ho, wo), k, k)
             assert cols.dtype == dtype, where
             np.testing.assert_array_equal(bits(cols), bits(strided_im2col(x, k, k, stride, padding)),
                                           err_msg=where)
@@ -933,6 +936,66 @@ class TestTapShift:
             for name, a, b in zip(("output", "weight grad", "input grad"), got, want):
                 assert a.dtype == dtype and a.shape == b.shape, f"{where}: {name}"
                 np.testing.assert_array_equal(bits(a), bits(b), err_msg=f"{where}: {name}")
+
+
+class TestOneTapTablePerCall:
+    """`conv2d` builds one tap table per call, and both kernels, every
+    column block and both passes read it."""
+
+    @staticmethod
+    def _count_tables(monkeypatch) -> list:
+        """Record the geometry of every `_taps` call from here on."""
+        built = []
+        real = tensor._taps
+
+        def taps(*geometry):
+            built.append(geometry)
+            return real(*geometry)
+
+        monkeypatch.setattr(tensor, "_taps", taps)
+        return built
+
+    # Cout > Cin runs on im2col columns: the forward gathers them and the
+    # backward scatter-adds the input gradient; Cout < Cin runs from the
+    # output side
+    @pytest.mark.parametrize("cin, cout", [(3, 5), (5, 3)], ids=["im2col", "output-side"])
+    def test_forward_and_backward_with_a_graph(self, cin, cout, monkeypatch):
+        rng = np.random.default_rng(107)
+        x = rng.standard_normal((2, cin, 6, 7)).astype(np.float32)
+        w = rng.standard_normal((cout, cin, 3, 3)).astype(np.float32)
+        g = upstream_grad(rng, (2, cout, 3, 4), np.float32)
+        built = self._count_tables(monkeypatch)
+        _, gw, gx = conv_with_grads(x, w, 2, 1, g)
+        assert built == [(3, 3, 2, 1, 6, 7, 3, 4)]
+        assert gw.shape == w.shape and gx.shape == x.shape
+
+    def test_no_graph_conv_over_several_column_blocks(self, monkeypatch):
+        # a 1 KiB budget gives each of the 5 images its own column block
+        monkeypatch.setattr(tensor, "_COLS_BLOCK_BYTES", 1 << 10)
+        rng = np.random.default_rng(109)
+        x = rng.standard_normal((5, 3, 8, 8)).astype(np.float32)
+        w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+        built = self._count_tables(monkeypatch)
+        with no_grad():
+            conv2d(Tensor(x), Tensor(w), 1, 1)
+        assert built == [(3, 3, 1, 1, 8, 8, 8, 8)]
+
+    def test_weight_made_trainable_after_forward(self, monkeypatch):
+        # the forward keeps no columns for a frozen weight, so the backward
+        # rebuilds them, then scatter-adds the input gradient
+        rng = np.random.default_rng(113)
+        x = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
+        w = rng.standard_normal((5, 3, 3, 3)).astype(np.float32)
+        g = upstream_grad(rng, (2, 5, 6, 6), np.float32)
+        _, want_gw, want_gx = conv_with_grads(x, w, 1, 1, g)
+        built = self._count_tables(monkeypatch)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w)
+        out = conv2d(xt, wt, 1, 1)
+        wt.requires_grad = True
+        backward(tensor_sum(mul(out, Tensor(g))))
+        assert built == [(3, 3, 1, 1, 6, 6, 6, 6)]
+        np.testing.assert_array_equal(bits(wt.grad), bits(want_gw))
+        np.testing.assert_array_equal(bits(xt.grad), bits(want_gx))
 
 
 class TestGraphLifecycle:
