@@ -492,9 +492,10 @@ def _output_side_conv2d(x: Tensor, w: Tensor, t: _TapTable, ho: int, wo: int) ->
     channel o.  The forward multiplies each image by it, which gives
     every tap's partial output at every input position, and scatter-adds
     those into the output over `t`, the conv's tap table transposed, a
-    block of images at a time.  The backward gathers g into the same tap layout; one
-    multiply of that by x's transpose gives the weight gradient, and one
-    by the stacked weight's transpose gives the input gradient.
+    block of images at a time.  The backward gathers g into the same tap
+    layout; one multiply of that by x's transpose gives the weight
+    gradient, and one by the stacked weight's transpose gives the input
+    gradient.
     """
     n, cin, h, wd = x.data.shape
     cout, _, kh, kw = w.data.shape

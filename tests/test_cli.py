@@ -254,7 +254,6 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == f"error: bad {message}\n"
 
-
     @pytest.mark.parametrize("command", ["pretrain", "search", "prune", "report"])
     @pytest.mark.parametrize("below", ["", "run", "run/deeper"], ids=["the_file", "under", "two_under"])
     def test_out_dir_at_or_under_a_regular_file_is_2_before_any_file_is_read(
@@ -264,7 +263,7 @@ class TestExitCodes:
         # shows that no data was read, let alone a step run, before it
         blocker = tmp_path / "taken"
         blocker.write_text("a regular file\n")
-        out = blocker / below if below else blocker
+        out = blocker / below
         code = run_cli(command, "--data-dir", str(tmp_path / "no-data"), "--out", str(out))
         assert code == 2
         assert capsys.readouterr().err == (
