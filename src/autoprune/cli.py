@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import dataclasses
 import json
 import math
@@ -234,9 +235,13 @@ def _column(path: Path, rows: list[dict], name: str) -> list[float]:
 def _trajectory_plots(path: Path) -> dict:
     """The report's plots of `search/trajectory.csv`: file name to title,
     y label and series.  Every column is parsed and checked here, before
-    the report writes a file; a row with more fields than the header, or
-    a `ratio_` column that names no layer id, raises `CheckpointError`."""
-    rows = read_csv(path)
+    the report writes a file; bytes that are not UTF-8, a field the csv
+    module refuses, a row with more fields than the header, or a `ratio_`
+    column that names no layer id raise `CheckpointError`."""
+    try:
+        rows = read_csv(path)
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise CheckpointError(f"{path}: {e}") from None
     for n, row in enumerate(rows):
         if None in row:
             raise CheckpointError(f"{path}: line {n + 2} has more fields than the header")

@@ -12,7 +12,10 @@ there is numerically equivalent to slicing the channels out
 
 FLOPs use the multiply-add-counts-two convention: a conv costs
 2*Kh*Kw*Cin*Cout*Hout*Wout, a linear layer 2*D*K, and bn/relu/pool/add
-are counted as zero.
+are counted as zero.  FLOPs and the FLOPs pruning ratio (FPR) are both
+computed here: `exact_flops_by_layer` takes each layer's widths and
+output size in one walk over the layer table `_kept_index` narrows, and
+`_exact_fpr` is the one FPR formula the search's log and the plan share.
 """
 
 from __future__ import annotations
@@ -119,11 +122,6 @@ class ModelGraph:
 
 # ---------------------------------------------------------------------------
 # builders
-
-
-def _param_dtype(dtype):
-    """`dtype` as a numpy scalar type; None means the engine's current default."""
-    return np.dtype(engine._DEFAULT_DTYPE if dtype is None else dtype).type
 
 
 def _param(data, dtype) -> Tensor:
@@ -266,12 +264,11 @@ def build_model(
     num_classes: int = 10,
     input_shape: tuple[int, int, int] = (1, 28, 28),
     rng: np.random.Generator | None = None,
-    dtype=None,
 ) -> ModelGraph:
     """Construct one of the stock architectures with fresh parameters.
 
-    Every parameter and running statistic is stored in `dtype`, by
-    default the engine's current default dtype (see `use_dtype`).
+    Every parameter and running statistic is stored in the engine's
+    current default dtype (see `use_dtype`).
 
     `cnn-small` is a plain four-conv chain (widths 16, 32, 32, 64) with
     two max pools and a global average pool.  `resnet-tiny` has a stem
@@ -282,7 +279,7 @@ def build_model(
     """
     model = _architecture(name, input_shape, num_classes)
     model.params, model.bn_stats = _init_params(
-        model.layers, _param_dtype(dtype), _he_normal(rng if rng is not None else np.random.default_rng(0))
+        model.layers, engine._DEFAULT_DTYPE, _he_normal(rng if rng is not None else np.random.default_rng(0))
     )
     return model
 
@@ -401,27 +398,6 @@ def _conv_bn(model: ModelGraph, conv: LayerSpec, bn: int, mask: Tensor | None, x
 # FLOPs accounting
 
 
-def _spatial_map(model: ModelGraph) -> dict[int, tuple[int, int]]:
-    """Output spatial size of every layer, propagated from the input."""
-    _, h, w = model.input_shape
-    sizes: dict[int, tuple[int, int]] = {INPUT: (h, w)}
-    for layer in model.layers:
-        ph, pw = sizes[model.preds[layer.id][0]]
-        if layer.kind == "conv":
-            kh, kw = layer.kernel
-            oh = (ph + 2 * layer.padding - kh) // layer.stride + 1
-            ow = (pw + 2 * layer.padding - kw) // layer.stride + 1
-            sizes[layer.id] = (oh, ow)
-        elif layer.kind == "pool":
-            win = layer.kernel[0]
-            sizes[layer.id] = (ph // win, pw // win)
-        elif layer.kind == "linear":
-            sizes[layer.id] = (1, 1)
-        else:
-            sizes[layer.id] = (ph, pw)
-    return sizes
-
-
 def prunable_flops(model: ModelGraph) -> dict[int, int]:
     """Full FLOPs of each prunable conv, the weights of the cost term."""
     per_layer = exact_flops_by_layer(model)
@@ -445,23 +421,33 @@ def exact_flops_by_layer(model: ModelGraph, kept: dict[int, int] | None = None) 
         if not (1 <= k <= c):
             raise ValueError(f"kept count {k} out of range [1, {c}] for layer {i}")
     layers, _ = _kept_index(model, {i: np.arange(k) for i, k in kept.items()})
-    sizes = _spatial_map(model)
+    sizes = {INPUT: model.input_shape[1:]}  # output height and width of each layer
     out: dict[int, int] = {}
     for layer in layers:
+        h, w = sizes[model.preds[layer.id][0]]
+        kh, kw = layer.kernel
+        flops = 0
         if layer.kind == "conv":
-            oh, ow = sizes[layer.id]
-            kh, kw = layer.kernel
-            out[layer.id] = 2 * kh * kw * layer.in_channels * layer.out_channels * oh * ow
+            h = (h + 2 * layer.padding - kh) // layer.stride + 1
+            w = (w + 2 * layer.padding - kw) // layer.stride + 1
+            flops = 2 * kh * kw * layer.in_channels * layer.out_channels * h * w
+        elif layer.kind == "pool":
+            h, w = h // kh, w // kw
         elif layer.kind == "linear":
-            out[layer.id] = 2 * layer.in_channels * layer.out_channels
-        else:
-            out[layer.id] = 0
+            flops = 2 * layer.in_channels * layer.out_channels
+        sizes[layer.id], out[layer.id] = (h, w), flops
     return out
 
 
 def exact_model_flops(model: ModelGraph, kept: dict[int, int] | None = None) -> int:
     """Total FLOPs with channel counts reduced per `kept`."""
     return sum(exact_flops_by_layer(model, kept).values())
+
+
+def _exact_fpr(model: ModelGraph, kept: dict[int, int]) -> float:
+    """The FLOPs pruning ratio of keeping `kept[i]` output channels of each
+    conv `i`: the one FPR formula, shared by the search's log and the plan."""
+    return 1.0 - exact_model_flops(model, kept) / exact_model_flops(model)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .masking import ChannelRanking, kept_count, refresh_ranking
 from .model import (
     CheckpointError,
     ModelGraph,
+    _exact_fpr,
     _field,
     _init_params,
     evaluate,
@@ -40,7 +41,7 @@ from .model import (
     model_to_table,
     slice_channels,
 )
-from .search import _check_lr_range, _exact_fpr, cosine_lr, nonfinite_grads, sgd_step
+from .search import _check_lr_range, cosine_lr, nonfinite_grads, sgd_step
 from .tensor import backward, softmax_cross_entropy, zero_grad
 
 

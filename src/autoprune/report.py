@@ -20,7 +20,7 @@ def write_csv(rows: list[dict], path) -> Path:
         for key in row:
             if key not in header:
                 header.append(key)
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(header)
         for row in rows:
@@ -37,7 +37,7 @@ def _fmt(v) -> str:
 
 
 def read_csv(path) -> list[dict]:
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8") as f:
         return [dict(r) for r in csv.DictReader(f)]
 
 

@@ -40,8 +40,8 @@ from .masking import (
 )
 from .model import (
     ModelGraph,
+    _exact_fpr,
     evaluate,
-    exact_model_flops,
     forward,
     prunable_flops,
     slice_channels,
@@ -276,12 +276,6 @@ def outer_step(
 
 def _rebuild_masks(ratios, rankings) -> dict[int, ChannelMask]:
     return {i: build_mask(ratios[i], rankings[i]) for i in ratios}
-
-
-def _exact_fpr(model: ModelGraph, kept: dict[int, int]) -> float:
-    """The FLOPs pruning ratio of keeping `kept[i]` output channels of each
-    conv `i`: the one FPR formula, shared by the search's log and the plan."""
-    return 1.0 - exact_model_flops(model, kept) / exact_model_flops(model)
 
 
 def _batch_stream(ds: Dataset, batch_size: int, seed: int):

@@ -73,8 +73,9 @@ def git(repo, *args):
     ).stdout.strip()
 
 
-def fake_repo(tmp_path, parent_state, change_state):
-    """A repository with two commits that differ only in the stand-in's state."""
+def fake_repo(tmp_path, parent_state, change_state, src_lines=(0, 0)):
+    """A repository with two commits that differ only in the stand-in's state
+    and in the lines of `src/pkg/mod.py`, `src_lines` per commit."""
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
     (repo / "tools").mkdir()
@@ -82,8 +83,11 @@ def fake_repo(tmp_path, parent_state, change_state):
     (repo / "perfbench" / "run.py").write_text(FAKE_RUN)
     (repo / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
     git(repo, "init", "-q")
-    for state in (parent_state, change_state):
+    (repo / "src" / "pkg").mkdir(parents=True)
+    (repo / "src" / "notes.txt").write_text("not counted\n")
+    for state, lines in zip((parent_state, change_state), src_lines):
         (repo / "state.json").write_text(json.dumps(state))
+        (repo / "src" / "pkg" / "mod.py").write_text("x = 1\n" * lines)
         git(repo, "add", "-A")
         git(repo, "commit", "-q", "-m", "state")
     return repo
@@ -116,6 +120,7 @@ def test_pairs_count_wins_and_write_the_bench_file(tmp_path):
         tmp_path,
         {"p50": 60.0, "digest": "aaa", "correct": True},
         {"p50": 50.0, "digest": "bbb", "correct": True},
+        src_lines=(7, 4),
     )
     proc = run_ab(repo, "--pairs", "4", "--seeds", "1", "2", "--out", "BENCH_9.json")
     assert proc.returncode == 0, proc.stderr
@@ -135,6 +140,8 @@ def test_pairs_count_wins_and_write_the_bench_file(tmp_path):
     assert bench["host"] == "2 vCPU, Python 3.x, numpy 2.x, fake 0, one BLAS thread"
     assert bench["parent"]["commit"] == git(repo, "rev-parse", "HEAD~1")
     assert bench["change"]["commit"] == git(repo, "rev-parse", "HEAD")
+    assert (bench["parent"]["src_lines"], bench["change"]["src_lines"]) == (7, 4)
+    assert "src/ lines: parent 7, change 4 (-3)" in out
     for side, p50, digest in (("parent", 60.0, "aaa"), ("change", 50.0, "bbb")):
         for w in ("w-one", "w-two"):
             entry = bench[side][w]

@@ -135,8 +135,10 @@ def test_criterion_2_worked_mask():
 
 
 def _ratio_grad_model_case(dtype):
-    """End-to-end loss(ratio) for each prunable layer of a small model."""
-    model = build_model("cnn-small", 10, (1, 8, 8), rng=np.random.default_rng(0), dtype=dtype)
+    """End-to-end loss(ratio) for each prunable layer of a small model,
+    built in the engine's default dtype, which the caller sets to `dtype`."""
+    model = build_model("cnn-small", 10, (1, 8, 8), rng=np.random.default_rng(0))
+    assert model.params[0]["weight"].data.dtype == dtype
     rng = np.random.default_rng(1)
     x = rng.standard_normal((6, 1, 8, 8)).astype(dtype)
     labels = rng.integers(0, 10, 6)

@@ -7,6 +7,7 @@ exercise wiring and determinism rather than accuracy.
 
 import argparse
 import configparser
+import csv
 import inspect
 import json
 import re
@@ -643,6 +644,9 @@ class TestPipeline:
         # a digit to str.isdigit, but not one int() parses
         ("ratio_\u00b2", "column 'ratio_\u00b2' does not name a layer id"),
         ("extra field", "line 2 has more fields than the header"),
+        # the first data row starts with a byte that is no UTF-8; {} is its offset
+        ("non-utf-8", "'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"),
+        ("huge field", f"field larger than field limit ({csv.field_size_limit()})"),
     ])
     def test_malformed_trajectory_header_or_row_is_2(self, pipeline_run, synthetic_mnist_dir,
                                                      tmp_path, capsys, damage, message):
@@ -655,9 +659,15 @@ class TestPipeline:
             header = lines[0].split(",")
             header[next(i for i, c in enumerate(header) if c.startswith("ratio_"))] = damage
             lines[0] = ",".join(header)
-        else:
+        elif damage == "huge field":
+            lines[1] = "1" * (csv.field_size_limit() + 1) + lines[1]
+        elif damage == "extra field":
             lines[1] += ",0.5"
-        path.write_text("\n".join(lines) + "\n")
+        data = ("\n".join(lines) + "\n").encode()
+        if damage == "non-utf-8":
+            at = len(lines[0]) + 1
+            data, message = data[:at] + b"\xff" + data[at:], message.format(at)
+        path.write_bytes(data)
         assert main(["report", "--config", cfg, "--data-dir", str(synthetic_mnist_dir),
                      "--out", str(run), "--seed", "3"]) == 2
         err = capsys.readouterr().err

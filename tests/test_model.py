@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from autoprune import model as model_module
 from autoprune.masking import rank_channels, ratio_mask_tensor, ratio_step_channels
 from autoprune.model import (
     INPUT,
@@ -542,6 +543,41 @@ class TestFlops:
         pruned = exact_model_flops(m, kept)
         assert 0 < pruned < exact_model_flops(m)
 
+    @pytest.mark.parametrize("name, shape", [
+        ("cnn-small", (1, 28, 28)), ("cnn-small", (3, 12, 12)),
+        ("resnet-tiny", (3, 32, 32)), ("resnet-tiny", (1, 8, 8)),
+    ])
+    def test_per_layer_flops_are_what_a_sliced_forward_runs(self, name, shape, monkeypatch):
+        """Each conv and linear call of a forward of `slice_channels(dense,
+        keep)` costs, by the shapes it sees, `exact_flops_by_layer(dense,
+        kept)` of its layer: stride-2 convs and 1x1 shortcuts included."""
+        dense = build_model(name, 10, shape, rng=np.random.default_rng(0))
+        ran = []
+
+        def conv_spy(x, w, *args):
+            out = conv2d(x, w, *args)
+            cout, cin, kh, kw = w.data.shape
+            ran.append(2 * kh * kw * cin * cout * out.data.shape[2] * out.data.shape[3])
+            return out
+
+        def linear_spy(x, w, b):
+            ran.append(2 * w.data.shape[0] * w.data.shape[1])
+            return linear(x, w, b)
+
+        monkeypatch.setattr(model_module, "conv2d", conv_spy)
+        monkeypatch.setattr(model_module, "linear", linear_spy)
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((2, *shape)).astype(np.float32)
+        for _ in range(8):
+            widths = {i: dense.layer(i).out_channels for i in dense.prunable_ids()}
+            keep = {i: np.sort(rng.choice(c, rng.integers(1, c + 1), replace=False))
+                    for i, c in widths.items() if rng.random() < 0.8}
+            per = exact_flops_by_layer(dense, {i: len(ids) for i, ids in keep.items()})
+            ran.clear()
+            with no_grad():
+                forward(slice_channels(dense, keep), x, mode="eval")
+            assert ran == [per[l.id] for l in dense.layers if l.kind in ("conv", "linear")]
+
 
 class TestSliceChannels:
     @pytest.mark.parametrize("name, shape", [("cnn-small", (1, 8, 8)), ("resnet-tiny", (3, 8, 8))])
@@ -565,8 +601,8 @@ class TestSliceChannels:
 
 
 class TestDtypes:
-    """Parameters and running statistics share one dtype: the one asked
-    for, or the engine's default when none is."""
+    """Parameters and running statistics share one dtype: the engine's
+    default when the model is built."""
 
     @staticmethod
     def arrays(m):
@@ -574,22 +610,23 @@ class TestDtypes:
             a for s in m.bn_stats.values() for a in (s.mean, s.var)
         ]
 
-    @pytest.mark.parametrize("asked", (None, np.float32, np.float64))
+    @pytest.mark.parametrize("later", (np.float32, np.float64))
     @pytest.mark.parametrize("default", (np.float32, np.float64))
     @pytest.mark.parametrize("name, shape", [("cnn-small", (1, 8, 8)), ("resnet-tiny", (3, 8, 8))])
-    def test_every_array_has_the_dtype_asked_for(self, name, shape, default, asked):
-        want = np.dtype(asked if asked is not None else default)
+    def test_every_array_has_the_default_dtype_at_build(self, name, shape, default, later):
         with use_dtype(default):
-            built = build_model(name, 10, shape, rng=np.random.default_rng(0), dtype=asked)
+            built = build_model(name, 10, shape, rng=np.random.default_rng(0))
             keep = {i: np.arange(0, built.layer(i).out_channels, 2) for i in built.prunable_ids()}
             sliced = slice_channels(built, keep)
         # the slice keeps its model's dtype whatever the default is then
-        sliced_later = slice_channels(built, keep)
+        with use_dtype(later):
+            sliced_later = slice_channels(built, keep)
         for what, m in (("built", built), ("sliced", sliced), ("sliced later", sliced_later)):
-            assert {a.dtype for a in self.arrays(m)} == {want}, what
+            assert {a.dtype for a in self.arrays(m)} == {np.dtype(default)}, what
 
     def test_float64_weights_are_not_float32_rounded(self):
-        w32 = build_model("cnn-small", 10, (1, 8, 8), dtype=np.float32).params[0]["weight"].data
+        w32 = build_model("cnn-small", 10, (1, 8, 8)).params[0]["weight"].data
+        assert w32.dtype == np.float32
         with use_dtype(np.float64):
             w64 = build_model("cnn-small", 10, (1, 8, 8)).params[0]["weight"].data
         assert w64.dtype == np.float64

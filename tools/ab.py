@@ -27,12 +27,13 @@ With `--out`, it also runs `--trace 1` at `--bench-seed` in three pairs
 per workload, alternating which tree runs first as the timed pairs do,
 since one traced pair drifts by up to 30% on ops that did not change.
 It writes the file in the layout of `BENCH_14.json`: per side the commit
-that ran and, per workload, the digest and the last stdout line of the
-`--trace 0` run at that seed, and under `trace1` the last line of the
-first traced run with each metric's value replaced by the median of the
-three and its three values, in pair order, under `runs`; plus the paired
-figures under `ab`.  Exit status: 0, or 1 if a run failed or was not
-correct, or if digests of one tree disagree.
+that ran, its `src_lines` (the lines of every `*.py` under `src/`,
+printed with their net change) and, per workload, the digest and the
+last stdout line of the `--trace 0` run at that seed, and under `trace1`
+the last line of the first traced run with each metric's value replaced
+by the median of the three and its three values, in pair order, under
+`runs`; plus the paired figures under `ab`.  Exit status: 0, or 1 if a
+run failed or was not correct, or if digests of one tree disagree.
 """
 
 from __future__ import annotations
@@ -159,6 +160,11 @@ def commit_of(tree: Path) -> str:
     return head + ("-dirty" if git(tree, "status", "--porcelain", "--untracked-files=no") else "")
 
 
+def src_lines(tree: Path) -> int:
+    """The lines of every `*.py` file under `tree`'s `src/`."""
+    return sum(len(f.read_bytes().splitlines()) for f in (tree / "src").rglob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git ref of the parent")
@@ -244,7 +250,10 @@ def write_bench(args, trees: dict, workloads: list[str], runs: dict, ab: dict) -
     """The BENCH file: trace 0 at the bench seed and the median of three
     trace 1 runs there, per side."""
     env = {}
-    sides = {"parent": {"commit": args.parent_commit}, "change": {"commit": commit_of(ROOT)}}
+    lines = {side: src_lines(tree) for side, tree in trees.items()}
+    print(f"src/ lines: parent {lines['parent']}, change {lines['change']} ({lines['change'] - lines['parent']:+d})")
+    sides = {"parent": {"commit": args.parent_commit, "src_lines": lines["parent"]},
+             "change": {"commit": commit_of(ROOT), "src_lines": lines["change"]}}
     for k, w in enumerate(workloads):
         traced = {side: [] for side in trees}
         for j in range(TRACED_PAIRS):
