@@ -109,25 +109,20 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
+# flag -> (config section, key); section None is the command's own phase
+_OVERRIDES = {"model": ("run", "model"), "data_dir": ("run", "data_dir"), "seed": ("run", "seed"),
+              "out": ("run", "out_dir"), "alpha": ("search", "alpha"), "beta": ("search", "beta"),
+              "epochs": (None, "epochs")}
+_PHASES = {"pretrain": "pretrain", "search": "search", "prune": "finetune"}
+
+
 def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     """Command-line flags win over the config file.  A leading `~` of the
     resulting `out_dir` then expands to the home directory."""
-    if args.model is not None:
-        cfg["run"]["model"] = args.model
-    if args.data_dir is not None:
-        cfg["run"]["data_dir"] = args.data_dir
-    if args.seed is not None:
-        cfg["run"]["seed"] = args.seed
-    if args.out is not None:
-        cfg["run"]["out_dir"] = args.out
-    if getattr(args, "alpha", None) is not None:
-        cfg["search"]["alpha"] = args.alpha
-    if getattr(args, "beta", None) is not None:
-        cfg["search"]["beta"] = args.beta
-    if getattr(args, "epochs", None) is not None:
-        section = {"pretrain": "pretrain", "search": "search", "prune": "finetune"}.get(args.command)
-        if section:
-            cfg[section]["epochs"] = args.epochs
+    for flag, (section, key) in _OVERRIDES.items():
+        value, section = getattr(args, flag, None), section or _PHASES.get(args.command)
+        if value is not None and section:
+            cfg[section][key] = value
     cfg["run"]["out_dir"] = os.path.expanduser(cfg["run"]["out_dir"])
     return cfg
 

@@ -172,6 +172,8 @@ def load_mnist(data_dir=None) -> tuple[Dataset, Dataset]:
             raise DataFormatError(f"mnist {tag}: {len(x)} images but {len(y)} labels")
         if len(x) == 0:
             raise DataFormatError(f"{paths[tag + '_images']}: holds no images")
+        if x.shape[1:] != (28, 28):
+            raise DataFormatError(f"{paths[tag + '_images']}: images are {x.shape[1]}x{x.shape[2]}, not 28x28")
         if y.max() > 9:
             raise DataFormatError(f"{paths[tag + '_labels']}: label {y.max()} out of range for 10 classes")
 

@@ -8,7 +8,11 @@ ratios, raised to a sub-linear exponent:
 where P_i is the full FLOPs of prunable layer i.  With ratios in
 (0, 1] the cost lies in (0, 1], so a single weight trades it off
 against cross entropy on a comparable scale.  The search's ratio step
-minimizes `combined_loss`; its weight step, the cross entropy alone.
+minimizes `combined_loss`, built as `add(ce, mul(cost, alpha))` from the
+engine's ops with alpha a constant of the cost's dtype (float64 for the
+search's ratios, so no rounding of alpha to float32), which makes each
+ratio's gradient exactly alpha times the cost's; its weight step, the
+cross entropy alone.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import Tensor, _accum, _make, softmax_cross_entropy
+from .tensor import Tensor, _accum, _make, add, mul, softmax_cross_entropy
 
 
 def _validate(ratios, flops, beta):
@@ -95,5 +99,7 @@ def combined_loss(
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     ce_t = softmax_cross_entropy(logits, labels)
-    loss_t = ce_t + flops_cost_tensor(ratios, flops, beta) * alpha if alpha != 0.0 else ce_t
-    return loss_t, float(ce_t.data)
+    if alpha == 0.0:
+        return ce_t, float(ce_t.data)
+    cost_t = flops_cost_tensor(ratios, flops, beta)
+    return add(ce_t, mul(cost_t, Tensor(alpha, dtype=cost_t.data.dtype))), float(ce_t.data)

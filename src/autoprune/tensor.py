@@ -1,12 +1,13 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
-Everything runs on plain numpy arrays in NCHW layout.  Each operation
-records its inputs and a backward closure on the output tensor, stamped
-with a global sequence number.  `backward` replays the recorded closures
-in exact reverse execution order (sequence numbers are strictly
-increasing, so sorting by them reproduces the forward schedule), then
-releases the graph so a second traversal fails loudly instead of reusing
-stale state.
+Everything runs on plain numpy arrays in NCHW layout.  Each op is a
+function (`add`, `mul`, `reshape`, `conv2d`, ...); `Tensor` overloads
+no operator and has no op methods.  Each op records its inputs and a
+backward closure on the output tensor, stamped with a global sequence
+number.  `backward` replays the recorded closures in exact reverse
+execution order (sequence numbers are strictly increasing, so sorting
+by them reproduces the forward schedule), then releases the graph so a
+second traversal fails loudly instead of reusing stale state.
 
 Gradients accumulate into `.grad` and are populated for every tensor
 reachable from the loss that has `requires_grad` set, intermediates
@@ -90,17 +91,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -210,16 +200,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, g * a.data)
 
     return _make(out_data, (a, b), back)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    out_data = a.data * a.data.dtype.type(c)
-
-    def back(g):
-        if a.requires_grad:
-            _accum(a, g * a.data.dtype.type(c))
-
-    return _make(out_data, (a,), back)
 
 
 def tensor_sum(a: Tensor) -> Tensor:

@@ -57,10 +57,10 @@ BENCHMARK = {
     "paths": ["perfbench"],
     "workloads": [{"name": "w-one"}, {"name": "w-two"}],
     "end_to_end": [
-        {"name": "setup_s", "better": "lower"},
-        {"name": "step_ms_p50", "better": "lower"},
-        {"name": "step_ms_p90", "better": "lower"},
-        {"name": "peak_rss_mb", "better": "lower"},
+        {"name": "setup_s", "better": "lower", "bound": 0.25},
+        {"name": "step_ms_p50", "better": "lower", "bound": 0.24},
+        {"name": "step_ms_p90", "better": "lower", "bound": 0.24},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
     ],
     "per_layer": [{"name": "tensor.conv2d.bwd_ms"}],
 }
@@ -127,7 +127,8 @@ def test_pairs_count_wins_and_write_the_bench_file(tmp_path):
     out = proc.stdout
     assert out.count("floats move") == 4  # two seeds of two workloads
     # seeds 1, 2, 1, 2: parent 61, 62, 61, 62 against 51, 52, 51, 52
-    assert "step_ms_p50  parent       61.5 (IQR 1)  change       51.5 (IQR 1)   -16.3%  wins 4/4  gain" in out
+    assert ("step_ms_p50  parent       61.5 (IQR 1)  change       51.5 (IQR 1)   -16.3%  "
+            "within bound (24%)  wins 4/4  gain") in out
     assert "setup_s" in out and "wins 0/4" in out
     # both trees ran once per pair and workload, in alternating order
     lines = [ln for ln in proc.stderr.splitlines() if ln.startswith("pair ")]
@@ -157,6 +158,7 @@ def test_pairs_count_wins_and_write_the_bench_file(tmp_path):
     order = ["aaa", "bbb", "bbb", "aaa", "aaa", "bbb"]
     assert traced_calls(repo) == ([(d, "w-one") for d in order] + [(d, "w-two") for d in order[::-1]])
     assert bench["ab"]["w-one"]["step_ms_p50"]["change"] == [51.0, 52.0, 51.0, 52.0]
+    assert bench["ab"]["w-one"]["step_ms_p50"]["verdict"] == "within bound"
     # the parent's tree is gone again and git kept no trace of it
     assert left_behind(repo) == ([], 0)
 
@@ -168,6 +170,27 @@ def test_bit_identical_change_is_named(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "seed 1: bit-identical" in proc.stdout and "w-one" not in proc.stdout
     assert "wins 0/1" in proc.stdout
+
+
+@pytest.mark.parametrize("p50, verdict, status", [(130.0, "bound broken", 1), (101.0, "within bound", 0)])
+def test_a_change_slower_beyond_its_bound_fails_after_writing_the_file(tmp_path, p50, verdict, status):
+    # seed 1: parent p50 101, p90 201; the change 30% or 1% slower on both
+    repo = fake_repo(
+        tmp_path,
+        {"p50": 100.0, "digest": "aaa", "correct": True},
+        {"p50": p50, "digest": "aaa", "correct": True},
+    )
+    proc = run_ab(repo, "--pairs", "2", "--workloads", "w-one", "--out", "BENCH_9.json")
+    assert proc.returncode == status, proc.stderr
+    bench = json.loads((repo / "BENCH_9.json").read_text())
+    for name in ("step_ms_p50", "step_ms_p90"):
+        assert f"{verdict} (24%)" in next(ln for ln in proc.stdout.splitlines() if ln.startswith(f"  {name} "))
+        assert bench["ab"]["w-one"][name]["verdict"] == verdict
+    for name in ("setup_s", "peak_rss_mb"):
+        assert bench["ab"]["w-one"][name]["verdict"] == "within bound"
+    broken = "error: bound broken on w-one step_ms_p50, w-one step_ms_p90"
+    assert (broken in proc.stderr) == (status == 1)
+    assert left_behind(repo) == ([], 0)
 
 
 def test_a_run_that_is_not_correct_fails_and_writes_nothing(tmp_path):
@@ -208,14 +231,33 @@ def ab():
 
 def test_a_gain_needs_nine_wins_in_ten_and_a_median_beyond_the_iqr(ab):
     parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.0, 11.0, 12.0, 13.0, 14.0]
-    assert ab.summarize(parent, [v - 3 for v in parent], "lower")["gain"]
+    assert ab.summarize(parent, [v - 3 for v in parent], "lower", 0.24)["gain"]
     # wins every pair, but by less than the parent's IQR of 2
-    s = ab.summarize(parent, [v - 1 for v in parent], "lower")
+    s = ab.summarize(parent, [v - 1 for v in parent], "lower", 0.24)
     assert s["wins"] == 10 and s["parent_iqr"] == 2.0 and not s["gain"]
     # a large median gain from 8 wins in 10
-    assert not ab.summarize(parent, [v - 5 for v in parent[:8]] + parent[8:], "lower")["gain"]
+    assert not ab.summarize(parent, [v - 5 for v in parent[:8]] + parent[8:], "lower", 0.24)["gain"]
     # higher is better: the same figures mirrored
-    assert ab.summarize(parent, [v + 3 for v in parent], "higher")["gain"]
+    assert ab.summarize(parent, [v + 3 for v in parent], "higher", 0.24)["gain"]
+
+
+def test_the_bound_is_a_fraction_of_the_parent_median(ab):
+    parent = [98.0, 102.0, 99.0, 101.0]  # median 100, IQR 2.5
+
+    def verdict(change, better="lower", bound=0.1):
+        return ab.summarize(parent, change, better, bound)["verdict"]
+
+    assert verdict([109.0] * 4) == "within bound"
+    assert verdict([111.0] * 4) == "bound broken"
+    assert verdict([50.0] * 4) == "within bound"  # better is never broken
+    assert verdict([89.0] * 4, "higher") == "bound broken"
+    assert verdict([150.0] * 4, "higher") == "within bound"
+    # the parent's IQR of 2.5 is wider than 2% of its median: too noisy to tell
+    assert verdict([111.0] * 4, bound=0.02) == "unresolved"
+    assert verdict([102.0] * 4, bound=0.03) == "within bound"
+    # ... unless every run of the change reads better than every run of the parent
+    assert verdict([97.0] * 4, bound=0.02) == "within bound"
+    assert verdict([97.0] * 3 + [98.0], bound=0.02) == "unresolved"
 
 
 GOOD = {"correct": True, "attempted": 3, "failed": 0, "metrics": {"step_ms_p50": {"value": 1.5, "unit": "ms"}}}

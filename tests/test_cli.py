@@ -14,6 +14,7 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from autoprune import cli
@@ -21,7 +22,7 @@ from autoprune.cli import DEFAULTS, ConfigError, _bool, apply_overrides, load_co
 from autoprune.data import load_mnist
 from autoprune.model import evaluate, exact_model_flops
 from autoprune.pruner import _array_file, load_checkpoint, train_supervised
-from test_data import make_mnist_dir
+from test_data import make_mnist_dir, write_idx
 from test_pruner import _MUTATIONS, _leaves, _one_leaf_mutations
 
 SMALL_CONFIG = """
@@ -192,6 +193,17 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run_cli("pretrain", "--data-dir", str(data), "--out", str(out)) == 2
         assert capsys.readouterr().err == f"error: {data / name}: holds no images\n"
+        assert not (out / "baseline").exists()
+
+    @pytest.mark.parametrize("name, n", [("train-images-idx3-ubyte", 40), ("t10k-images-idx3-ubyte", 12)])
+    def test_mnist_images_not_28x28_are_2_before_training(self, tmp_path, capsys, name, n):
+        # the MNIST models take 1x28x28 inputs; a 32x32 test split used to
+        # fail only after the whole training budget had run
+        data = make_mnist_dir(tmp_path)
+        write_idx(data / name, np.zeros((n, 32, 32), dtype=np.uint8))
+        out = tmp_path / "out"
+        assert run_cli("pretrain", "--data-dir", str(data), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {data / name}: images are 32x32, not 28x28\n"
         assert not (out / "baseline").exists()
 
     @pytest.mark.parametrize("fraction", [0.01, 0.99])

@@ -145,6 +145,15 @@ class TestMnistLoading:
         with pytest.raises(DataFormatError, match="images but"):
             load_mnist(d)
 
+    @pytest.mark.parametrize("name, shape", [("train-images-idx3-ubyte", (40, 32, 32)),
+                                             ("t10k-images-idx3-ubyte", (12, 28, 27))])
+    def test_images_not_28x28_name_their_file(self, tmp_path, name, shape):
+        d = make_mnist_dir(tmp_path)
+        write_idx(d / name, np.zeros(shape, dtype=np.uint8))
+        with pytest.raises(DataFormatError) as e:
+            load_mnist(d)
+        assert str(e.value) == f"{d / name}: images are {shape[1]}x{shape[2]}, not 28x28"
+
     @pytest.mark.parametrize("name, n", [("train-labels-idx1-ubyte", 40), ("t10k-labels-idx1-ubyte", 12)])
     def test_label_out_of_range_names_its_file(self, tmp_path, name, n):
         d = make_mnist_dir(tmp_path)

@@ -16,7 +16,7 @@ from autoprune.masking import (
     rank_channels,
     ratio_mask_tensor,
 )
-from autoprune.tensor import Tensor, backward, tensor_sum
+from autoprune.tensor import Tensor, backward, mul, tensor_sum
 
 
 def piecewise_mask_oracle(ratio, channels):
@@ -182,7 +182,7 @@ class TestMaskTensor:
         r = Tensor(np.float64(0.55), requires_grad=True)
         m = ratio_mask_tensor(r, ranking)
         weights = Tensor(np.arange(16, dtype=np.float64))
-        backward(tensor_sum(m * weights))
+        backward(tensor_sum(mul(m, weights)))
         # only rank 9 (channel 8 under identity ranking) moves, slope 16
         assert abs(float(r.grad) - 16.0 * 8.0) < 1e-9
 
@@ -197,7 +197,7 @@ class TestMaskTensor:
 
         r0 = 0.63  # r*C = 5.04, safely off the kink
         r = Tensor(np.float64(r0), requires_grad=True)
-        backward(tensor_sum(ratio_mask_tensor(r, ranking) * Tensor(coeff, dtype=np.float64)))
+        backward(tensor_sum(mul(ratio_mask_tensor(r, ranking), Tensor(coeff, dtype=np.float64))))
         h = 1e-6
         num = (value(r0 + h) - value(r0 - h)) / (2 * h)
         assert abs(float(r.grad) - num) < 1e-5

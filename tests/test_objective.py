@@ -16,6 +16,7 @@ from autoprune.tensor import (
     backward,
     channel_scale,
     linear,
+    reshape,
     softmax_cross_entropy,
     zero_grad,
 )
@@ -112,17 +113,28 @@ class TestCombinedLoss:
     def _ratios(*values):
         return [Tensor(np.float64(v), requires_grad=True, dtype=np.float64) for v in values]
 
-    def test_loss_is_cross_entropy_plus_weighted_cost(self):
+    @pytest.mark.parametrize("alpha", [0.5, 3.0, 20.0])
+    @pytest.mark.parametrize("beta", [0.3, 1.0])
+    def test_loss_is_cross_entropy_plus_weighted_cost(self, alpha, beta):
         logits, labels, _ = self._logits()
         ratios = self._ratios(0.7, 0.9)
-        loss_t, ce = combined_loss(logits, labels, ratios, [100, 200], alpha=0.5, beta=0.3)
+        loss_t, ce = combined_loss(logits, labels, ratios, [100, 200], alpha=alpha, beta=beta)
         assert ce == float(softmax_cross_entropy(logits, labels).data)
-        cost = flops_cost([0.7, 0.9], [100, 200], 0.3)
-        np.testing.assert_allclose(float(loss_t.data), ce + 0.5 * cost, rtol=1e-6)
+        # bit for bit: the float64 sum and product, no rounding in between
+        assert float(loss_t.data) == ce + alpha * flops_cost([0.7, 0.9], [100, 200], beta)
         # the logits do not depend on the ratios, so only the cost reaches them
         backward(loss_t)
-        want = 0.5 * flops_cost_grad([0.7, 0.9], [100, 200], 0.3)
-        np.testing.assert_allclose([float(t.grad) for t in ratios], want, rtol=1e-12)
+        want = alpha * flops_cost_grad([0.7, 0.9], [100, 200], beta)
+        assert [float(t.grad) for t in ratios] == want.tolist()
+
+    def test_float32_ratios_give_a_float32_loss(self):
+        # alpha takes the cost's dtype, so float32 ratios round as the cost does
+        logits, labels, _ = self._logits()
+        ratios = [Tensor(np.float32(v), requires_grad=True) for v in (0.7, 0.9)]
+        loss_t, ce = combined_loss(logits, labels, ratios, [100, 200], alpha=0.3, beta=0.3)
+        cost = np.float32(flops_cost([float(t.data) for t in ratios], [100, 200], 0.3))
+        assert loss_t.data.dtype == np.float32
+        assert loss_t.data == np.float32(ce) + cost * np.float32(0.3)
 
     def test_zero_alpha_reduces_to_cross_entropy_exactly(self):
         logits, labels, _ = self._logits()
@@ -141,7 +153,7 @@ class TestCombinedLoss:
         feats = channel_scale(x, ratio_mask_tensor(ratio, ranking))
         w = Tensor(rng.standard_normal((16, 3)).astype(np.float32) * 0.4, requires_grad=True)
         b = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
-        logits = linear(feats.reshape((5, 16)), w, b)
+        logits = linear(reshape(feats, (5, 16)), w, b)
         labels = rng.integers(0, 3, 5)
 
         loss_t, _ = combined_loss(

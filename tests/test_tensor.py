@@ -1050,7 +1050,7 @@ class TestGraphLifecycle:
 
     def test_shared_subexpression_accumulates_both_paths(self):
         x = Tensor(np.array([3.0], dtype=np.float64), requires_grad=True)
-        y = x * x
+        y = mul(x, x)
         backward(tensor_sum(y))
         np.testing.assert_allclose(x.grad, [6.0])
 

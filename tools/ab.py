@@ -16,7 +16,12 @@ own `src/`.
 For every gated metric of `BENCHMARK.json` the script prints each side's
 median and interquartile range and the pairs the change won, and whether
 the change won at least 9 pairs in 10 by more than the parent's IQR in
-the median.  Every run is checked as the benchmark checks it
+the median.  It then checks the change's median against the metric's
+`bound`, a fraction of the parent's median: `within bound`, `bound
+broken` when it is worse by more, or `unresolved` when the parent's own
+IQR is wider than the bound, so its runs spread too widely to tell,
+unless every run of the change reads better than every run of the
+parent.  Every run is checked as the benchmark checks it
 (`result_line`): it exits 0, writes nothing to stderr, and its last line
 is a strict-JSON result with `correct: true` and finite metrics, named
 exactly as `BENCHMARK.json` lists them for the run's trace mode.  Each
@@ -32,8 +37,9 @@ printed with their net change) and, per workload, the digest and the
 last stdout line of the `--trace 0` run at that seed, and under `trace1`
 the last line of the first traced run with each metric's value replaced
 by the median of the three and its three values, in pair order, under
-`runs`; plus the paired figures under `ab`.  Exit status: 0, or 1 if a
-run failed or was not correct, or if digests of one tree disagree.
+`runs`; plus the paired figures and verdicts under `ab`.  Exit status: 0,
+or 1 if a run failed or was not correct, if digests of one tree
+disagree, or (after writing `--out`) if a bound is broken.
 """
 
 from __future__ import annotations
@@ -128,17 +134,23 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
-    """Medians, IQRs, the change's wins and whether the gain clears the bar."""
+def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """Medians, IQRs, the change's wins, whether the gain clears the bar and
+    the verdict on `bound`, a fraction of the parent's median."""
     p1, pmed, p3 = quartiles(parent)
     c1, cmed, c3 = quartiles(change)
     sign = 1 if better == "lower" else -1
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    if p3 - p1 > bound * abs(pmed) and not all(sign * (p - c) > 0 for p in parent for c in change):
+        verdict = "unresolved"
+    else:
+        verdict = "bound broken" if sign * (cmed - pmed) > bound * abs(pmed) else "within bound"
     return {
         "parent_median": pmed, "parent_iqr": p3 - p1,
         "change_median": cmed, "change_iqr": c3 - c1,
         "wins": wins, "pairs": len(parent),
         "gain": 10 * wins >= 9 * len(parent) and sign * (pmed - cmed) > p3 - p1,
+        "bound": bound, "verdict": verdict,
     }
 
 
@@ -180,7 +192,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-    gated = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    gated = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     args.parent_commit = git(ROOT, "rev-parse", "--verify", f"{args.parent}^{{commit}}")
     scratch = Path(tempfile.mkdtemp(prefix="ab-parent-"))
     try:
@@ -206,7 +218,7 @@ def compare(args, trees: dict, workloads: list[str], gated: dict) -> int:
                 print(f"pair {i + 1}/{args.pairs} seed {seed} {w} {side}: step_ms_p50 {p50}", file=sys.stderr,
                       flush=True)
 
-    status, ab = 0, {}
+    status, ab, broken = 0, {}, []
     for w in workloads:
         print(f"== {w}")
         digests = {side: {} for side in trees}
@@ -220,16 +232,21 @@ def compare(args, trees: dict, workloads: list[str], gated: dict) -> int:
             print(f"  seed {seed}: {'bit-identical' if same else 'floats move'} "
                   f"(parent {digests['parent'][seed]}, change {digests['change'][seed]})")
         ab[w] = {"seeds": [seed for seed, _ in runs["parent"][w]]}
-        for name, better in gated.items():
+        for name, (better, bound) in gated.items():
             values = {side: [res["last"]["metrics"][name]["value"] for _, res in runs[side][w]] for side in trees}
-            s = summarize(values["parent"], values["change"], better)
+            s = summarize(values["parent"], values["change"], better, bound)
             ab[w][name] = {**values, **s}
+            if s["verdict"] == "bound broken":
+                broken.append(f"{w} {name}")
             print(f"  {name:12s} parent {s['parent_median']:10.4g} (IQR {s['parent_iqr']:.3g})  "
                   f"change {s['change_median']:10.4g} (IQR {s['change_iqr']:.3g})  "
                   f"{(s['change_median'] / s['parent_median'] - 1) * 100 if s['parent_median'] else 0:+6.1f}%  "
-                  f"wins {s['wins']}/{s['pairs']}{'  gain' if s['gain'] else ''}")
+                  f"{s['verdict']} ({bound:.0%})  wins {s['wins']}/{s['pairs']}{'  gain' if s['gain'] else ''}")
     if args.out is not None:
         write_bench(args, trees, workloads, runs, ab)
+    if broken:
+        print(f"error: bound broken on {', '.join(broken)}", file=sys.stderr)
+        status = 1
     return status
 
 
