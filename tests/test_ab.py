@@ -173,7 +173,7 @@ def test_bit_identical_change_is_named(tmp_path):
 
 
 @pytest.mark.parametrize("p50, verdict, status", [(130.0, "bound broken", 1), (101.0, "within bound", 0)])
-def test_a_change_slower_beyond_its_bound_fails_after_writing_the_file(tmp_path, p50, verdict, status):
+def test_each_metric_is_judged_against_its_bound(tmp_path, p50, verdict, status):
     # seed 1: parent p50 101, p90 201; the change 30% or 1% slower on both
     repo = fake_repo(
         tmp_path,
