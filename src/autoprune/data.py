@@ -12,6 +12,7 @@ two runs with the same seed shuffle, split, and initialize identically.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -95,7 +96,9 @@ def _read_idx(path: Path, magic: int):
     if len(raw) < header:
         raise DataFormatError(f"{path}: truncated dimension header")
     dims = struct.unpack(f">{ndim}i", raw[4:header])
-    count = int(np.prod(dims))
+    if min(dims) < 0:
+        raise DataFormatError(f"{path}: negative dimension in header {dims}")
+    count = math.prod(dims)  # exact, where numpy's int64 product can wrap around
     body = np.frombuffer(raw, dtype=np.uint8, offset=header)
     if len(body) != count:
         raise DataFormatError(f"{path}: expected {count} bytes of payload, found {len(body)}")

@@ -110,22 +110,9 @@ class ModelGraph:
             yield lid, "running_mean", self.bn_stats[lid].mean
             yield lid, "running_var", self.bn_stats[lid].var
 
-    def set_array(self, layer_id: int, role: str, array: np.ndarray) -> None:
-        """Replace the array `arrays` lists under `(layer_id, role)`."""
-        if role == "running_mean":
-            self.bn_stats[layer_id].mean = array
-        elif role == "running_var":
-            self.bn_stats[layer_id].var = array
-        else:
-            self.params[layer_id][role].data = array
-
 
 # ---------------------------------------------------------------------------
 # builders
-
-
-def _param(data, dtype) -> Tensor:
-    return Tensor(data, requires_grad=True, dtype=dtype)
 
 
 def _shapes(layer: LayerSpec) -> dict[str, tuple[int, ...]]:
@@ -144,7 +131,9 @@ def _init_params(layers: list[LayerSpec], dtype, make):
     """Parameters and bn running statistics for `layers`, stored in `dtype`.
 
     `make(layer, role, shape)` gives each array of `_shapes(layer)`, layer
-    by layer in table order.
+    by layer in table order: fresh draws (`_he_normal`), checkpoint files
+    (`load_checkpoint`), or the kept entries of another model's arrays
+    (`slice_channels`).
     """
     params: dict[int, dict[str, Tensor]] = {}
     bn_stats: dict[int, RunningStats] = {}
@@ -153,7 +142,7 @@ def _init_params(layers: list[LayerSpec], dtype, make):
         if l.kind == "bn":
             bn_stats[l.id] = RunningStats(arrays.pop("running_mean"), arrays.pop("running_var"))
         if arrays:
-            params[l.id] = {role: _param(a, dtype) for role, a in arrays.items()}
+            params[l.id] = {role: Tensor(a, requires_grad=True, dtype=dtype) for role, a in arrays.items()}
     return params, bn_stats
 
 
@@ -482,7 +471,7 @@ def _kept_index(model: ModelGraph, keep: dict[int, np.ndarray]):
             flow[layer.id] = out
         elif layer.kind == "bn":
             idx = slice(None) if src is None else src
-            index[layer.id] = dict.fromkeys(("gamma", "beta", "running_mean", "running_var"), idx)
+            index[layer.id] = dict.fromkeys(_shapes(layer), idx)
             flow[layer.id] = src
         elif layer.kind == "add":
             if any(flow[p] is not None for p in pin):
@@ -510,21 +499,18 @@ def slice_channels(model: ModelGraph, keep: dict[int, np.ndarray]) -> ModelGraph
     stay full width.  Output channels shrink to the kept ids, and so does
     everything that consumes them: bn parameters and running statistics,
     the next conv's input channels, the linear head's input features.
-    Every array is a fresh copy, so training the slice leaves `model` as
-    it was until `write_back`.  Keeping every channel reproduces the
-    original logits bit for bit.
+    The arrays are built by `_init_params` in `model`'s dtype, each a
+    fresh copy, so training the slice leaves `model` as it was until
+    `write_back`.  Keeping every channel reproduces the original logits
+    bit for bit.
     """
     layers, index = _kept_index(model, keep)
-    params = {
-        lid: {role: _param(t.data[index[lid][role]].copy(), t.data.dtype) for role, t in d.items()}
-        for lid, d in model.params.items()
-    }
-    bn_stats = {}
-    for lid, s in model.bn_stats.items():
-        idx = index[lid]["running_mean"]
-        bn_stats[lid] = RunningStats(s.mean[idx].copy(), s.var[idx].copy())
-    return replace(model, layers=layers, preds=dict(model.preds),
-                   params=params, bn_stats=bn_stats)
+    whole = {(lid, role): a for lid, role, a in model.arrays()}
+    dtype = next(iter(whole.values())).dtype  # every array of a model shares one dtype
+    # a full-width index is `slice(None)`, a view: the copy keeps the slice apart
+    params, bn_stats = _init_params(
+        layers, dtype, lambda l, role, shape: whole[l.id, role][index[l.id][role]].copy())
+    return replace(model, layers=layers, preds=dict(model.preds), params=params, bn_stats=bn_stats)
 
 
 def write_back(dense: ModelGraph, small: ModelGraph, keep: dict[int, np.ndarray]) -> None:

@@ -144,7 +144,7 @@ class TrainResult:
 
 
 def _snapshot(model: ModelGraph) -> list:
-    return [(lid, role, arr.copy()) for lid, role, arr in model.arrays()]
+    return [arr.copy() for _, _, arr in model.arrays()]
 
 
 def _check_training(epochs: int, batch_size: int, lr_max: float, lr_min: float) -> None:
@@ -171,7 +171,7 @@ def train_supervised(
     """Plain-SGD cross-entropy training with one cosine decay cycle.
 
     Logs the loss every 100 steps and validation accuracy per epoch, and
-    restores the best snapshot at the end.  A non-finite loss or weight
+    writes the best epoch's arrays back into the model's at the end.  A non-finite loss or weight
     gradient aborts immediately, before the update, with the last good
     (best so far) weights in place.
     """
@@ -219,8 +219,8 @@ def train_supervised(
             best_acc = acc
             best = _snapshot(model)
 
-    for lid, role, arr in best:
-        model.set_array(lid, role, arr)
+    for (_, _, arr), saved in zip(model.arrays(), best):
+        arr[...] = saved
     if best_acc < 0:  # no epoch finished: zero epochs, or a first-epoch divergence
         best_acc = evaluate(model, val.images, val.labels)
     return TrainResult(metrics, best_acc, diverged)

@@ -3,13 +3,16 @@
 benchmark runs: the pairing, the unpacked parent tree, the win count, the
 digest comparison, the check of each run's output and the BENCH file."""
 
+import contextlib
 import importlib.util
 import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,7 @@ import pytest
 AB_PATH = Path(__file__).resolve().parents[1] / "tools" / "ab.py"
 
 FAKE_RUN = '''
-import argparse, json, os, sys
+import argparse, json, os, sys, time
 from pathlib import Path
 p = argparse.ArgumentParser()
 for flag in ("--workload", "--seed", "--seconds", "--trace"):
@@ -30,8 +33,12 @@ seed = int(a.seed)
 log = Path(os.environ["AB_LOG"])
 call = f"{state['digest']} {a.workload} {a.trace}"
 n = log.read_text().splitlines().count(call) if log.exists() else 0
+if "sleep" in state:  # hang after the log line, with this process's id beside the log
+    (log.parent / "sleeper.pid").write_text(str(os.getpid()))
 with log.open("a") as f:
     f.write(call + "\\n")
+if "sleep" in state:
+    time.sleep(state["sleep"])
 if a.trace == "1":
     metrics = {"tensor.conv2d.bwd_ms": {"value": state["p50"] / 2 + (3, 0, 1)[n % 3], "unit": "ms/step"}}
 else:
@@ -75,7 +82,8 @@ def git(repo, *args):
 
 def fake_repo(tmp_path, parent_state, change_state, src_lines=(0, 0)):
     """A repository with two commits that differ only in the stand-in's state
-    and in the lines of `src/pkg/mod.py`, `src_lines` per commit."""
+    and in the lines of `src/pkg/mod.py`, `src_lines` per commit; both hold
+    the one line of `src/pkg/same.py`."""
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
     (repo / "tools").mkdir()
@@ -85,6 +93,7 @@ def fake_repo(tmp_path, parent_state, change_state, src_lines=(0, 0)):
     git(repo, "init", "-q")
     (repo / "src" / "pkg").mkdir(parents=True)
     (repo / "src" / "notes.txt").write_text("not counted\n")
+    (repo / "src" / "pkg" / "same.py").write_text("y = 2\n")
     for state, lines in zip((parent_state, change_state), src_lines):
         (repo / "state.json").write_text(json.dumps(state))
         (repo / "src" / "pkg" / "mod.py").write_text("x = 1\n" * lines)
@@ -93,15 +102,22 @@ def fake_repo(tmp_path, parent_state, change_state, src_lines=(0, 0)):
     return repo
 
 
-def run_ab(repo, *args):
-    """ab.py in `repo`, with its temporary directory under `repo/../tmp`."""
+def start_ab(repo, *args):
+    """ab.py started in `repo`, with its temporary directory under `repo/../tmp`."""
     tmp = repo.parent / "tmp"
     tmp.mkdir(exist_ok=True)
-    return subprocess.run(
+    return subprocess.Popen(
         [sys.executable, "tools/ab.py", "--parent", "HEAD~1", "--seconds", "0", *args],
-        cwd=repo, capture_output=True, text=True,
+        cwd=repo, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env={**os.environ, "TMPDIR": str(tmp), "AB_LOG": str(repo.parent / "runs.log")},
     )
+
+
+def run_ab(repo, *args):
+    """ab.py run to its end in `repo`, as `start_ab` starts it."""
+    with start_ab(repo, *args) as proc:
+        stdout, stderr = proc.communicate()
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
 
 
 def traced_calls(repo):
@@ -141,8 +157,11 @@ def test_pairs_count_wins_and_write_the_bench_file(tmp_path):
     assert bench["host"] == "2 vCPU, Python 3.x, numpy 2.x, fake 0, one BLAS thread"
     assert bench["parent"]["commit"] == git(repo, "rev-parse", "HEAD~1")
     assert bench["change"]["commit"] == git(repo, "rev-parse", "HEAD")
-    assert (bench["parent"]["src_lines"], bench["change"]["src_lines"]) == (7, 4)
-    assert "src/ lines: parent 7, change 4 (-3)" in out
+    assert (bench["parent"]["src_lines"], bench["change"]["src_lines"]) == (8, 5)
+    assert bench["parent"]["src_files"] == {"src/pkg/mod.py": 7, "src/pkg/same.py": 1}
+    assert bench["change"]["src_files"] == {"src/pkg/mod.py": 4, "src/pkg/same.py": 1}
+    # the total, then each file whose count changed
+    assert "src/ lines: parent 8, change 5 (-3)\n  src/pkg/mod.py 7 -> 4 (-3)\nwrote BENCH_9.json" in out
     for side, p50, digest in (("parent", 60.0, "aaa"), ("change", 50.0, "bbb")):
         for w in ("w-one", "w-two"):
             entry = bench[side][w]
@@ -161,6 +180,32 @@ def test_pairs_count_wins_and_write_the_bench_file(tmp_path):
     assert bench["ab"]["w-one"]["step_ms_p50"]["verdict"] == "within bound"
     # the parent's tree is gone again and git kept no trace of it
     assert left_behind(repo) == ([], 0)
+
+
+def test_sigterm_removes_the_parent_tree_and_ends_the_running_benchmark(tmp_path):
+    state = {"p50": 60.0, "digest": "aaa", "correct": True, "sleep": 60}
+    repo = fake_repo(tmp_path, state, {**state, "p50": 61.0})
+    log, pid = tmp_path / "runs.log", None
+    proc = start_ab(repo, "--pairs", "1", "--workloads", "w-one")
+    try:
+        deadline = time.monotonic() + 30
+        while not log.exists() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert log.exists(), "the stand-in never ran"
+        pid = int((tmp_path / "sleeper.pid").read_text())
+        proc.send_signal(signal.SIGTERM)
+        _, stderr = proc.communicate(timeout=30)
+        assert proc.returncode == 128 + signal.SIGTERM, stderr
+        assert left_behind(repo) == ([], 0)
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)  # the stand-in was ended, not left sleeping
+        pid = None
+    finally:
+        proc.kill()
+        proc.communicate()
+        if pid is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_bit_identical_change_is_named(tmp_path):

@@ -12,6 +12,7 @@ import inspect
 import json
 import re
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,21 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run_cli("pretrain", "--data-dir", str(data), "--out", str(out)) == 2
         assert capsys.readouterr().err == f"error: {data / name}: images are 32x32, not 28x28\n"
+        assert not (out / "baseline").exists()
+
+    @pytest.mark.parametrize("dims, payload, message", [
+        ((-600, -28, 28), 600 * 28 * 28, "negative dimension in header (-600, -28, 28)"),
+        ((2**30, 2**30, 16), 0, f"expected {2**64} bytes of payload, found 0"),
+    ])
+    def test_mnist_header_dims_that_do_not_fit_are_2_naming_the_file(self, tmp_path, capsys, dims,
+                                                                     payload, message):
+        # both used to exit 1 with a numpy reshape error that named no file
+        data = make_mnist_dir(tmp_path)
+        path = data / "t10k-images-idx3-ubyte"
+        path.write_bytes(struct.pack(">4i", 0x803, *dims) + bytes(payload))
+        out = tmp_path / "out"
+        assert run_cli("pretrain", "--data-dir", str(data), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not (out / "baseline").exists()
 
     @pytest.mark.parametrize("fraction", [0.01, 0.99])

@@ -139,6 +139,20 @@ class TestMnistLoading:
         with pytest.raises(DataFormatError, match="payload"):
             load_mnist(d)
 
+    @pytest.mark.parametrize("dims, payload, message", [
+        ((-600, -28, 28), 600 * 28 * 28, "negative dimension in header (-600, -28, 28)"),
+        ((2**30, 2**30, 16), 0, f"expected {2**64} bytes of payload, found 0"),
+    ])
+    def test_header_dims_that_do_not_fit_name_their_file(self, tmp_path, dims, payload, message):
+        # numpy's int64 product of each matches its payload: the two minus
+        # signs cancel, and 2**64 wraps to 0
+        d = make_mnist_dir(tmp_path)
+        p = d / "train-images-idx3-ubyte"
+        p.write_bytes(struct.pack(">4i", 0x803, *dims) + bytes(payload))
+        with pytest.raises(DataFormatError) as e:
+            load_mnist(d)
+        assert str(e.value) == f"{p}: {message}"
+
     def test_label_count_mismatch_raises(self, tmp_path):
         d = make_mnist_dir(tmp_path)
         write_idx(d / "train-labels-idx1-ubyte", np.zeros(7, dtype=np.uint8))

@@ -26,6 +26,7 @@ from autoprune.model import (
     slice_channels,
     write_back,
 )
+from autoprune.pruner import export_pruned, finalize_plan
 from autoprune.tensor import (
     Tensor,
     add,
@@ -598,6 +599,19 @@ class TestSliceChannels:
         again = slice_channels(model, keep)
         for a, b in zip(arrays(again), arrays(small)):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name, shape", [("cnn-small", (1, 8, 8)), ("resnet-tiny", (3, 8, 8))])
+    def test_a_slice_shares_no_memory_with_its_model(self, name, shape):
+        # a full-width entry is indexed by `slice(None)`, a view, and must
+        # still be copied
+        model = build_model(name, 10, shape, rng=np.random.default_rng(0))
+        ids = model.prunable_ids()
+        some = slice_channels(model, {i: np.arange(0, model.layer(i).out_channels, 2) for i in ids[::2]})
+        full = export_pruned(model, finalize_plan(model, dict.fromkeys(ids, 1.0)))
+        for small in (some, full):
+            for (lid, role, whole), (_, _, part) in zip(model.arrays(), small.arrays()):
+                assert not np.shares_memory(whole, part), (lid, role)
+        assert all(a.shape == b.shape for (_, _, a), (_, _, b) in zip(model.arrays(), full.arrays()))
 
 
 class TestDtypes:

@@ -288,6 +288,25 @@ class TestTrainer:
             assert np.array_equal(got, best), (lid, role)
             assert not np.array_equal(got, last), (lid, role)
 
+    def test_a_parameter_array_held_from_before_holds_the_best_epoch(self, monkeypatch):
+        import autoprune.pruner as pruner
+
+        model = small_model(seed=1)
+        held = [p.data for p in model.parameters()]
+        seen = []
+
+        def falling_accuracy(m, images, labels):
+            seen.append([p.data.copy() for p in m.parameters()])
+            return 0.9 - 0.3 * len(seen)
+
+        monkeypatch.setattr(pruner, "evaluate", falling_accuracy)
+        train_supervised(model, toy_problem(64), toy_problem(32, seed=1), epochs=3,
+                         lr_max=0.05, lr_min=0.001, batch_size=32, seed=0)
+        # the best epoch is written into the arrays, not swapped in for them
+        for p, array, best, last in zip(model.parameters(), held, seen[0], seen[-1]):
+            assert p.data is array
+            assert np.array_equal(array, best) and not np.array_equal(array, last)
+
     @pytest.mark.parametrize("settings, message", [
         ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
         ({"lr_max": -0.1, "lr_min": -0.2}, r"bad learning rate range \[lr_min, lr_max\] = \[-0.2, -0.1\]"),

@@ -9,7 +9,8 @@ pairs: each pair runs `perfbench/run.py --trace 0` once in the parent tree
 and once in this one, back to back, parent first in even pairs and second
 in odd ones, with pair i on seed `seeds[i % len(seeds)]`.  The parent tree
 is `git archive` of the commit `--parent` names, unpacked into a temporary
-directory (under $TMPDIR) that is removed afterwards; nothing is written
+directory (under $TMPDIR) that is removed afterwards, also when the
+script is ended by SIGTERM (exit status 143); nothing is written
 into the repository's `.git`.  Each tree's `run.py` imports that tree's
 own `src/`.
 
@@ -33,7 +34,9 @@ per workload, alternating which tree runs first as the timed pairs do,
 since one traced pair drifts by up to 30% on ops that did not change.
 It writes the file in the layout of `BENCH_14.json`: per side the commit
 that ran, its `src_lines` (the lines of every `*.py` under `src/`,
-printed with their net change) and, per workload, the digest and the
+printed with their net change) and `src_files` (those lines per file,
+each file whose count changed printed as `path parent -> change (+n)`)
+and, per workload, the digest and the
 last stdout line of the `--trace 0` run at that seed, and under `trace1`
 the last line of the first traced run with each metric's value replaced
 by the median of the three and its three values, in pair order, under
@@ -48,6 +51,7 @@ import argparse
 import json
 import math
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -172,9 +176,10 @@ def commit_of(tree: Path) -> str:
     return head + ("-dirty" if git(tree, "status", "--porcelain", "--untracked-files=no") else "")
 
 
-def src_lines(tree: Path) -> int:
-    """The lines of every `*.py` file under `tree`'s `src/`."""
-    return sum(len(f.read_bytes().splitlines()) for f in (tree / "src").rglob("*.py"))
+def src_files(tree: Path) -> dict[str, int]:
+    """The lines of each `*.py` file under `tree`'s `src/`, by path from `tree`."""
+    return {f.relative_to(tree).as_posix(): len(f.read_bytes().splitlines())
+            for f in sorted((tree / "src").rglob("*.py"))}
 
 
 def main(argv=None) -> int:
@@ -194,6 +199,9 @@ def main(argv=None) -> int:
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     gated = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     args.parent_commit = git(ROOT, "rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    # SIGTERM would skip the `finally`; as `SystemExit` it first makes
+    # `subprocess.run` kill the running benchmark, then removes the tree
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     scratch = Path(tempfile.mkdtemp(prefix="ab-parent-"))
     try:
         unpack(args.parent_commit, scratch / "tree")
@@ -267,10 +275,15 @@ def write_bench(args, trees: dict, workloads: list[str], runs: dict, ab: dict) -
     """The BENCH file: trace 0 at the bench seed and the median of three
     trace 1 runs there, per side."""
     env = {}
-    lines = {side: src_lines(tree) for side, tree in trees.items()}
+    files = {side: src_files(tree) for side, tree in trees.items()}
+    lines = {side: sum(counts.values()) for side, counts in files.items()}
     print(f"src/ lines: parent {lines['parent']}, change {lines['change']} ({lines['change'] - lines['parent']:+d})")
-    sides = {"parent": {"commit": args.parent_commit, "src_lines": lines["parent"]},
-             "change": {"commit": commit_of(ROOT), "src_lines": lines["change"]}}
+    for path in sorted(files["parent"].keys() | files["change"].keys()):
+        old, new = files["parent"].get(path, 0), files["change"].get(path, 0)
+        if old != new:
+            print(f"  {path} {old} -> {new} ({new - old:+d})")
+    sides = {"parent": {"commit": args.parent_commit, "src_lines": lines["parent"], "src_files": files["parent"]},
+             "change": {"commit": commit_of(ROOT), "src_lines": lines["change"], "src_files": files["change"]}}
     for k, w in enumerate(workloads):
         traced = {side: [] for side in trees}
         for j in range(TRACED_PAIRS):
