@@ -34,15 +34,15 @@ per workload, alternating which tree runs first as the timed pairs do,
 since one traced pair drifts by up to 30% on ops that did not change.
 It writes the file in the layout of `BENCH_14.json`: per side the commit
 that ran, its `src_lines` (the lines of every `*.py` under `src/`,
-printed with their net change) and `src_files` (those lines per file,
-each file whose count changed printed as `path parent -> change (+n)`)
-and, per workload, the digest and the
-last stdout line of the `--trace 0` run at that seed, and under `trace1`
-the last line of the first traced run with each metric's value replaced
-by the median of the three and its three values, in pair order, under
-`runs`; plus the paired figures and verdicts under `ab`.  Exit status: 0,
-or 1 if a run failed or was not correct, if digests of one tree
-disagree, or (after writing `--out`) if a bound is broken.
+printed with their net change), `src_files` (those lines per file, each
+file whose count changed printed as `path parent -> change (+n)`) and,
+per workload, the digest and the last stdout line of the `--trace 0`
+run at that seed, and under `trace1` the last line of the first traced
+run with each metric's value replaced by the median of the three and
+its three values, in pair order, under `runs`; plus the paired figures
+and verdicts under `ab`.  Exit status: 0, or 1 if a run failed or was
+not correct, if digests of one tree disagree, or (after writing `--out`)
+if a bound is broken.
 """
 
 from __future__ import annotations
