@@ -9,7 +9,16 @@ sliced out, and the smaller network is fine-tuned.
 
 Everything runs on numpy through a small reverse-mode tensor engine; no
 GPU or external ML framework is involved.
+
+The engine splits its heavy ops over images across the process's CPUs
+itself, so BLAS is pinned to one thread unless the environment already
+says otherwise; this takes effect only if numpy is not yet imported.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 __version__ = "0.1.0"
 

@@ -31,12 +31,29 @@ which `_gather` zeroes, and pairs the last (j > p) or first (j < p)
 loops zero in the columns (`_zero_wraps`): a sum that starts at +0.0 is
 never -0.0, so adding +0.0 changes no bit.
 `batch_norm2d` keeps no normalized copy of its input.
+
+The per-image work of conv2d with a graph (both kernels' forward, the
+weight-gradient GEMMs and both input gradients), relu, max pool2d and
+batch_norm2d's elementwise passes and per-image sums runs in contiguous
+chunks of images, one per CPU this process may use (`_over_images`):
+the calling thread runs the first chunk, a pool of pinned threads the
+rest.  An op splits only when each chunk gets at least
+`_SPLIT_MIN_ELEMENTS` elements.  Every image's arithmetic is what one
+thread does, and the weight gradients are summed over the batch on the
+calling thread once all chunks have run, so no bit depends on the
+number of threads.  Serial stay: the float64 per-channel sums (split,
+their order would change), the forward of a conv without a graph and
+of an im2col conv whose weight takes no gradient (both build columns a
+memory-bounded block at a time, and many small blocks lose to the
+hand-off) and average pooling.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -171,6 +188,84 @@ def backward(loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
+# image chunks over the process's CPUs
+
+
+# Bytes of im2col columns built at a time when no weight gradient keeps them.
+_COLS_BLOCK_BYTES = 1 << 19
+# Elements an op needs per chunk of images before it splits over threads
+# (`_over_images`): below this, waking a thread whose CPU has gone idle
+# costs more than the chunk saves.
+_SPLIT_MIN_ELEMENTS = 3 << 17
+# Threads that run chunks, the calling one included.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_POOL: ThreadPoolExecutor | None = None
+
+
+def _over_images(n: int, size: int, fn: Callable[[int, int], None]) -> None:
+    """Call `fn(start, stop)` on contiguous image ranges that cover [0, n) once.
+
+    `size` counts the op's image-side elements (an elementwise op's input,
+    a conv's GEMM operands and products), and there are min(_WORKERS, n,
+    size // _SPLIT_MIN_ELEMENTS) ranges, or one.  The calling thread runs
+    the first and a pool of _WORKERS - 1 threads, started on first use, the
+    others; all have ended when this returns or raises the first range's
+    exception.  `fn` writes only its own images' rows of arrays that the
+    caller owns, and never calls this helper, so a busy pool cannot
+    deadlock.
+    """
+    global _POOL
+    chunks = min(_WORKERS, n, size // _SPLIT_MIN_ELEMENTS)
+    if chunks <= 1:
+        fn(0, n)
+        return
+    if _POOL is None:
+        _POOL = _start_pool()
+    bounds = [n * k // chunks for k in range(chunks + 1)]
+    rest = [_POOL.submit(fn, s, e) for s, e in zip(bounds[1:-1], bounds[2:])]
+    try:
+        fn(bounds[0], bounds[1])
+    finally:
+        wait(rest)
+    for f in rest:
+        f.result()
+
+
+def _start_pool() -> ThreadPoolExecutor:
+    """_WORKERS - 1 threads, each pinned to one of this process's CPUs
+    other than the calling thread's while there are such CPUs.  Where the
+    kernel does not balance load across CPUs (a cpuset with
+    sched_load_balance 0), an unpinned thread stays on its creator's CPU
+    and adds no throughput; the caller itself stays unpinned."""
+    free = iter(())
+    if hasattr(os, "sched_setaffinity"):
+        try:
+            with open("/proc/thread-self/stat") as f:
+                here = int(f.read().rsplit(")", 1)[1].split()[36])
+            free = iter(sorted(os.sched_getaffinity(0) - {here}))
+        except (OSError, ValueError, IndexError):
+            pass
+
+    def pin():
+        cpu = next(free, None)
+        if cpu is not None:
+            os.sched_setaffinity(0, {cpu})
+
+    return ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="autoprune-engine", initializer=pin)
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's pool threads: work queued on
+    the inherited pool would never run, so the child starts its own."""
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+# ---------------------------------------------------------------------------
 # elementwise and shape ops
 
 
@@ -230,16 +325,26 @@ def relu(a: Tensor) -> Tensor:
     while leaving every other value as it is.  (`np.maximum` would keep
     both NaN and -0.0.)
     """
-    keep = a.data > 0 if _recording((a,)) else None
-    zero = a.data.dtype.type(0)
-    out_data = np.fmax(a.data, zero)
-    out_data += zero
+    x = np.atleast_1d(a.data)  # a view with an image axis to split over
+    keep = np.empty(x.shape, dtype=bool) if _recording((a,)) else None
+    zero = x.dtype.type(0)
+    out_data = np.empty(x.shape, dtype=x.dtype)
+
+    def forward(s, e):
+        if keep is not None:
+            np.greater(x[s:e], 0, out=keep[s:e])
+        np.fmax(x[s:e], zero, out=out_data[s:e])
+        out_data[s:e] += zero
+
+    _over_images(len(x), x.size, forward)
 
     def back(g):
         if a.requires_grad:
-            _accum(a, g * keep, owned=True)
+            g, gx = g.reshape(x.shape), np.empty(x.shape, dtype=g.dtype)
+            _over_images(len(x), x.size, lambda s, e: np.multiply(g[s:e], keep[s:e], out=gx[s:e]))
+            _accum(a, gx.reshape(a.data.shape), owned=True)
 
-    return _make(out_data, (a,), back)
+    return _make(out_data.reshape(a.data.shape), (a,), back)
 
 
 def channel_scale(x: Tensor, s: Tensor) -> Tensor:
@@ -285,10 +390,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             _accum(b, g.sum(axis=0))
 
     return _make(out_data, (x, w, b), back)
-
-
-# Bytes of im2col columns built at a time when no weight gradient keeps them.
-_COLS_BLOCK_BYTES = 1 << 19
 
 
 class _TapTable(NamedTuple):
@@ -385,19 +486,28 @@ def _scatter_add(cols: np.ndarray, t: _TapTable, out: np.ndarray) -> None:
         out[src] += cols[:, :, i, j][dst]
 
 
-def _im2col(x: np.ndarray, t: _TapTable, kh: int, kw: int):
-    """The [N, C*Kh*Kw, Ho*Wo] columns of `x` over `t`, zero where a tap reads padding."""
+def _cols_buffer(shape: tuple[int, ...], t: _TapTable, dtype) -> np.ndarray:
+    """Columns of `shape` + t.out_grid for `_gather`, zeroed unless the table is flat."""
+    return (np.empty if t.flat else np.zeros)(shape + t.out_grid, dtype=dtype)
+
+
+def _im2col(x: np.ndarray, t: _TapTable, kh: int, kw: int, cols: np.ndarray | None = None):
+    """The [N, C*Kh*Kw, Ho*Wo] columns of `x` over `t`, zero where a tap reads padding,
+    written into `cols` (a `_cols_buffer` of [N, C, Kh, Kw]) when it is given."""
     n, c = x.shape[:2]
-    cols = (np.empty if t.flat else np.zeros)((n, c, kh, kw) + t.out_grid, dtype=x.dtype)
+    if cols is None:
+        cols = _cols_buffer((n, c, kh, kw), t, x.dtype)
     _gather(x.reshape((n, c) + t.in_grid), t, cols)
     return cols.reshape(n, c * kh * kw, math.prod(t.out_grid))
 
 
-def _col2im(cols: np.ndarray, x_shape, t: _TapTable, kh: int, kw: int) -> np.ndarray:
-    """Sum im2col columns back onto the input grid (`_scatter_add`), which
-    consumes `cols`: a caller passes columns it does not read again."""
+def _col2im(cols: np.ndarray, x_shape, t: _TapTable, kh: int, kw: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum im2col columns back onto the input grid (`_scatter_add`), into
+    `out` ([N, C] + t.in_grid, zeroed) when it is given.  This consumes
+    `cols`: a caller passes columns it does not read again."""
     n, c = x_shape[:2]
-    out = np.zeros((n, c) + t.in_grid, dtype=cols.dtype)
+    if out is None:
+        out = np.zeros((n, c) + t.in_grid, dtype=cols.dtype)
     _scatter_add(cols.reshape((n, c, kh, kw) + t.out_grid), t, out)
     return out.reshape(x_shape)
 
@@ -438,29 +548,47 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         return _output_side_conv2d(x, w, t.transposed(), ho, wo)
 
     # Only the weight gradient reads the columns: when it will, they are
-    # built for the whole batch, before the output buffer, and kept;
-    # otherwise a block of images at a time.  Each block runs the same
-    # per-image GEMM.
+    # built for the whole batch, before the output buffer, and kept, a
+    # chunk of images per thread; otherwise a block of images at a time,
+    # on the calling thread.  Each block runs the same per-image GEMM.
     wmat = w.data.reshape(cout, -1)
     keep = recording and w.requires_grad
-    cols = _im2col(x.data, t, kh, kw) if keep else None
-    per = max(1, n if keep else _COLS_BLOCK_BYTES // max(1, cin * kh * kw * ho * wo * x.data.itemsize))
+    size = n * (cin * kh * kw + cout) * ho * wo  # the GEMMs' columns and products
+    cols = _cols_buffer((n, cin, kh, kw), t, x.data.dtype) if keep else None
     out_data = np.empty((n, cout, ho * wo), dtype=np.result_type(wmat, x.data))
-    for s in range(0, n, per):
-        block = cols if keep else _im2col(x.data[s : s + per], t, kh, kw)
-        np.matmul(wmat, block, out=out_data[s : s + per])
+    if keep:
+        _over_images(n, size, lambda s, e: np.matmul(wmat, _im2col(x.data[s:e], t, kh, kw, cols[s:e]),
+                                                     out=out_data[s:e]))
+    else:
+        per = max(1, _COLS_BLOCK_BYTES // max(1, cin * kh * kw * ho * wo * x.data.itemsize))
+        for s in range(0, n, per):
+            np.matmul(wmat, _im2col(x.data[s : s + per], t, kh, kw), out=out_data[s : s + per])
     out_data = out_data.reshape(n, cout, ho, wo)
 
     def back(g):
         gmat = g.reshape(n, cout, ho * wo)
-        if w.requires_grad:
-            # A weight made trainable after the forward rebuilds its columns.
-            xcols = cols if cols is not None else _im2col(x.data, t, kh, kw)
-            gw = np.matmul(gmat, xcols.transpose(0, 2, 1)).sum(axis=0)
-            _accum(w, gw.reshape(w.data.shape), owned=True)
-        if x.requires_grad:
-            gcols = np.matmul(wmat.T, gmat)  # fresh, so `_col2im` may consume it
-            _accum(x, _col2im(gcols, x.data.shape, t, kh, kw), owned=True)
+        # A weight made trainable after the forward rebuilds its columns.
+        rebuild = w.requires_grad and cols is None
+        xcols = _cols_buffer((n, cin, kh, kw), t, x.data.dtype) if rebuild else cols
+        # one GEMM per image, summed over the batch once all have run
+        gw = np.empty((n, cout, cin * kh * kw), dtype=np.result_type(gmat, x.data)) if w.requires_grad else None
+        gx = np.zeros((n, cin) + t.in_grid, dtype=np.result_type(wmat, gmat)) if x.requires_grad else None
+
+        def chunk(s, e):
+            if gw is not None:
+                block = (_im2col(x.data[s:e], t, kh, kw, xcols[s:e]) if rebuild
+                         else xcols[s:e].reshape(e - s, -1, ho * wo))
+                np.matmul(gmat[s:e], block.transpose(0, 2, 1), out=gw[s:e])
+            if gx is not None:
+                # fresh, so `_col2im` may consume it
+                gcols = np.matmul(wmat.T, gmat[s:e])
+                _col2im(gcols, (e - s,) + x.data.shape[1:], t, kh, kw, gx[s:e])
+
+        _over_images(n, size, chunk)
+        if gw is not None:
+            _accum(w, gw.sum(axis=0).reshape(w.data.shape), owned=True)
+        if gx is not None:
+            _accum(x, gx.reshape(x.data.shape), owned=True)
 
     return _make(out_data, (x, w), back)
 
@@ -485,23 +613,45 @@ def _output_side_conv2d(x: Tensor, w: Tensor, t: _TapTable, ho: int, wo: int) ->
     xmat = x.data.reshape(n, cin, h * wd)
     dt = np.result_type(wstack, x.data)
     out_data = np.zeros((n, cout) + t.in_grid, dtype=dt)
-    per = max(1, _COLS_BLOCK_BYTES // max(1, wstack.shape[0] * h * wd * dt.itemsize))
-    part = np.empty((min(per, n), wstack.shape[0], h * wd), dtype=dt)
-    for s in range(0, n, per):
-        block = part[: min(per, n - s)]
-        np.matmul(wstack, xmat[s : s + per], out=block)
-        _scatter_add(block.reshape((-1, kh, kw, cout) + t.out_grid).transpose(axes), t, out_data[s : s + per])
+    rows = kh * kw * cout
+    size = n * (cin + rows) * h * wd  # the GEMMs' image operands and products
+    per = max(1, _COLS_BLOCK_BYTES // max(1, rows * h * wd * dt.itemsize))
+
+    def forward(s, e):
+        part = np.empty((min(per, e - s), rows, h * wd), dtype=dt)
+        for b in range(s, e, per):
+            block = part[: min(per, e - b)]
+            np.matmul(wstack, xmat[b : b + len(block)], out=block)
+            _scatter_add(block.reshape((-1, kh, kw, cout) + t.out_grid).transpose(axes), t,
+                         out_data[b : b + len(block)])
+
+    # without a graph the point of this kernel is its memory bound, which
+    # a block per thread would break: that forward stays on one thread
+    if _recording((x, w)):
+        _over_images(n, size, forward)
+    else:
+        forward(0, n)
     out_data = out_data.reshape(n, cout, ho, wo)
 
     def back(g):
-        gtap = (np.empty if t.flat else np.zeros)((n, kh, kw, cout) + t.out_grid, dtype=g.dtype)
-        _gather(g.reshape((n, cout) + t.in_grid), t, gtap.transpose(axes))
-        gtap = gtap.reshape(n, kh * kw * cout, h * wd)
-        if w.requires_grad:
-            gw = np.matmul(gtap, xmat.transpose(0, 2, 1)).sum(axis=0)
-            _accum(w, gw.reshape(kh, kw, cout, cin).transpose(2, 3, 0, 1))
-        if x.requires_grad:
-            gx = np.matmul(wstack.T, gtap)
+        gtap = _cols_buffer((n, kh, kw, cout), t, g.dtype)
+        g_in = g.reshape((n, cout) + t.in_grid)
+        gmat = gtap.reshape(n, rows, h * wd)
+        # one GEMM per image, summed over the batch once all have run
+        gw = np.empty((n, rows, cin), dtype=np.result_type(gmat, xmat)) if w.requires_grad else None
+        gx = np.empty((n, cin, h * wd), dtype=np.result_type(wstack, gmat)) if x.requires_grad else None
+
+        def chunk(s, e):
+            _gather(g_in[s:e], t, gtap[s:e].transpose(axes))
+            if gw is not None:
+                np.matmul(gmat[s:e], xmat[s:e].transpose(0, 2, 1), out=gw[s:e])
+            if gx is not None:
+                np.matmul(wstack.T, gmat[s:e], out=gx[s:e])
+
+        _over_images(n, size, chunk)
+        if gw is not None:
+            _accum(w, gw.sum(axis=0).reshape(kh, kw, cout, cin).transpose(2, 3, 0, 1))
+        if gx is not None:
             _accum(x, gx.reshape(n, cin, h, wd), owned=True)
 
     return _make(out_data, (x, w), back)
@@ -533,11 +683,17 @@ def pool2d(x: Tensor, kind: str, window: int) -> Tensor:
 
     if kind == "max":
         offsets = [(i, j) for i in range(window) for j in range(window)]
-        out_data = x.data[:, :, 0::window, 0::window].copy()
-        for i, j in offsets[1:]:
-            # np.maximum returns its second operand on ties, so the
-            # earlier element wins between -0.0 and +0.0
-            np.maximum(x.data[:, :, i::window, j::window], out_data, out=out_data)
+        out_data = np.empty((n, c, ho, wo), dtype=x.data.dtype)
+
+        def forward(s, e):
+            xs, out = x.data[s:e], out_data[s:e]
+            np.copyto(out, xs[:, :, 0::window, 0::window])
+            for i, j in offsets[1:]:
+                # np.maximum returns its second operand on ties, so the
+                # earlier element wins between -0.0 and +0.0
+                np.maximum(xs[:, :, i::window, j::window], out, out=out)
+
+        _over_images(n, x.data.size, forward)
 
         def back(g):
             if not x.requires_grad:
@@ -545,24 +701,29 @@ def pool2d(x: Tensor, kind: str, window: int) -> Tensor:
             # g arrives as out_data's dtype, which is x's (`_accum` casts)
             bits = np.dtype(f"u{g.itemsize}")
             gx = np.empty_like(x.data)
-            free = np.ones(out_data.shape, dtype=bool)
-            hit = np.empty(out_data.shape, dtype=bool)
-            for i, j in offsets:
-                np.equal(x.data[:, :, i::window, j::window], out_data, out=hit)
-                hit &= free
-                # g's bit pattern times 0/1 keeps g exactly (-0.0 too) at a
-                # hit and writes +0.0 elsewhere; g * hit would give -0.0
-                # where g < 0, and copyto(where=) is several times slower
-                np.multiply(g.view(bits), hit, out=gx.view(bits)[:, :, i::window, j::window])
-                free ^= hit
-            if free.any():
-                # NaN equals nothing, so a NaN window is still free here:
-                # its gradient goes to its first NaN
+
+            def chunk(s, e):
+                xs, out, gs, gxs = x.data[s:e], out_data[s:e], g[s:e], gx[s:e]
+                free = np.ones(out.shape, dtype=bool)
+                hit = np.empty(out.shape, dtype=bool)
                 for i, j in offsets:
-                    np.isnan(x.data[:, :, i::window, j::window], out=hit)
+                    np.equal(xs[:, :, i::window, j::window], out, out=hit)
                     hit &= free
-                    np.copyto(gx[:, :, i::window, j::window], g, where=hit)
+                    # g's bit pattern times 0/1 keeps g exactly (-0.0 too) at a
+                    # hit and writes +0.0 elsewhere; g * hit would give -0.0
+                    # where g < 0, and copyto(where=) is several times slower
+                    np.multiply(gs.view(bits), hit, out=gxs.view(bits)[:, :, i::window, j::window])
                     free ^= hit
+                if free.any():
+                    # NaN equals nothing, so a NaN window is still free here:
+                    # its gradient goes to its first NaN
+                    for i, j in offsets:
+                        np.isnan(xs[:, :, i::window, j::window], out=hit)
+                        hit &= free
+                        np.copyto(gxs[:, :, i::window, j::window], gs, where=hit)
+                        free ^= hit
+
+            _over_images(n, x.data.size, chunk)
             _accum(x, gx, owned=True)
 
         return _make(out_data, (x,), back)
@@ -609,11 +770,24 @@ class RunningStats:
 
 
 def _channel_sums(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Per-channel float64 sums of `a`, or of `a * b` summed per image in their dtype first."""
+    """Per-channel float64 sums of `a`, or of `a * b` summed per image in
+    their dtype first.  The sums over images stay on one thread: split,
+    the float64 order of `"nci->c"` would change."""
     a3 = a.reshape(*a.shape[:2], -1)
     if b is None:
         return np.einsum("nci->c", a3, dtype=np.float64)
-    return np.einsum("nci,nci->nc", a3, b.reshape(a3.shape)).sum(axis=0, dtype=np.float64)
+    b3 = b.reshape(a3.shape)
+    per_image = np.empty(a3.shape[:2], dtype=np.result_type(a3, b3))
+    _over_images(len(a3), a3.size,
+                 lambda s, e: np.einsum("nci,nci->nc", a3[s:e], b3[s:e], out=per_image[s:e]))
+    return per_image.sum(axis=0, dtype=np.float64)
+
+
+def _centred(x: np.ndarray, mu_col: np.ndarray) -> np.ndarray:
+    """A fresh x - mu_col, a chunk of images per thread."""
+    out = np.empty(x.shape, dtype=np.result_type(x, mu_col))
+    _over_images(len(x), x.size, lambda s, e: np.subtract(x[s:e], mu_col, out=out[s:e]))
+    return out
 
 
 def batch_norm2d(
@@ -653,7 +827,7 @@ def batch_norm2d(
     count = n * h * w
     mu = _channel_sums(x.data) / count if mode == "train" else stats.mean.astype(np.float64)
     mu_col = mu.astype(dt).reshape(1, c, 1, 1)
-    out_data = np.subtract(x.data, mu_col)
+    out_data = _centred(x.data, mu_col)
     var = _channel_sums(out_data, out_data) / count if mode == "train" else stats.var.astype(np.float64)
     if mode == "train" and update_running:
         m = _BN_MOMENTUM
@@ -662,12 +836,18 @@ def batch_norm2d(
     sigma = np.sqrt(var + _BN_EPS)
     a = gamma.data / sigma
     a_col = a.astype(dt).reshape(1, c, 1, 1)
-    out_data *= a_col
-    out_data += beta.data.reshape(1, c, 1, 1)
+    beta_col = beta.data.reshape(1, c, 1, 1)
+
+    def scale_shift(s, e):
+        out = out_data[s:e]
+        out *= a_col
+        out += beta_col
+
+    _over_images(n, out_data.size, scale_shift)
 
     def back(g):
         g_sum = _channel_sums(g)
-        gx = np.subtract(x.data, mu_col)
+        gx = _centred(x.data, mu_col)
         g_xhat = _channel_sums(g, gx) / sigma
         if gamma.requires_grad:
             _accum(gamma, g_xhat.astype(dt))
@@ -675,12 +855,20 @@ def batch_norm2d(
             _accum(beta, g_sum.astype(dt))
         if x.requires_grad:
             if mode == "train":
-                gx *= (-g_xhat / (sigma * count)).astype(dt).reshape(1, c, 1, 1)
-                gx += g
-                gx *= a_col
-                gx -= (a * g_sum / count).astype(dt).reshape(1, c, 1, 1)
+                s_col = (-g_xhat / (sigma * count)).astype(dt).reshape(1, c, 1, 1)
+                m_col = (a * g_sum / count).astype(dt).reshape(1, c, 1, 1)
+
+                def chunk(s, e):
+                    gxs = gx[s:e]
+                    gxs *= s_col
+                    gxs += g[s:e]
+                    gxs *= a_col
+                    gxs -= m_col
             else:
-                np.multiply(g, a_col, out=gx)
+                def chunk(s, e):
+                    np.multiply(g[s:e], a_col, out=gx[s:e])
+
+            _over_images(n, gx.size, chunk)
             _accum(x, gx, owned=True)
 
     return _make(out_data, (x, gamma, beta), back)

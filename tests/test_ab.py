@@ -49,7 +49,8 @@ else:
         "peak_rss_mb": {"value": 100.0, "unit": "MB"},
     }
 print(f"workload {a.workload}  seed {a.seed}  trace {a.trace}")
-print("environment " + json.dumps({"python": "3.x", "numpy": "2.x", "blas": "fake 0", "nproc": 2}))
+print("environment " + json.dumps({"python": "3.x", "numpy": "2.x", "blas": "fake 0", "nproc": 2,
+                                  "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}}))
 print(f"digest sha256:{state['digest']}-{seed}")
 print(json.dumps({"correct": state["correct"], "attempted": 3, "failed": 0, "metrics": metrics}))
 # a traced run may end on a line that is not its result, or write to stderr
@@ -154,7 +155,8 @@ def test_pairs_count_wins_and_write_the_bench_file(tmp_path):
 
     bench = json.loads((repo / "BENCH_9.json").read_text())
     assert list(bench)[:4] == ["command", "host", "parent", "change"]
-    assert bench["host"] == "2 vCPU, Python 3.x, numpy 2.x, fake 0, one BLAS thread"
+    assert bench["host"] == ("2 vCPU, Python 3.x, numpy 2.x, fake 0, "
+                             "thread pins: OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1")
     assert bench["parent"]["commit"] == git(repo, "rev-parse", "HEAD~1")
     assert bench["change"]["commit"] == git(repo, "rev-parse", "HEAD")
     assert (bench["parent"]["src_lines"], bench["change"]["src_lines"]) == (8, 5)

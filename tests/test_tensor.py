@@ -2,7 +2,12 @@
 central finite differences, and the graph lifecycle rules."""
 
 import itertools
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1203,3 +1208,159 @@ class TestFiniteDifferences:
         x = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
             finite_diff_check(lambda v: relu(v), x)
+
+
+class TestImageSplit:
+    """conv2d, relu, max pool2d and batch_norm2d run their per-image work
+    in chunks of images, one per worker thread (`_over_images`).  Every
+    output and gradient keeps its bits whatever the worker count; the size
+    floor is set to one element here so that every op splits."""
+
+    @staticmethod
+    def _split(monkeypatch, workers):
+        monkeypatch.setattr(tensor, "_WORKERS", workers)
+        monkeypatch.setattr(tensor, "_SPLIT_MIN_ELEMENTS", 1)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 64])
+    def test_chunks_cover_each_image_once(self, n, workers, monkeypatch):
+        self._split(monkeypatch, workers)
+        ranges = []
+        tensor._over_images(n, n * 1000, lambda s, e: ranges.append((s, e)))
+        ranges.sort()
+        assert len(ranges) == max(1, min(workers, n))
+        assert ranges[0][0] == 0 and ranges[-1][1] == n
+        assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(ranges, ranges[1:]))
+
+    def test_small_ops_stay_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_WORKERS", 3)
+        floor = tensor._SPLIT_MIN_ELEMENTS
+        for size, want in ((floor - 1, 1), (2 * floor - 1, 1), (2 * floor, 2), (10 * floor, 3)):
+            ranges = []
+            tensor._over_images(64, size, lambda s, e: ranges.append((s, e)))
+            assert len(ranges) == want, size
+
+    @staticmethod
+    def _every_op(n, planted):
+        """Each split op's outputs and gradients, by name, on a batch of `n`."""
+        rng = np.random.default_rng(131)
+        got = {}
+
+        def grads(name, out, g, *params):
+            backward(tensor_sum(mul(out, Tensor(g))))
+            got[name] = out.data
+            for i, p in enumerate(params):
+                got[f"{name} grad {i}"] = p.grad
+
+        x = rng.standard_normal((n, 4, 6, 6)).astype(np.float32)
+        if planted:
+            plant_specials(x)
+        for cout, stride in ((6, 1), (6, 2), (3, 1), (3, 2), (1, 2)):  # im2col, then output side
+            w = rng.standard_normal((cout, 4, 3, 3)).astype(np.float32)
+            ho = (6 + 2 - 3) // stride + 1
+            g = upstream_grad(rng, (n, cout, ho, ho), np.float32)
+            name = f"conv {cout} stride {stride}"
+            xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+            grads(name, conv2d(xt, wt, stride, 1), g, xt, wt)
+            with no_grad():
+                got[f"{name} no graph"] = conv2d(Tensor(x), Tensor(w), stride, 1).data
+            # a weight made trainable after the forward
+            xt, wt = Tensor(x, requires_grad=True), Tensor(w)
+            out = conv2d(xt, wt, stride, 1)
+            wt.requires_grad = True
+            grads(f"{name} late weight", out, g, xt, wt)
+
+        # relu and max pool on NaN, both zeros and windows of ties
+        v = rng.choice([np.nan, -0.0, 0.0, -1.5, 2.0], (n, 3, 8, 8)).astype(np.float32)
+        v[:, :, :4] = rng.standard_normal((n, 3, 4, 8))
+        xt = Tensor(v, requires_grad=True)
+        grads("relu", relu(xt), upstream_grad(rng, v.shape, np.float32), xt)
+        with np.errstate(invalid="ignore"):
+            for window in (2, 4):
+                xt = Tensor(v, requires_grad=True)
+                g = upstream_grad(rng, (n, 3, 8 // window, 8 // window), np.float32)
+                grads(f"max pool {window}", pool2d(xt, "max", window), g, xt)
+
+        x = (rng.standard_normal((n, 5, 7, 7)) * 3 + 1).astype(np.float32)
+        for mode in ("train", "eval"):
+            xt = Tensor(x, requires_grad=True)
+            gamma = Tensor(rng.standard_normal(5).astype(np.float32), requires_grad=True)
+            beta = Tensor(rng.standard_normal(5).astype(np.float32), requires_grad=True)
+            stats = RunningStats(mean=rng.standard_normal(5).astype(np.float32),
+                                 var=rng.random(5).astype(np.float32) + 0.5)
+            out = batch_norm2d(xt, gamma, beta, stats, mode=mode)
+            grads(f"bn {mode}", out, upstream_grad(rng, x.shape, np.float32), xt, gamma, beta)
+            got[f"bn {mode} running"] = np.concatenate([stats.mean, stats.var])
+        return got
+
+    @pytest.mark.parametrize("planted", [False, True], ids=["finite", "planted"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_every_split_op_keeps_its_bits(self, n, planted, monkeypatch):
+        monkeypatch.setattr(tensor, "_WORKERS", 1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = self._every_op(n, planted)
+            for workers in (2, 3):
+                self._split(monkeypatch, workers)
+                got = self._every_op(n, planted)
+                assert got.keys() == want.keys()
+                for name in want:
+                    assert got[name].dtype == want[name].dtype, name
+                    np.testing.assert_array_equal(bits(got[name]), bits(want[name]),
+                                                  err_msg=f"{name}, {workers} workers")
+
+    def test_a_failing_chunk_raises_from_the_op(self, monkeypatch):
+        self._split(monkeypatch, 2)
+        monkeypatch.setattr(tensor, "_POOL", None)  # a pool of this test's own, one thread
+        try:
+            self._fail_one_chunk_then_run(monkeypatch)
+        finally:
+            if tensor._POOL is not None:
+                tensor._POOL.shutdown()
+
+    @staticmethod
+    def _fail_one_chunk_then_run(monkeypatch):
+        real = tensor._gather
+
+        def fail_on_the_worker(a, t, cols):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("chunk failed")
+            return real(a, t, cols)
+
+        rng = np.random.default_rng(137)
+        x = rng.standard_normal((8, 3, 6, 6)).astype(np.float32)
+        w = rng.standard_normal((5, 3, 3, 3)).astype(np.float32)
+
+        def conv():  # a live weight keeps its columns, which the chunks gather
+            return conv2d(Tensor(x), Tensor(w, requires_grad=True), 1, 1).data
+
+        want = conv()
+        monkeypatch.setattr(tensor, "_gather", fail_on_the_worker)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            conv()
+        monkeypatch.setattr(tensor, "_gather", real)
+        # the pool still works, and its threads do not grow in number
+        threads = threading.active_count()
+        for _ in range(200):
+            np.testing.assert_array_equal(bits(conv()), bits(want))
+        assert threading.active_count() <= threads
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_runs_split_ops(self):
+        # The child is forked after the pool has started, so it inherits a
+        # pool without threads; SIGALRM ends it if its op waits on one.
+        code = (
+            "import os, signal, numpy as np\n"
+            "from autoprune import tensor\n"
+            "tensor._WORKERS, tensor._SPLIT_MIN_ELEMENTS = 2, 1\n"
+            "x = tensor.Tensor(np.arange(-8, 8, dtype=np.float32).reshape(4, 1, 2, 2))\n"
+            "want = tensor.relu(x).data\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(30)\n"
+            "    os._exit(0 if np.array_equal(tensor.relu(x).data, want) else 1)\n"
+            "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(tensor.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        assert proc.stdout.strip() == "0"

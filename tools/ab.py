@@ -159,8 +159,10 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
 
 
 def host_line(env: dict) -> str:
+    """The host as a run's `environment` line records it: CPUs, versions and thread pins."""
+    pins = " ".join(f"{k}={v}" for k, v in env.get("threads", {}).items()) or "none recorded"
     return (f"{env.get('nproc', '?')} vCPU, Python {env.get('python', '?')}, numpy {env.get('numpy', '?')}, "
-            f"{env.get('blas', '?')}, one BLAS thread")
+            f"{env.get('blas', '?')}, thread pins: {pins}")
 
 
 def unpack(commit: str, dest: Path) -> None:
