@@ -5,8 +5,10 @@ batch files; both are validated against their magic numbers / record
 sizes and normalized per channel with statistics computed from the
 training images, which the test images share.
 
-All randomness flows from one integer seed through named substreams, so
-two runs with the same seed shuffle, split, and initialize identically.
+All randomness is a function of one integer seed, so two runs with the
+same seed shuffle, split, and initialize identically.  The split and the
+initial weights draw from named substreams; batch order is keyed on
+seed ^ epoch alone (`batches`).
 """
 
 from __future__ import annotations

@@ -449,8 +449,8 @@ def _kept_index(model: ModelGraph, keep: dict[int, np.ndarray]):
 
     `keep` maps conv ids to ascending output channel ids; every other
     layer passes its input's channels through, so a bn takes its conv's
-    ids, a conv takes its input's ids on axis 1, and the linear head the
-    rows of its input's kept channels, one per pixel of each.  A
+    ids, a conv takes its input's ids on axis 1, and the linear head, which
+    reads the global average pool, one weight row per kept channel.  A
     full-width index is `slice(None)`; a bn's running statistics take the
     index of its gamma and beta.
     """
@@ -478,12 +478,7 @@ def _kept_index(model: ModelGraph, keep: dict[int, np.ndarray]):
                 raise ValueError(f"add layer {layer.id} would see pruned operands")
             flow[layer.id] = None
         elif layer.kind == "linear":
-            rows = slice(None)
-            if src is not None:
-                hw = layer.in_channels // model.layer(pin[0]).out_channels
-                rows = (src[:, None] * hw + np.arange(hw)[None, :]).ravel()
-                cin = len(rows)
-            index[layer.id] = {"weight": rows, "bias": slice(None)}
+            index[layer.id] = {"weight": slice(None) if src is None else src, "bias": slice(None)}
             flow[layer.id] = None
         else:
             flow[layer.id] = src
@@ -498,7 +493,7 @@ def slice_channels(model: ModelGraph, keep: dict[int, np.ndarray]) -> ModelGraph
     `keep` maps conv ids to ascending output channel ids; convs it omits
     stay full width.  Output channels shrink to the kept ids, and so does
     everything that consumes them: bn parameters and running statistics,
-    the next conv's input channels, the linear head's input features.
+    the next conv's input channels, the linear head's rows (one per channel).
     The arrays are built by `_init_params` in `model`'s dtype, each a
     fresh copy, so training the slice leaves `model` as it was until
     `write_back`.  Keeping every channel reproduces the original logits

@@ -42,10 +42,9 @@ rest.  An op splits only when each chunk gets at least
 thread does, and the weight gradients are summed over the batch on the
 calling thread once all chunks have run, so no bit depends on the
 number of threads.  Serial stay: the float64 per-channel sums (split,
-their order would change), the forward of a conv without a graph and
-of an im2col conv whose weight takes no gradient (both build columns a
-memory-bounded block at a time, and many small blocks lose to the
-hand-off) and average pooling.
+their order would change), the forward of a conv without a graph (it
+builds columns a memory-bounded block at a time, and many small blocks
+lose to the hand-off) and average pooling, which is the global mean.
 """
 
 from __future__ import annotations
@@ -501,13 +500,11 @@ def _im2col(x: np.ndarray, t: _TapTable, kh: int, kw: int, cols: np.ndarray | No
     return cols.reshape(n, c * kh * kw, math.prod(t.out_grid))
 
 
-def _col2im(cols: np.ndarray, x_shape, t: _TapTable, kh: int, kw: int, out: np.ndarray | None = None) -> np.ndarray:
+def _col2im(cols: np.ndarray, x_shape, t: _TapTable, kh: int, kw: int, out: np.ndarray) -> np.ndarray:
     """Sum im2col columns back onto the input grid (`_scatter_add`), into
-    `out` ([N, C] + t.in_grid, zeroed) when it is given.  This consumes
-    `cols`: a caller passes columns it does not read again."""
+    `out` ([N, C] + t.in_grid, zeroed).  This consumes `cols`: a caller
+    passes columns it does not read again."""
     n, c = x_shape[:2]
-    if out is None:
-        out = np.zeros((n, c) + t.in_grid, dtype=cols.dtype)
     _scatter_add(cols.reshape((n, c, kh, kw) + t.out_grid), t, out)
     return out.reshape(x_shape)
 
@@ -522,9 +519,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     With a graph, a conv with Cout <= Cin runs on the output side
     (`_output_side_conv2d`); without one it does so only at 2*Cout < Cin,
     where writing Kh*Kw partial maps per output still costs less than
-    im2col's columns.  Others multiply the weight by im2col columns, and
-    take the weight gradient as one GEMM per image with the columns'
-    transpose, summed over the batch, which copies neither operand.
+    im2col's columns.  Others multiply the weight by im2col columns: with
+    a graph the whole batch's, kept for the weight gradient (one GEMM per
+    image with their transpose, summed over the batch, which copies
+    neither operand); without one a memory-bounded block at a time.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ValueError(f"conv2d expects 4-d input and weight, got {x.data.shape} and {w.data.shape}")
@@ -545,18 +543,15 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     t = _taps(kh, kw, stride, padding, h, wd, ho, wo)  # the call's one table, for both kernels and passes
     recording = _recording((x, w))
     if (cout <= cin) if recording else (2 * cout < cin):
-        return _output_side_conv2d(x, w, t.transposed(), ho, wo)
+        return _output_side_conv2d(x, w, t.transposed(), ho, wo, recording)
 
-    # Only the weight gradient reads the columns: when it will, they are
-    # built for the whole batch, before the output buffer, and kept, a
-    # chunk of images per thread; otherwise a block of images at a time,
-    # on the calling thread.  Each block runs the same per-image GEMM.
+    # kept columns are allocated before the output buffer and filled a chunk
+    # of images per thread, blocks on the calling thread: the same GEMMs
     wmat = w.data.reshape(cout, -1)
-    keep = recording and w.requires_grad
     size = n * (cin * kh * kw + cout) * ho * wo  # the GEMMs' columns and products
-    cols = _cols_buffer((n, cin, kh, kw), t, x.data.dtype) if keep else None
+    cols = _cols_buffer((n, cin, kh, kw), t, x.data.dtype) if recording else None
     out_data = np.empty((n, cout, ho * wo), dtype=np.result_type(wmat, x.data))
-    if keep:
+    if recording:
         _over_images(n, size, lambda s, e: np.matmul(wmat, _im2col(x.data[s:e], t, kh, kw, cols[s:e]),
                                                      out=out_data[s:e]))
     else:
@@ -567,18 +562,13 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 
     def back(g):
         gmat = g.reshape(n, cout, ho * wo)
-        # A weight made trainable after the forward rebuilds its columns.
-        rebuild = w.requires_grad and cols is None
-        xcols = _cols_buffer((n, cin, kh, kw), t, x.data.dtype) if rebuild else cols
         # one GEMM per image, summed over the batch once all have run
         gw = np.empty((n, cout, cin * kh * kw), dtype=np.result_type(gmat, x.data)) if w.requires_grad else None
         gx = np.zeros((n, cin) + t.in_grid, dtype=np.result_type(wmat, gmat)) if x.requires_grad else None
 
         def chunk(s, e):
             if gw is not None:
-                block = (_im2col(x.data[s:e], t, kh, kw, xcols[s:e]) if rebuild
-                         else xcols[s:e].reshape(e - s, -1, ho * wo))
-                np.matmul(gmat[s:e], block.transpose(0, 2, 1), out=gw[s:e])
+                np.matmul(gmat[s:e], cols[s:e].reshape(e - s, -1, ho * wo).transpose(0, 2, 1), out=gw[s:e])
             if gx is not None:
                 # fresh, so `_col2im` may consume it
                 gcols = np.matmul(wmat.T, gmat[s:e])
@@ -593,7 +583,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     return _make(out_data, (x, w), back)
 
 
-def _output_side_conv2d(x: Tensor, w: Tensor, t: _TapTable, ho: int, wo: int) -> Tensor:
+def _output_side_conv2d(x: Tensor, w: Tensor, t: _TapTable, ho: int, wo: int, recording: bool) -> Tensor:
     """conv2d from the output side, with every GEMM on the Kh*Kw*Cout side.
 
     Row (i*Kw + j)*Cout + o of the stacked weight is tap (i, j) of output
@@ -603,7 +593,7 @@ def _output_side_conv2d(x: Tensor, w: Tensor, t: _TapTable, ho: int, wo: int) ->
     block of images at a time.  The backward gathers g into the same tap
     layout; one multiply of that by x's transpose gives the weight
     gradient, and one by the stacked weight's transpose gives the input
-    gradient.
+    gradient.  `recording` says whether the call records a graph.
     """
     n, cin, h, wd = x.data.shape
     cout, _, kh, kw = w.data.shape
@@ -627,7 +617,7 @@ def _output_side_conv2d(x: Tensor, w: Tensor, t: _TapTable, ho: int, wo: int) ->
 
     # without a graph the point of this kernel is its memory bound, which
     # a block per thread would break: that forward stays on one thread
-    if _recording((x, w)):
+    if recording:
         _over_images(n, size, forward)
     else:
         forward(0, n)
@@ -662,91 +652,82 @@ def _output_side_conv2d(x: Tensor, w: Tensor, t: _TapTable, ho: int, wo: int) ->
 
 
 def pool2d(x: Tensor, kind: str, window: int) -> Tensor:
-    """Non-overlapping max or average pooling with a square window.
+    """Max pooling over non-overlapping square windows, or average pooling
+    over the whole map.
 
-    The window must divide both spatial dimensions.  Max pooling folds the
-    window's strided views together in row-major order, so the output is
-    the first maximum of each window and NaN wherever the window holds a
-    NaN.  Its gradient goes to that one element: the lowest flat index
+    A max window must divide both spatial dimensions.  Max pooling folds
+    the window's strided views together in row-major order, so the output
+    is the first maximum of each window and NaN wherever the window holds
+    a NaN.  Its gradient goes to that one element: the lowest flat index
     inside the window (row-major) whose value equals the output, or the
-    first NaN of a NaN window; every other element gets zero.  Average
-    pooling spreads the gradient evenly over the window.
+    first NaN of a NaN window; every other element gets zero.  An average
+    window must be the whole (square) map: the output is each channel's
+    mean, [N, C, 1, 1], and its gradient spreads evenly over the map.
     """
     if kind not in ("max", "avg"):
         raise ValueError(f"pool2d kind must be 'max' or 'avg', got {kind!r}")
     if x.data.ndim != 4:
         raise ValueError(f"pool2d expects a 4-d input, got shape {x.data.shape}")
     n, c, h, w = x.data.shape
-    if window < 1 or h % window or w % window:
-        raise ValueError(f"pool2d window {window} does not divide spatial dims of {x.data.shape}")
-    ho, wo = h // window, w // window
-
-    if kind == "max":
-        offsets = [(i, j) for i in range(window) for j in range(window)]
-        out_data = np.empty((n, c, ho, wo), dtype=x.data.dtype)
-
-        def forward(s, e):
-            xs, out = x.data[s:e], out_data[s:e]
-            np.copyto(out, xs[:, :, 0::window, 0::window])
-            for i, j in offsets[1:]:
-                # np.maximum returns its second operand on ties, so the
-                # earlier element wins between -0.0 and +0.0
-                np.maximum(xs[:, :, i::window, j::window], out, out=out)
-
-        _over_images(n, x.data.size, forward)
+    if kind == "avg":
+        if (h, w) != (window, window):
+            raise ValueError(f"pool2d avg window {window} is not the whole map of {x.data.shape}")
+        out_data = x.data.mean(axis=(2, 3), keepdims=True)
 
         def back(g):
-            if not x.requires_grad:
-                return
-            # g arrives as out_data's dtype, which is x's (`_accum` casts)
-            bits = np.dtype(f"u{g.itemsize}")
-            gx = np.empty_like(x.data)
-
-            def chunk(s, e):
-                xs, out, gs, gxs = x.data[s:e], out_data[s:e], g[s:e], gx[s:e]
-                free = np.ones(out.shape, dtype=bool)
-                hit = np.empty(out.shape, dtype=bool)
-                for i, j in offsets:
-                    np.equal(xs[:, :, i::window, j::window], out, out=hit)
-                    hit &= free
-                    # g's bit pattern times 0/1 keeps g exactly (-0.0 too) at a
-                    # hit and writes +0.0 elsewhere; g * hit would give -0.0
-                    # where g < 0, and copyto(where=) is several times slower
-                    np.multiply(gs.view(bits), hit, out=gxs.view(bits)[:, :, i::window, j::window])
-                    free ^= hit
-                if free.any():
-                    # NaN equals nothing, so a NaN window is still free here:
-                    # its gradient goes to its first NaN
-                    for i, j in offsets:
-                        np.isnan(xs[:, :, i::window, j::window], out=hit)
-                        hit &= free
-                        np.copyto(gxs[:, :, i::window, j::window], gs, where=hit)
-                        free ^= hit
-
-            _over_images(n, x.data.size, chunk)
-            _accum(x, gx, owned=True)
+            if x.requires_grad:
+                _accum(x, np.broadcast_to(g / (h * w), x.data.shape))
 
         return _make(out_data, (x,), back)
 
-    patches = (
-        x.data.reshape(n, c, ho, window, wo, window)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, ho, wo, window * window)
-    )
-    out_data = patches.mean(axis=-1)
+    if window < 1 or h % window or w % window:
+        raise ValueError(f"pool2d window {window} does not divide spatial dims of {x.data.shape}")
+    ho, wo = h // window, w // window
+    offsets = [(i, j) for i in range(window) for j in range(window)]
+    out_data = np.empty((n, c, ho, wo), dtype=x.data.dtype)
+
+    def forward(s, e):
+        xs, out = x.data[s:e], out_data[s:e]
+        np.copyto(out, xs[:, :, 0::window, 0::window])
+        for i, j in offsets[1:]:
+            # np.maximum returns its second operand on ties, so the
+            # earlier element wins between -0.0 and +0.0
+            np.maximum(xs[:, :, i::window, j::window], out, out=out)
+
+    _over_images(n, x.data.size, forward)
 
     def back(g):
         if not x.requires_grad:
             return
-        gp = np.broadcast_to((g / (window * window))[..., None], patches.shape)
-        gx = (
-            gp.reshape(n, c, ho, wo, window, window)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h, w)
-        )
-        _accum(x, gx)
+        # g arrives as out_data's dtype, which is x's (`_accum` casts)
+        bits = np.dtype(f"u{g.itemsize}")
+        gx = np.empty_like(x.data)
 
-    return _make(np.ascontiguousarray(out_data), (x,), back)
+        def chunk(s, e):
+            xs, out, gs, gxs = x.data[s:e], out_data[s:e], g[s:e], gx[s:e]
+            free = np.ones(out.shape, dtype=bool)
+            hit = np.empty(out.shape, dtype=bool)
+            for i, j in offsets:
+                np.equal(xs[:, :, i::window, j::window], out, out=hit)
+                hit &= free
+                # g's bit pattern times 0/1 keeps g exactly (-0.0 too) at a
+                # hit and writes +0.0 elsewhere; g * hit would give -0.0
+                # where g < 0, and copyto(where=) is several times slower
+                np.multiply(gs.view(bits), hit, out=gxs.view(bits)[:, :, i::window, j::window])
+                free ^= hit
+            if free.any():
+                # NaN equals nothing, so a NaN window is still free here:
+                # its gradient goes to its first NaN
+                for i, j in offsets:
+                    np.isnan(xs[:, :, i::window, j::window], out=hit)
+                    hit &= free
+                    np.copyto(gxs[:, :, i::window, j::window], gs, where=hit)
+                    free ^= hit
+
+        _over_images(n, x.data.size, chunk)
+        _accum(x, gx, owned=True)
+
+    return _make(out_data, (x,), back)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The A/B runner (`tools/ab.py`) on a throwaway repository whose
 `perfbench/run.py` is a stand-in that prints fixed report lines, so no
-benchmark runs: the pairing, the unpacked parent tree, the win count, the
-digest comparison, the check of each run's output and the BENCH file."""
+benchmark runs: the pairing, the sibling trees, the win count, the
+digest comparison, the check of each run's output, the report figures
+and the BENCH file."""
 
 import contextlib
 import importlib.util
@@ -26,7 +27,8 @@ p = argparse.ArgumentParser()
 for flag in ("--workload", "--seed", "--seconds", "--trace"):
     p.add_argument(flag)
 a = p.parse_args()
-state = json.loads((Path(__file__).resolve().parents[1] / "state.json").read_text())
+tree = Path(__file__).resolve().parents[1]
+state = json.loads((tree / "state.json").read_text())
 seed = int(a.seed)
 # every call appends "<digest> <workload> <trace>" to the log; the n-th
 # traced run of a tree and workload adds (3, 0, 1)[n % 3] to its figure
@@ -37,6 +39,8 @@ if "sleep" in state:  # hang after the log line, with this process's id beside t
     (log.parent / "sleeper.pid").write_text(str(os.getpid()))
 with log.open("a") as f:
     f.write(call + "\\n")
+with (log.parent / "trees.log").open("a") as f:
+    f.write(f"{tree}\\n")
 if "sleep" in state:
     time.sleep(state["sleep"])
 if a.trace == "1":
@@ -52,6 +56,12 @@ print(f"workload {a.workload}  seed {a.seed}  trace {a.trace}")
 print("environment " + json.dumps({"python": "3.x", "numpy": "2.x", "blas": "fake 0", "nproc": 2,
                                   "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}}))
 print(f"digest sha256:{state['digest']}-{seed}")
+if a.workload in state.get("report", [a.workload]):  # the workloads that print a report line
+    print("report " + json.dumps({"workload": a.workload, "metrics": {
+        "raw_step_ms_p50": {"value": state["p50"] + 10 + seed, "unit": "ms"},
+        "raw_step_ms_p90": {"value": state["p50"] * 2 + 10 + seed, "unit": "ms"},
+        "calibration_block_ms": {"value": state["p50"] / 3, "unit": "ms"},
+    }}))
 print(json.dumps({"correct": state["correct"], "attempted": 3, "failed": 0, "metrics": metrics}))
 # a traced run may end on a line that is not its result, or write to stderr
 if a.trace == "1" and "traced_tail" in state:
@@ -184,6 +194,48 @@ def test_pairs_count_wins_and_write_the_bench_file(tmp_path):
     assert left_behind(repo) == ([], 0)
 
 
+def test_both_sides_run_from_sibling_copies_the_change_with_its_uncommitted_files(tmp_path):
+    state = {"p50": 60.0, "digest": "aaa", "correct": True}
+    repo = fake_repo(tmp_path, state, {**state, "p50": 61.0})
+    # not committed: an edit, a new file and a deleted one
+    (repo / "state.json").write_text(json.dumps({**state, "p50": 61.0, "digest": "ccc"}))
+    (repo / "src" / "pkg" / "new.py").write_text("z = 3\n")
+    (repo / "src" / "notes.txt").unlink()
+    proc = run_ab(repo, "--pairs", "2", "--workloads", "w-one", "--out", "BENCH_9.json")
+    assert proc.returncode == 0, proc.stderr
+    assert "seed 1: floats move (parent sha256:aaa-1, change sha256:ccc-1)" in proc.stdout
+    bench = json.loads((repo / "BENCH_9.json").read_text())
+    assert bench["change"]["commit"] == git(repo, "rev-parse", "HEAD") + "-dirty"
+    assert bench["change"]["src_files"] == {"src/pkg/mod.py": 0, "src/pkg/new.py": 1, "src/pkg/same.py": 1}
+    # every run took one of two trees, side by side in one temporary directory
+    trees = {Path(t) for t in (tmp_path / "trees.log").read_text().splitlines()}
+    assert sorted(t.name for t in trees) == ["change", "parent"]
+    assert {t.parent.parent for t in trees} == {tmp_path / "tmp"} and len({t.parent for t in trees}) == 1
+    assert left_behind(repo) == ([], 0)
+
+
+def test_report_figures_are_printed_beside_the_gated_ones(tmp_path):
+    # the parent prints a report line on both workloads, the change on w-one only
+    repo = fake_repo(
+        tmp_path,
+        {"p50": 60.0, "digest": "aaa", "correct": True},
+        {"p50": 55.0, "digest": "aaa", "correct": True, "report": ["w-one"]},
+    )
+    proc = run_ab(repo, "--pairs", "2", "--seeds", "1", "2", "--out", "BENCH_9.json")
+    assert proc.returncode == 0, proc.stderr
+    one, two = proc.stdout.split("== w-two")
+    # seeds 1 and 2: raw p50 71, 72 against 66, 67; calibration 20 against 18.33
+    assert "  raw_step_ms_p50      parent       71.5  change       66.5    -7.0%" in one
+    assert "  raw_step_ms_p90      parent      131.5  change      121.5    -7.6%" in one
+    assert "  calibration_block_ms parent         20  change      18.33    -8.3%" in one
+    assert "  raw_step_ms_p50      parent       71.5  change not recorded\n" in two
+    raw = json.loads((repo / "BENCH_9.json").read_text())["ab"]
+    assert raw["w-one"]["raw"]["raw_step_ms_p50"] == {
+        "parent_median": 71.5, "change_median": 66.5, "change_pct": pytest.approx(-100 * 5 / 71.5)}
+    assert raw["w-two"]["raw"]["calibration_block_ms"] == {
+        "parent_median": 20.0, "change_median": None, "change_pct": None}
+
+
 def test_sigterm_removes_the_parent_tree_and_ends_the_running_benchmark(tmp_path):
     state = {"p50": 60.0, "digest": "aaa", "correct": True, "sleep": 60}
     repo = fake_repo(tmp_path, state, {**state, "p50": 61.0})
@@ -263,7 +315,7 @@ def test_a_traced_run_that_breaks_the_output_contract_fails_naming_it(tmp_path, 
     proc = run_ab(repo, "--pairs", "1", "--workloads", "w-one", "--out", "BENCH_9.json")
     assert proc.returncode == 1
     error = [ln for ln in proc.stderr.splitlines() if ln.startswith("error: ")]
-    assert len(error) == 1 and f"{repo}: w-one seed 1 trace 1: {message}" in error[0]
+    assert len(error) == 1 and error[0].startswith(f"error: change: w-one seed 1 trace 1: {message}")
     assert not (repo / "BENCH_9.json").exists()
     assert left_behind(repo) == ([], 0)
 

@@ -5,8 +5,9 @@ and end on a strict-JSON result that is `correct` and names exactly the
 per-layer metrics `BENCHMARK.json` declares.
 
 The workloads run at once, each in its own process, which takes about
-10 s on 2 vCPUs.  They use seed 9, so the span files that seed-1 A/B runs
-leave in `.perfbench/` stay as they are.
+10 s on 2 vCPUs.  They use seed 9, so the span files that seed-1 runs of
+`perfbench/run.py` leave in `.perfbench/` stay as they are (`tools/ab.py`
+runs both of its sides in temporary copies and leaves none there).
 """
 
 import importlib.util

@@ -76,6 +76,32 @@ class TestArchitectures:
         x = np.zeros((1, 1, 28, 28), dtype=np.float32)
         assert forward(m, x, mode="eval").data.shape == (1, 10)
 
+    @pytest.mark.parametrize("name, shapes", [
+        ("cnn-small", [(1, s, s) for s in range(4, 65, 4)]),
+        ("resnet-tiny", [(1, s, s) for s in range(4, 65, 4)] + [(3, 32, 32)]),
+    ])
+    def test_one_global_average_pool_feeds_a_head_as_wide_as_the_last_conv(self, name, shapes, monkeypatch):
+        # every input `build_model` accepts: square, with a side that is a
+        # multiple of 4; the engine's average pool takes only the whole map
+        pooled, real = [], model_module.pool2d
+
+        def pool(x, kind, window):
+            if kind == "avg":
+                pooled.append((x.data.shape[2:], window))
+            return real(x, kind, window)
+
+        monkeypatch.setattr(model_module, "pool2d", pool)
+        for shape in shapes:
+            m = build_model(name, 10, shape)
+            avg = [l for l in m.layers if l.kind == "pool" and l.pool_kind == "avg"]
+            (head,) = [l for l in m.layers if l.kind == "linear"]
+            last_conv = [l for l in m.layers if l.kind == "conv"][-1]
+            assert len(avg) == 1 and head.in_channels == last_conv.out_channels, shape
+            pooled.clear()
+            with no_grad():
+                forward(m, np.zeros((1, *shape), np.float32), mode="eval")
+            assert len(pooled) == 1 and pooled[0][0] == (pooled[0][1],) * 2 == avg[0].kernel, shape
+
     @pytest.mark.parametrize("name, shape", [("cnn-small", (1, 28, 28)), ("resnet-tiny", (3, 32, 32))])
     def test_stride_one_same_size_convs_take_the_flat_tap_shift(self, name, shape, monkeypatch):
         # a train step with live masks, a train step on a half-width slice and

@@ -3,6 +3,7 @@ central finite differences, and the graph lifecycle rules."""
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -30,6 +31,7 @@ from autoprune.tensor import (
     no_grad,
     pool2d,
     relu,
+    reshape,
     softmax_cross_entropy,
     tensor_sum,
     use_dtype,
@@ -310,12 +312,20 @@ class TestForwardOracles:
     def test_pool2d_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((4, 8, 16, 16)).astype(np.float32)
-        for kind in ("max", "avg"):
-            for window in (2, 4):
-                got = pool2d(Tensor(x), kind, window).data
-                np.testing.assert_allclose(
-                    got, pool2d_oracle(x, kind, window), rtol=1e-5, atol=1e-5
-                )
+        # average pooling takes only the whole map
+        for kind, window in (("max", 2), ("max", 4), ("avg", 16)):
+            got = pool2d(Tensor(x), kind, window).data
+            np.testing.assert_allclose(
+                got, pool2d_oracle(x, kind, window), rtol=1e-5, atol=1e-5
+            )
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 4, 16])
+    def test_average_pool_refuses_a_window_that_is_not_the_whole_map(self, window):
+        x = Tensor(np.ones((2, 3, 8, 8), dtype=np.float32))
+        with pytest.raises(ValueError, match=re.escape(f"window {window} is not the whole map of (2, 3, 8, 8)")):
+            pool2d(x, "avg", window)
+        with pytest.raises(ValueError, match=re.escape("is not the whole map of (2, 3, 8, 4)")):
+            pool2d(Tensor(np.ones((2, 3, 8, 4), dtype=np.float32)), "avg", 8)
 
     def test_cross_entropy_matches_float64_oracle(self):
         rng = np.random.default_rng(11)
@@ -537,7 +547,8 @@ class TestOpSemantics:
             wo = (w + 2 * padding - k) // stride + 1
             cols = plant_specials(upstream_grad(rng, (2, 3 * k * k, ho, wo), dtype)).reshape(2, -1, ho * wo)
             want = padded_col2im(cols, x_shape, k, k, stride, padding)
-            got = _col2im(cols, x_shape, _taps(k, k, stride, padding, h, w, ho, wo), k, k)
+            t = _taps(k, k, stride, padding, h, w, ho, wo)
+            got = _col2im(cols, x_shape, t, k, k, np.zeros((2, 3) + t.in_grid, dtype=dtype))
             where = f"{h}x{w}, k {k}, stride {stride}, padding {padding}, {dtype.__name__}"
             assert got.shape == x_shape and got.dtype == dtype, where
             np.testing.assert_array_equal(bits(got), bits(want), err_msg=where)
@@ -1121,8 +1132,9 @@ def _fd_cases(dtype):
     xp = Tensor(perm * 0.5, requires_grad=True)
     wt_pool = weighting((1, 2, 2, 2))
     cases["pool_max"] = (lambda v: tensor_sum(wt_pool(pool2d(v, "max", 2))), xp, BIG)
-    xa = t((1, 2, 4, 4))
-    cases["pool_avg"] = (lambda v: tensor_sum(wt_pool(pool2d(v, "avg", 2))), xa, BIG)
+    # the global mean of 4 images' 2x2 maps: [4, 2, 1, 1], weighted as [1, 2, 2, 2]
+    xa = t((4, 2, 2, 2))
+    cases["pool_avg"] = (lambda v: tensor_sum(wt_pool(reshape(pool2d(v, "avg", 2), (1, 2, 2, 2)))), xa, BIG)
 
     xb = t((2, 2, 3, 3), 1.5)
     gb = Tensor(bounded((2,), 0.8, 1.3, signed=False), requires_grad=True)
@@ -1269,6 +1281,9 @@ class TestImageSplit:
             out = conv2d(xt, wt, stride, 1)
             wt.requires_grad = True
             grads(f"{name} late weight", out, g, xt, wt)
+            # a frozen weight and a live input: the ratio step's case
+            xt = Tensor(x, requires_grad=True)
+            grads(f"{name} frozen weight", conv2d(xt, Tensor(w), stride, 1), g, xt)
 
         # relu and max pool on NaN, both zeros and windows of ties
         v = rng.choice([np.nan, -0.0, 0.0, -1.5, 2.0], (n, 3, 8, 8)).astype(np.float32)

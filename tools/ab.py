@@ -7,22 +7,33 @@ Run from the repository root:
 The host's speed drifts by up to 2x over minutes, so a claim rests on
 pairs: each pair runs `perfbench/run.py --trace 0` once in the parent tree
 and once in this one, back to back, parent first in even pairs and second
-in odd ones, with pair i on seed `seeds[i % len(seeds)]`.  The parent tree
-is `git archive` of the commit `--parent` names, unpacked into a temporary
-directory (under $TMPDIR) that is removed afterwards, also when the
-script is ended by SIGTERM (exit status 143); nothing is written
-into the repository's `.git`.  Each tree's `run.py` imports that tree's
-own `src/`.
+in odd ones, with pair i on seed `seeds[i % len(seeds)]`.  Both sides run
+from sibling copies in one temporary directory (under $TMPDIR), `parent`
+and `change`, whose paths have equal length: a run's `peak_rss_mb`
+follows where its checkout sits, so a side run in place would differ
+from one run from a copy with no change to the code.  `parent` is `git
+archive` of the commit `--parent` names; `change` holds the files `git
+add -A` would commit, uncommitted edits included, while the commit and
+its dirty flag are read from the repository.  Both copies are removed
+afterwards, also when the script is ended by SIGTERM (exit status 143);
+nothing is written into the repository's `.git`.  Each tree's `run.py`
+imports that tree's own `src/`.
 
 For every gated metric of `BENCHMARK.json` the script prints each side's
 median and interquartile range and the pairs the change won, and whether
 the change won at least 9 pairs in 10 by more than the parent's IQR in
-the median.  It then checks the change's median against the metric's
-`bound`, a fraction of the parent's median: `within bound`, `bound
-broken` when it is worse by more, or `unresolved` when the parent's own
-IQR is wider than the bound, so its runs spread too widely to tell,
-unless every run of the change reads better than every run of the
-parent.  Every run is checked as the benchmark checks it
+the median.  Beside them it prints each side's median of three figures
+from each run's `report` line, which the gated nominal timings hide
+(they scale by a calibration kernel that itself reads differently from
+one tree's processes to the other's): `raw_step_ms_p50` and
+`raw_step_ms_p90` as measured, and `calibration_block_ms`, with the
+change's percentage, or "not recorded" for a side none of whose runs
+printed the figure.  It then checks the change's median against the
+metric's `bound`, a fraction of the parent's median: `within bound`,
+`bound broken` when it is worse by more, or `unresolved` when the
+parent's own IQR is wider than the bound, so its runs spread too widely
+to tell, unless every run of the change reads better than every run of
+the parent.  Every run is checked as the benchmark checks it
 (`result_line`): it exits 0, writes nothing to stderr, and its last line
 is a strict-JSON result with `correct: true` and finite metrics, named
 exactly as `BENCHMARK.json` lists them for the run's trace mode.  Each
@@ -40,9 +51,9 @@ per workload, the digest and the last stdout line of the `--trace 0`
 run at that seed, and under `trace1` the last line of the first traced
 run with each metric's value replaced by the median of the three and
 its three values, in pair order, under `runs`; plus the paired figures
-and verdicts under `ab`.  Exit status: 0, or 1 if a run failed or was
-not correct, if digests of one tree disagree, or (after writing `--out`)
-if a bound is broken.
+and verdicts under `ab`, the report figures under `ab[<workload>]["raw"]`.
+Exit status: 0, or 1 if a run failed or was not correct, if digests of
+one tree disagree, or (after writing `--out`) if a bound is broken.
 """
 
 from __future__ import annotations
@@ -70,6 +81,8 @@ def git(tree: Path, *args: str) -> str:
 
 
 RESULT_KEYS = ("correct", "attempted", "failed", "metrics")
+# figures of a run's `report` line printed beside the gated ones
+RAW = ("raw_step_ms_p50", "raw_step_ms_p90", "calibration_block_ms")
 
 
 def _not_json(constant: str):
@@ -112,10 +125,11 @@ def result_line(stdout: str, stderr: str, names: list[str]) -> dict:
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One `run.py` call in `tree`: its last line, digest and environment."""
+    """One `run.py` call in `tree`: its last line, digest, environment and
+    the `RAW` figures of its report line (None where it printed none)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    where = f"{tree}: {workload} seed {seed} trace {trace}"
+    where = f"{tree.name}: {workload} seed {seed} trace {trace}"  # the side, "parent" or "change"
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RunFailed(f"{where} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
@@ -128,7 +142,9 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     lines = proc.stdout.splitlines()
     digest = next((ln.split(" ", 1)[1] for ln in lines if ln.startswith("digest ")), None)
     env = next((json.loads(ln.split(" ", 1)[1]) for ln in lines if ln.startswith("environment ")), {})
-    return {"last": last, "digest": digest, "environment": env}
+    report = next((json.loads(ln.split(" ", 1)[1]) for ln in lines if ln.startswith("report ")), {})
+    raw = {name: report.get("metrics", {}).get(name, {}).get("value") for name in RAW}
+    return {"last": last, "digest": digest, "environment": env, "raw": raw}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -172,6 +188,19 @@ def unpack(commit: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+def copy_worktree(dest: Path) -> None:
+    """The files `git add -A` would commit, as they are in the repository
+    now, in the new directory `dest`."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=ROOT, check=True, capture_output=True, text=True).stdout
+    dest.mkdir()
+    for path in filter(None, listed.split("\0")):
+        src = ROOT / path
+        if src.is_symlink() or src.is_file():  # a deleted file is still listed as cached
+            (dest / path).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / path, follow_symlinks=False)
+
+
 def commit_of(tree: Path) -> str:
     """HEAD of `tree`, marked when tracked files differ from it."""
     head = git(tree, "rev-parse", "HEAD")
@@ -204,10 +233,12 @@ def main(argv=None) -> int:
     # SIGTERM would skip the `finally`; as `SystemExit` it first makes
     # `subprocess.run` kill the running benchmark, then removes the tree
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
-    scratch = Path(tempfile.mkdtemp(prefix="ab-parent-"))
+    scratch = Path(tempfile.mkdtemp(prefix="ab-"))
     try:
-        unpack(args.parent_commit, scratch / "tree")
-        return compare(args, {"parent": scratch / "tree", "change": ROOT}, workloads, gated)
+        trees = {"parent": scratch / "parent", "change": scratch / "change"}  # paths of equal length
+        unpack(args.parent_commit, trees["parent"])
+        copy_worktree(trees["change"])
+        return compare(args, trees, workloads, gated)
     except RunFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -252,6 +283,19 @@ def compare(args, trees: dict, workloads: list[str], gated: dict) -> int:
                   f"change {s['change_median']:10.4g} (IQR {s['change_iqr']:.3g})  "
                   f"{(s['change_median'] / s['parent_median'] - 1) * 100 if s['parent_median'] else 0:+6.1f}%  "
                   f"{s['verdict']} ({bound:.0%})  wins {s['wins']}/{s['pairs']}{'  gain' if s['gain'] else ''}")
+        ab[w]["raw"] = {}
+        for name in RAW:
+            medians = {}
+            for side in trees:
+                values = [res["raw"][name] for _, res in runs[side][w] if res["raw"][name] is not None]
+                medians[side] = statistics.median(values) if values else None
+            pct = (medians["change"] / medians["parent"] - 1) * 100 \
+                if None not in medians.values() and medians["parent"] else None
+            ab[w]["raw"][name] = {"parent_median": medians["parent"], "change_median": medians["change"],
+                                  "change_pct": pct}
+            shown = {side: "not recorded" if v is None else f"{v:10.4g}" for side, v in medians.items()}
+            print(f"  {name:20s} parent {shown['parent']}  change {shown['change']}"
+                  + ("" if pct is None else f"  {pct:+6.1f}%"))
     if args.out is not None:
         write_bench(args, trees, workloads, runs, ab)
     if broken:
